@@ -111,6 +111,8 @@ def append_bench_fig5(
     job's reduced one — regression checks only compare like with like.
     Only cold runs (``cache_hit`` false) are meaningful for speedups;
     cache hits are recorded but carry no ``speedup_vs_baseline``.
+    Older entries name the kernel mode they ran under; newer ones carry
+    no ``kernel`` field because only one kernel remains.
     Returns the appended entry.
     """
     path = os.path.join(_results_dir(), "BENCH_fig5.json")
@@ -131,7 +133,6 @@ def append_bench_fig5(
     entry = {
         "when": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "wall_seconds": round(wall_seconds, 3),
-        "kernel": os.environ.get("REPRO_KERNEL_MODE", "event"),
         "config": config,
         "cache_hit": bool(cache_hit),
         "full": FULL,

@@ -84,7 +84,7 @@ def build_network() -> Network:
             raise_on_violation=False,
         )
     )
-    network.kernel.enable_timing(per_component=True)
+    network.kernel.enable_timing()
     return network
 
 

@@ -808,7 +808,7 @@ class CmpSystem:
             telemetry=self._collect_telemetry(),
             profile=(
                 profile_from_kernel(self.kernel)
-                if self.kernel.component_timing_enabled
+                if self.kernel.timing_enabled
                 else None
             ),
             scheme=self.scheme.name,

@@ -277,27 +277,15 @@ def _source_fingerprint() -> str:
     return _SOURCE_FINGERPRINT
 
 
-def _kernel_mode() -> str:
-    """The active scheduler mode (``event``, ``tick`` or ``batch``).
-
-    Part of every cache key — memo and disk — so results produced under
-    one ``REPRO_KERNEL_MODE`` can never alias another mode's results
-    (their payloads are bit-identical by design, but the invariance tests
-    that *prove* that must observe genuinely independent runs)."""
-    mode = os.environ.get("REPRO_KERNEL_MODE", "event")
-    return mode if mode in ("tick", "batch") else "event"
-
-
 def spec_key(spec: RunSpec) -> str:
-    """Stable content address of (spec, code version, kernel mode) —
-    identical across processes and interpreter sessions, independent of
-    hash randomization."""
+    """Stable content address of (spec, code version) — identical across
+    processes and interpreter sessions, independent of hash
+    randomization."""
     token = json.dumps(
         {
             "spec": asdict(spec),
             "code_version": CODE_VERSION,
             "source": _source_fingerprint(),
-            "kernel_mode": _kernel_mode(),
         },
         sort_keys=True,
     )
@@ -308,9 +296,8 @@ def spec_key(spec: RunSpec) -> str:
 # the two cache levels
 # --------------------------------------------------------------------------
 
-#: Per-process memo, keyed by (spec, kernel mode) so flipping
-#: ``REPRO_KERNEL_MODE`` mid-process cannot serve stale results.
-_CACHE: Dict[Tuple[RunSpec, str], SimulationResult] = {}
+#: Per-process memo.
+_CACHE: Dict[RunSpec, SimulationResult] = {}
 
 #: Count of fresh simulations this process has performed (cache misses
 #: that reached :func:`_simulate`, plus specs fanned out to pool
@@ -570,7 +557,7 @@ def _simulate_in_scope(
     )
     _train_if_needed(system, spec)
     if spec.profile_run:
-        system.kernel.enable_timing(per_component=True)
+        system.kernel.enable_timing()
     if correlation:
         system.kernel.annotations["correlation_id"] = correlation
     if verbose:
@@ -679,7 +666,7 @@ def _train_if_needed(system: CmpSystem, spec: RunSpec) -> None:
 
 def run_spec(spec: RunSpec, verbose: bool = False) -> SimulationResult:
     """Run (or recall) one simulation: memo -> disk -> simulate."""
-    cached = _CACHE.get((spec, _kernel_mode()))
+    cached = _CACHE.get(spec)
     if cached is not None:
         return cached
     result = _disk_load(spec)
@@ -688,7 +675,7 @@ def run_spec(spec: RunSpec, verbose: bool = False) -> SimulationResult:
         _SIMULATED += 1
         result = _simulate(spec, verbose=verbose)
         _disk_store(spec, result)
-    _CACHE[(spec, _kernel_mode())] = result
+    _CACHE[spec] = result
     return result
 
 
@@ -1177,7 +1164,7 @@ def _stop_watchdog(watchdog: Optional[_Watchdog], set_here: bool) -> None:
 
 
 def _store(spec: RunSpec, result: SimulationResult, verbose: bool) -> None:
-    _CACHE[(spec, _kernel_mode())] = result
+    _CACHE[spec] = result
     _disk_store(spec, result)
     if verbose:
         ensure_level(logging.INFO)
@@ -1194,36 +1181,6 @@ def _store(spec: RunSpec, result: SimulationResult, verbose: bool) -> None:
         result.cycles,
         result.avg_miss_latency,
     )
-
-
-def _run_with_alarm(
-    spec: RunSpec, timeout: Optional[float], verbose: bool
-) -> SimulationResult:
-    """``run_spec`` under the same wall-clock bound the pool enforces.
-
-    Serial in-process execution has no future to time out, so the bound
-    is enforced with ``SIGALRM`` (POSIX, main thread only) raising
-    :class:`TimeoutError` in-line; elsewhere the cooperative deadline
-    inside :func:`_simulate` still bounds the run loop itself."""
-    if (
-        timeout is None
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        return run_spec(spec, verbose=verbose)
-
-    def _expired(signum, frame):
-        raise TimeoutError(
-            f"spec exceeded {timeout}s: {spec.scheme}:{spec.workload}"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return run_spec(spec, verbose=verbose)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _journal_outcome(
@@ -1253,19 +1210,18 @@ def _run_serial(
     """In-process execution with per-spec isolation: one bad spec records
     a failure instead of aborting the survivors behind it.  Matches the
     pool path's contract — a per-spec timeout (``REPRO_SPEC_TIMEOUT``,
-    via ``SIGALRM`` plus the run loop's cooperative deadline) and one
-    retry after a jittered pause, the first symptom kept in ``prior``.
+    enforced by the run loop's cooperative deadline) and one retry after
+    a jittered pause, the first symptom kept in ``prior``.
     Journal states are appended per spec as it starts and resolves, so a
     campaign killed mid-batch leaves an accurate ledger behind."""
     if prior is None:
         prior = {}
-    timeout = _spec_timeout()
     for spec in misses:
         if journal and spec in journal:
             _journal_append(journal[spec], "running")
         for attempt in (0, 1):
             try:
-                out[spec] = _run_with_alarm(spec, timeout, verbose)
+                out[spec] = run_spec(spec, verbose=verbose)
             except Exception as exc:
                 if attempt == 0:
                     prior[spec] = exc
@@ -1430,11 +1386,11 @@ def run_specs(
     out: Dict[RunSpec, SimulationResult] = {}
     misses: List[RunSpec] = []
     for spec in ordered:
-        cached = _CACHE.get((spec, _kernel_mode()))
+        cached = _CACHE.get(spec)
         if cached is None:
             cached = _disk_load(spec)
             if cached is not None:
-                _CACHE[(spec, _kernel_mode())] = cached
+                _CACHE[spec] = cached
         if cached is not None:
             out[spec] = cached
         else:

@@ -196,10 +196,7 @@ class NetworkInterface:
             if stream is None:
                 return
         packet, vc, sent = stream
-        # Hot path: read buffer fullness straight off the fabric array
-        # (the local link has no in-flight credits to account for).
-        fs = vc.fs
-        if fs.depth - fs.flits_present[vc.vid] <= 0:
+        if vc.depth - vc.flits_present <= 0:
             return  # no buffer space this cycle
         is_head = sent == 0
         vc.accept_flit(packet, is_head)

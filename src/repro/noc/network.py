@@ -18,6 +18,12 @@ kernel in so cores, banks and the memory controller tick on the same clock
 in phases appended after these.  ``Network.tick()`` remains as a
 convenience that steps the whole kernel by one cycle.
 
+The network's own state is plain Python: per-node ejection tokens are a
+list that ``net.frame`` refills only where tokens were spent, and route
+decisions are memoized (every pair precomputed on fabrics up to 64
+nodes, a bounded FIFO cache beyond).  Routers hold their VC state
+themselves (:mod:`repro.noc.router`).
+
 Three pluggable hooks are configured by the CMP scheme layer:
 
 - ``inject_transform(node, packet) -> extra cycles`` — NI-side work at
@@ -36,7 +42,6 @@ import heapq
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.noc.config import NocConfig
-from repro.noc.fabric_state import FabricState
 from repro.noc.flit import Packet
 from repro.noc.interface import NetworkInterface
 from repro.noc.router import InputVC, Router
@@ -329,14 +334,6 @@ class Network:
             self._route_cache_cap = self.ROUTE_CACHE_CAP
         self.stats = NetworkStats()
         self.kernel = kernel if kernel is not None else SimKernel()
-        #: The struct-of-arrays dataplane state layer (must exist before
-        #: the routers: their InputVC views bind to its arrays).
-        self.fabric = FabricState(
-            self.topology,
-            config.vcs_per_port,
-            config.vc_depth,
-            config.ejection_bandwidth,
-        )
         factory = router_factory or Router
         self.routers: List[Router] = [
             factory(node, config, self) for node in range(self.topology.n_nodes)
@@ -346,11 +343,11 @@ class Network:
         ]
         self.arrival_queue = ArrivalQueue(self)
         self.local_deliveries = LocalDeliveryQueue(self)
-        # Ejection tokens live in the fabric layer (started full there);
-        # the alias keeps every existing call site working.  The frame
-        # step only refills nodes that actually spent tokens
-        # (``_eject_spent``) instead of rewriting the array every cycle.
-        self._eject_tokens = self.fabric.eject_tokens
+        # Ejection tokens start full; the frame step only refills nodes
+        # that actually spent tokens (``_eject_spent``) instead of
+        # rewriting the whole array every cycle.
+        bandwidth = config.ejection_bandwidth
+        self._eject_tokens: List[int] = [bandwidth] * self.topology.n_nodes
         self._eject_spent: List[int] = []
         self._delivery_handler: Optional[DeliveryHandler] = None
         #: Fault-injection controller (:mod:`repro.faults`); ``None`` keeps
@@ -395,15 +392,6 @@ class Network:
         kernel.register(self.arrival_queue, phase="net.arrivals")
         for router in self.routers:
             kernel.register(router, phase="net.routers")
-        #: Batch mode sweeps the router phase through one driver instead
-        #: of per-component dispatch (:mod:`repro.noc.batch`); the routers
-        #: stay registered so wake()/active-set bookkeeping is unchanged.
-        self.batch_driver = None
-        if kernel.mode == "batch":
-            from repro.noc.batch import BatchFabricDriver
-
-            self.batch_driver = BatchFabricDriver(self)
-            kernel.set_phase_driver("net.routers", self.batch_driver)
         for ni in self.nis:
             kernel.register(ni, phase="net.nis")
         kernel.register(self.local_deliveries, phase="net.delivery")
@@ -470,7 +458,9 @@ class Network:
     def _fabric_occupancy(self) -> float:
         """Buffered + in-flight flits across every router VC (the default
         occupancy gauge of the telemetry sampler)."""
-        return float(self.fabric.total_occupancy())
+        return float(
+            sum(vc.occupancy() for r in self.routers for vc in r.all_vcs)
+        )
 
     def _network_counters(self) -> Dict[str, int]:
         """The NoC's contribution to the kernel's stats registry (legacy
@@ -619,20 +609,19 @@ class Network:
         are saved as field dicts and copied back into the existing
         instances, which registered providers hold by reference.
 
-        Version 2 (the FabricState refactor): the fabric's numeric plane
-        travels as the ``fabric`` entry and is restored *last*, making it
-        authoritative over anything the per-router VC snapshots wrote;
-        eject tokens live inside it.  The route cache is pure derived
-        state (decisions are deterministic functions of the static
-        topology) and is deliberately absent.
+        Version 3 carries the ejection tokens as a plain ``eject_tokens``
+        list (version 2 held them in a since-removed ``fabric`` block).
+        The route cache is pure derived state (decisions are
+        deterministic functions of the static topology) and is
+        deliberately absent.
         """
         return {
-            "version": 2,
-            "fabric": self.fabric.state_dict(),
+            "version": 3,
             "routers": [router.state_dict() for router in self.routers],
             "nis": [ni.state_dict() for ni in self.nis],
             "arrivals": self.arrival_queue.state_dict(),
             "local_deliveries": self.local_deliveries.state_dict(),
+            "eject_tokens": list(self._eject_tokens),
             "eject_spent": list(self._eject_spent),
             "stats": _copy_fields(self.stats),
             "degraded": _copy_fields(self.degraded),
@@ -648,7 +637,7 @@ class Network:
         }
 
     def load_state(self, state: dict) -> None:
-        if state.get("version") != 2:
+        if state.get("version") != 3:
             raise ValueError(
                 f"unsupported Network state version {state.get('version')!r}"
             )
@@ -667,11 +656,7 @@ class Network:
             ni.load_state(saved)
         self.arrival_queue.load_state(state["arrivals"])
         self.local_deliveries.load_state(state["local_deliveries"])
-        # The fabric loads after the routers so its numeric plane is
-        # authoritative (the VC views re-derived the same values; this
-        # guarantees it bit-for-bit).  ``_eject_tokens`` aliases the
-        # fabric's array, so the tokens restore through it.
-        self.fabric.load_state(state["fabric"])
+        self._eject_tokens = list(state["eject_tokens"])
         self._eject_spent = list(state["eject_spent"])
         self.stats.__dict__.update(state["stats"])
         self.degraded.__dict__.update(state["degraded"])

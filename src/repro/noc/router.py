@@ -12,13 +12,11 @@ additionally require the whole packet to fit (and, for SAF, to have fully
 arrived) before it advances — the property §3.3-A relies on for whole-packet
 compression.
 
-State layout: every mutable numeric field of a VC lives in the fabric's
-struct-of-arrays layer (:class:`repro.noc.fabric_state.FabricState`),
-indexed by the VC's flat ``vid``.  :class:`InputVC` is a typed *view*
-onto that layer — its properties keep every existing call site (faults,
-reliability, diagnostics, the DISCO engine) working unchanged, while the
-per-cycle pipeline below and the batched kernel mode
-(:mod:`repro.noc.batch`) index the arrays directly.
+State layout: an :class:`InputVC` keeps its mutable fields as plain
+``__slots__`` attributes, and each router iterates a short list of its
+packet-holding VCs per stage.  (A struct-of-arrays "fabric plane" with
+VCs as property views over shared arrays was tried and removed: it made
+the per-cycle pipeline about a fifth slower in CPython.)
 
 :class:`Router` exposes the hook points the DISCO router overrides:
 ``_post_switch_allocation`` (receives this cycle's SA losers — the
@@ -33,7 +31,6 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.noc.config import FlowControl, NocConfig
-from repro.noc.fabric_state import NO_CLASS, NO_PORT, NO_VC, FabricState
 from repro.noc.flit import Packet
 from repro.noc.topology import PORT_LOCAL
 
@@ -64,23 +61,37 @@ def _base_can_eject():
 
 
 class InputVC:
-    """One virtual-channel buffer of one input port (a fabric-state view).
+    """One virtual-channel buffer of one input port.
 
     Holds at most one packet at a time (wormhole VC allocation: the VC is
     bound to a packet from head to tail).  Buffering is tracked as flit
     counts; ``incoming`` counts flits already launched on the link toward
     this VC, so ``free_slots`` is the sender-visible credit count.
-
-    The object itself holds only *structure* (router, port, vc index, the
-    flat ``vid``); every mutable field reads/writes the fabric's arrays.
     """
 
-    __slots__ = ("router", "port", "vc_index", "scan_key", "depth", "vid", "fs")
+    __slots__ = (
+        "router",
+        "port",
+        "vc_index",
+        "scan_key",
+        "depth",
+        "packet",
+        "state",
+        "flits_present",
+        "flits_received",
+        "flits_sent",
+        "incoming",
+        "reserved",
+        "out_port",
+        "out_vc_class",
+        "out_vc",
+        "engine_job",
+        "wait_cycles",
+        "credit_debt",
+        "wedged_until",
+    )
 
-    def __init__(
-        self, router: "Router", port: int, vc_index: int, depth: int,
-        fs: FabricState, vid: int,
-    ):
+    def __init__(self, router: "Router", port: int, vc_index: int, depth: int):
         self.router = router
         self.port = port
         self.vc_index = vc_index
@@ -88,173 +99,64 @@ class InputVC:
         #: bound-VC active list sorted identically to a full scan.
         self.scan_key = 0
         self.depth = depth
-        self.fs = fs
-        self.vid = vid
-        fs.views[vid] = self
-
-    # -- typed view onto the fabric arrays -----------------------------------
-    @property
-    def packet(self) -> Optional[Packet]:
-        return self.fs.packet[self.vid]
-
-    @packet.setter
-    def packet(self, value: Optional[Packet]) -> None:
-        self.fs.packet[self.vid] = value
-
-    @property
-    def state(self) -> int:
-        return self.fs.state[self.vid]
-
-    @state.setter
-    def state(self, value: int) -> None:
-        self.fs.state[self.vid] = value
-
-    @property
-    def flits_present(self) -> int:
-        return self.fs.flits_present[self.vid]
-
-    @flits_present.setter
-    def flits_present(self, value: int) -> None:
-        self.fs.flits_present[self.vid] = value
-
-    @property
-    def flits_received(self) -> int:
-        return self.fs.flits_received[self.vid]
-
-    @flits_received.setter
-    def flits_received(self, value: int) -> None:
-        self.fs.flits_received[self.vid] = value
-
-    @property
-    def flits_sent(self) -> int:
-        return self.fs.flits_sent[self.vid]
-
-    @flits_sent.setter
-    def flits_sent(self, value: int) -> None:
-        self.fs.flits_sent[self.vid] = value
-
-    @property
-    def incoming(self) -> int:
-        return self.fs.incoming[self.vid]
-
-    @incoming.setter
-    def incoming(self, value: int) -> None:
-        self.fs.incoming[self.vid] = value
-
-    @property
-    def reserved(self) -> bool:
-        return bool(self.fs.reserved[self.vid])
-
-    @reserved.setter
-    def reserved(self, value: bool) -> None:
-        self.fs.reserved[self.vid] = 1 if value else 0
-
-    @property
-    def out_port(self) -> int:
-        return self.fs.out_port[self.vid]
-
-    @out_port.setter
-    def out_port(self, value: int) -> None:
-        self.fs.out_port[self.vid] = value
-
-    @property
-    def out_vc_class(self) -> Optional[int]:
-        value = self.fs.out_vc_class[self.vid]
-        return None if value == NO_CLASS else value
-
-    @out_vc_class.setter
-    def out_vc_class(self, value: Optional[int]) -> None:
-        self.fs.out_vc_class[self.vid] = NO_CLASS if value is None else value
-
-    @property
-    def out_vc(self) -> Optional["InputVC"]:
-        target = self.fs.out_vc[self.vid]
-        return None if target == NO_VC else self.fs.views[target]
-
-    @out_vc.setter
-    def out_vc(self, value: Optional["InputVC"]) -> None:
-        self.fs.out_vc[self.vid] = NO_VC if value is None else value.vid
-
-    @property
-    def engine_job(self):
-        return self.fs.engine_job[self.vid]
-
-    @engine_job.setter
-    def engine_job(self, value) -> None:
-        self.fs.engine_job[self.vid] = value
-
-    @property
-    def wait_cycles(self) -> int:
-        return self.fs.wait_cycles[self.vid]
-
-    @wait_cycles.setter
-    def wait_cycles(self, value: int) -> None:
-        self.fs.wait_cycles[self.vid] = value
-
-    @property
-    def credit_debt(self) -> int:
-        return self.fs.credit_debt[self.vid]
-
-    @credit_debt.setter
-    def credit_debt(self, value: int) -> None:
-        self.fs.credit_debt[self.vid] = value
-
-    @property
-    def wedged_until(self) -> int:
-        return self.fs.wedged_until[self.vid]
-
-    @wedged_until.setter
-    def wedged_until(self, value: int) -> None:
-        self.fs.wedged_until[self.vid] = value
+        self.packet: Optional[Packet] = None
+        self.state = VC_IDLE
+        self.flits_present = 0
+        self.flits_received = 0
+        self.flits_sent = 0
+        self.incoming = 0
+        self.reserved = False
+        self.out_port = -1
+        #: Dateline escape-VC class picked at route computation (None when
+        #: the routing algorithm is deadlock-free on any VC).
+        self.out_vc_class: Optional[int] = None
+        self.out_vc: Optional["InputVC"] = None
+        self.engine_job = None  # set by the DISCO engine
+        self.wait_cycles = 0
+        #: Credits destroyed by an injected fault (repro.faults): the
+        #: sender-visible credit count shrinks until the resync restores
+        #: them, squeezing throughput without corrupting occupancy.
+        self.credit_debt = 0
+        #: Fault-injected wedge: the VC refuses to send while the network
+        #: cycle is below this bound (-1 = never wedged).
+        self.wedged_until = -1
 
     # -- credit view --------------------------------------------------------
     def free_slots(self) -> int:
         """Sender-visible credits (never negative; decompression overflow
         is absorbed by the engine's staging registers)."""
-        fs = self.fs
-        i = self.vid
         slots = (
-            fs.depth - fs.flits_present[i] - fs.incoming[i] - fs.credit_debt[i]
+            self.depth - self.flits_present - self.incoming - self.credit_debt
         )
         return slots if slots > 0 else 0
 
     def occupancy(self) -> int:
         """Buffered + in-flight flits (the congestion signal DISCO reads)."""
-        fs = self.fs
-        i = self.vid
-        return fs.flits_present[i] + fs.incoming[i]
+        return self.flits_present + self.incoming
 
     def is_free(self) -> bool:
-        fs = self.fs
-        i = self.vid
-        return (
-            fs.packet[i] is None
-            and not fs.reserved[i]
-            and fs.incoming[i] == 0
-        )
+        return self.packet is None and not self.reserved and self.incoming == 0
 
     # -- lifecycle ----------------------------------------------------------
     def accept_flit(self, packet: Packet, is_head: bool) -> None:
         """Deliver one flit into the buffer (buffer-write stage)."""
-        fs = self.fs
-        i = self.vid
-        if fs.incoming[i] > 0:
-            fs.incoming[i] -= 1
+        if self.incoming > 0:
+            self.incoming -= 1
         if is_head:
-            if fs.packet[i] is not None:
+            if self.packet is not None:
                 raise RuntimeError(
                     f"VC collision at router {self.router.node} "
                     f"port {self.port} vc {self.vc_index}"
                 )
-            fs.packet[i] = packet
+            self.packet = packet
             self.router._bind_vc(self)
-            fs.reserved[i] = 0
-            fs.state[i] = VC_ROUTING
-            fs.flits_received[i] = 0
-            fs.flits_sent[i] = 0
-            fs.wait_cycles[i] = 0
-        fs.flits_present[i] += 1
-        fs.flits_received[i] += 1
+            self.reserved = False
+            self.state = VC_ROUTING
+            self.flits_received = 0
+            self.flits_sent = 0
+            self.wait_cycles = 0
+        self.flits_present += 1
+        self.flits_received += 1
 
     def force_release(self) -> int:
         """Squash-evict whatever packet state this VC holds.
@@ -269,47 +171,34 @@ class InputVC:
         The caller must purge in-flight arrivals targeting this VC (and
         decrement ``incoming``) *before* calling.
         """
-        fs = self.fs
-        i = self.vid
-        removed = fs.flits_present[i]
-        target = fs.out_vc[i]
-        if (
-            target != NO_VC
-            and fs.packet[target] is None
-            and fs.reserved[target]
-        ):
-            fs.reserved[target] = 0
+        removed = self.flits_present
+        target = self.out_vc
+        if target is not None and target.packet is None and target.reserved:
+            target.reserved = False
         self.release()
-        fs.reserved[i] = 0
-        fs.wedged_until[i] = -1
+        self.reserved = False
+        self.wedged_until = -1
         return removed
 
     def release(self) -> None:
         """Free the VC after the tail flit has left."""
-        fs = self.fs
-        i = self.vid
-        if fs.packet[i] is not None:
+        if self.packet is not None:
             self.router._unbind_vc(self)
-        fs.packet[i] = None
-        fs.state[i] = VC_IDLE
-        fs.flits_present[i] = 0
-        fs.flits_received[i] = 0
-        fs.flits_sent[i] = 0
-        fs.out_port[i] = NO_PORT
-        fs.out_vc_class[i] = NO_CLASS
-        fs.out_vc[i] = NO_VC
-        fs.engine_job[i] = None
-        fs.wait_cycles[i] = 0
+        self.packet = None
+        self.state = VC_IDLE
+        self.flits_present = 0
+        self.flits_received = 0
+        self.flits_sent = 0
+        self.out_port = -1
+        self.out_vc_class = None
+        self.out_vc = None
+        self.engine_job = None
+        self.wait_cycles = 0
 
     # -- checkpointing -------------------------------------------------------
     def state_dict(self) -> dict:
         """Dynamic buffer state; structural fields (router/port/depth) are
         reconstructed, and the downstream VC reference is path-encoded.
-
-        The numeric fields are also captured wholesale by the fabric's
-        :meth:`~repro.noc.fabric_state.FabricState.state_dict` (the
-        authoritative copy on restore); they are repeated here so a VC
-        snapshot stays self-describing for diagnostics and tests.
 
         ``engine_job`` is deliberately absent: the DISCO engine owns the
         job objects and re-links them when its own state loads.
@@ -378,13 +267,9 @@ class Router:
         self.topology = network.topology
         self.mesh = network.topology  # legacy alias (pre-fabric callers)
         self.radix = self.topology.radix(node)
-        fs = network.fabric
-        self.fs = fs
         self.inputs: List[List[InputVC]] = [
             [
-                InputVC(
-                    self, port, vc, config.vc_depth, fs, fs.vid(node, port, vc)
-                )
+                InputVC(self, port, vc, config.vc_depth)
                 for vc in range(config.vcs_per_port)
             ]
             for port in range(self.radix)
@@ -395,9 +280,6 @@ class Router:
         ]
         for index, vc in enumerate(self.all_vcs):
             vc.scan_key = index
-        #: This router's contiguous slice of the fabric's VC id space.
-        self._vid_lo = fs.vc_base[node]
-        self._vid_hi = self._vid_lo + len(self.all_vcs)
         #: Bound-VC active list: every VC currently holding a packet, kept
         #: sorted by ``scan_key``.  The per-cycle pipeline stages iterate
         #: this short list instead of scanning all ``radix × vcs_per_port``
@@ -441,15 +323,7 @@ class Router:
     # -- queries used by DISCO and flow control ------------------------------
     def input_port_occupancy(self, port: int) -> int:
         """Total flits buffered/in-flight on one input port."""
-        fs = self.fs
-        lo = self._vid_lo + port * fs.vcs_per_port
-        hi = lo + fs.vcs_per_port
-        fp = fs.flits_present
-        inc = fs.incoming
-        total = 0
-        for i in range(lo, hi):
-            total += fp[i] + inc[i]
-        return total
+        return sum(vc.occupancy() for vc in self.inputs[port])
 
     def downstream_occupancy(self, out_port: int) -> int:
         """Occupancy of the input port this output port feeds (credit_in)."""
@@ -469,25 +343,20 @@ class Router:
         Scans every buffer rather than the bound-VC list: it is off the
         per-flit hot path and diagnostics poke VC state directly.
         """
-        fs = self.fs
-        ports = fs.out_port
-        fp = fs.flits_present
-        exclude_vid = exclude.vid
         total = 0
-        for i in range(self._vid_lo, self._vid_hi):
-            if i != exclude_vid and ports[i] == out_port:
-                total += fp[i]
+        for vc in self.all_vcs:
+            if vc is exclude:
+                continue
+            if vc.out_port == out_port:
+                total += vc.flits_present
         return total
 
     def has_work(self) -> bool:
         """Cheap idle test so the network can skip quiescent routers."""
         if self._bound:
             return True
-        fs = self.fs
-        inc = fs.incoming
-        res = fs.reserved
-        for i in range(self._vid_lo, self._vid_hi):
-            if inc[i] or res[i]:
+        for vc in self.all_vcs:
+            if vc.incoming or vc.reserved:
                 return True
         return False
 
@@ -501,15 +370,11 @@ class Router:
         processing never moves a VC into an *earlier* stage's set within
         the same cycle.
         """
-        fs = self.fs
-        states = fs.state
-        fp = fs.flits_present
         sa = va = rc = None
         for vc in self._bound:
-            i = vc.vid
-            state = states[i]
+            state = vc.state
             if state == VC_ACTIVE:
-                if fp[i]:
+                if vc.flits_present:
                     if sa is None:
                         sa = [vc]
                     else:
@@ -537,14 +402,6 @@ class Router:
         now = network.kernel.cycle
         saf = self._saf
         plain = self._plain_can_send
-        fs = self.fs
-        out_ports = fs.out_port
-        wedged = fs.wedged_until
-        fp = fs.flits_present
-        inc = fs.incoming
-        debt = fs.credit_debt
-        out_vcs = fs.out_vc
-        depth = fs.depth
         # The eject-token pool only changes when a flit is actually sent,
         # and at most one local-port winner sends per cycle, so the check
         # hoists out of the partition loop — but only for the stock
@@ -554,7 +411,7 @@ class Router:
         if plain:
             eject_fn = network.can_eject
             if getattr(eject_fn, "__func__", None) is _base_can_eject():
-                eject_ok = fs.eject_tokens[self.node] > 0
+                eject_ok = network._eject_tokens[self.node] > 0
             else:
                 eject_call = eject_fn
         else:
@@ -563,12 +420,11 @@ class Router:
         requests: Optional[Dict[int, List[InputVC]]] = None
         blocked: Optional[List[InputVC]] = None
         for vc in active:
-            i = vc.vid
             if plain:
-                out_port = out_ports[i]
-                if wedged[i] > now:
+                out_port = vc.out_port
+                if vc.wedged_until > now:
                     ok = False  # fault-injected wedge (repro.faults)
-                elif saf and fs.flits_received[i] < fs.packet[i].size_flits:
+                elif saf and vc.flits_received < vc.packet.size_flits:
                     ok = False
                 elif out_port == PORT_LOCAL:
                     ok = (
@@ -577,13 +433,15 @@ class Router:
                         else eject_call(self.node)
                     )
                 else:
-                    t = out_vcs[i]
-                    ok = (depth - fp[t] - inc[t] - debt[t]) > 0
+                    t = vc.out_vc
+                    ok = (
+                        t.depth - t.flits_present - t.incoming - t.credit_debt
+                    ) > 0
             else:
                 ok = self._can_send(vc)
-                out_port = out_ports[i]
+                out_port = vc.out_port
             if not ok:
-                fs.wait_cycles[i] += 1
+                vc.wait_cycles += 1
                 if blocked is None:
                     blocked = [vc]
                 else:
@@ -592,10 +450,10 @@ class Router:
                 requests.setdefault(out_port, []).append(vc)
             elif single is None:
                 single = [vc]
-            elif out_ports[single[0].vid] == out_port:
+            elif single[0].out_port == out_port:
                 single.append(vc)
             else:
-                requests = {out_ports[single[0].vid]: single, out_port: [vc]}
+                requests = {single[0].out_port: single, out_port: [vc]}
                 single = None
 
         losers: Optional[List[InputVC]] = None
@@ -603,7 +461,7 @@ class Router:
             # The overwhelmingly common shape (one output port requested):
             # no cross-port input conflicts are possible, so the used-input
             # filtering reduces to a single arbitration.
-            winner = self._arbitrate(out_ports[single[0].vid], single)
+            winner = self._arbitrate(single[0].out_port, single)
             self._send_flit(winner)
             if len(single) > 1:
                 losers = [vc for vc in single if vc is not winner]
@@ -631,9 +489,8 @@ class Router:
 
         if losers is not None:
             stats = network.stats
-            wait = fs.wait_cycles
             for vc in losers:
-                wait[vc.vid] += 1
+                vc.wait_cycles += 1
                 stats.sa_losses += 1
         if self._sa_hook and (losers is not None or blocked is not None):
             self._post_switch_allocation((losers or []) + (blocked or []))
@@ -674,51 +531,47 @@ class Router:
         return winner
 
     def _priority(self, vc: InputVC) -> int:
-        packet = self.fs.packet[vc.vid]
+        packet = vc.packet
         assert packet is not None
         return self.network.packet_priority(packet)
 
     def _send_flit(self, vc: InputVC) -> None:
-        fs = self.fs
-        i = vc.vid
-        packet = fs.packet[i]
+        packet = vc.packet
         network = self.network
         stats = network.stats
-        if fs.flits_sent[i] == 0 and self._ff_hook:
+        if vc.flits_sent == 0 and self._ff_hook:
             self._on_first_flit_sent(vc)
-        fs.flits_present[i] -= 1
-        sent = fs.flits_sent[i] + 1
-        fs.flits_sent[i] = sent
+        vc.flits_present -= 1
+        vc.flits_sent += 1
         stats.buffer_reads += 1
         stats.crossbar_flits += 1
         stats.sa_grants += 1
-        is_head = sent == 1
-        is_tail = sent == packet.size_flits
+        is_head = vc.flits_sent == 1
+        is_tail = vc.flits_sent == packet.size_flits
         tracer = network.tracer
-        out_port = fs.out_port[i]
         if tracer is not None:
             cycle = network.kernel.cycle
             if is_head:
-                tracer.on_switch_granted(cycle, packet, self.node, out_port)
+                tracer.on_switch_granted(cycle, packet, self.node, vc.out_port)
             if is_tail:
-                tracer.on_tail_sent(cycle, packet, self.node, out_port)
-        if out_port == PORT_LOCAL:
+                tracer.on_tail_sent(cycle, packet, self.node, vc.out_port)
+        if vc.out_port == PORT_LOCAL:
             network.eject_flit(self.node, packet, is_tail)
         else:
-            t = fs.out_vc[i]
-            fs.incoming[t] += 1
+            target = vc.out_vc
+            target.incoming += 1
             stats.link_flits += 1
             network.arrival_queue.schedule(
                 network.kernel.cycle + self._link_latency,
-                fs.views[t],
+                target,
                 packet,
                 is_head,
                 is_tail,
             )
         if is_tail:
-            if fs.flits_present[i] != 0:
+            if vc.flits_present != 0:
                 raise RuntimeError(
-                    f"tail sent with {fs.flits_present[i]} flits still buffered"
+                    f"tail sent with {vc.flits_present} flits still buffered"
                 )
             vc.release()
 
@@ -727,31 +580,27 @@ class Router:
         network = self.network
         tracer = network.tracer
         stats = network.stats
-        fs = self.fs
-        states = fs.state
         for vc in vcs:
-            i = vc.vid
-            packet = fs.packet[i]
-            out_port = fs.out_port[i]
-            if out_port == PORT_LOCAL:
-                states[i] = VC_ACTIVE
+            packet = vc.packet
+            if vc.out_port == PORT_LOCAL:
+                vc.state = VC_ACTIVE
                 stats.va_grants += 1
                 if tracer is not None:
                     tracer.on_vc_allocated(
-                        network.kernel.cycle, packet, self.node, out_port
+                        network.kernel.cycle, packet, self.node, vc.out_port
                     )
                 continue
             target = self._allocate_downstream_vc(vc, packet)
             if target is None:
-                fs.wait_cycles[i] += 1
+                vc.wait_cycles += 1
                 continue
-            fs.reserved[target.vid] = 1
-            fs.out_vc[i] = target.vid
-            states[i] = VC_ACTIVE
+            target.reserved = True
+            vc.out_vc = target
+            vc.state = VC_ACTIVE
             stats.va_grants += 1
             if tracer is not None:
                 tracer.on_vc_allocated(
-                    network.kernel.cycle, packet, self.node, out_port
+                    network.kernel.cycle, packet, self.node, vc.out_port
                 )
 
     def _allocate_downstream_vc(
@@ -763,41 +612,35 @@ class Router:
                 f"{self.config.flow_control.value} needs vc_depth >= packet "
                 f"size ({packet.size_flits} flits > {self.config.vc_depth})"
             )
-        fs = self.fs
-        key = (
-            fs.out_port[vc.vid],
-            packet.ptype.vnet,
-            fs.out_vc_class[vc.vid],
-        )
+        key = (vc.out_port, packet.ptype.vnet, vc.out_vc_class)
         candidates = self._va_candidates.get(key)
         if candidates is None:
             candidates = self._build_va_candidates(*key)
             self._va_candidates[key] = candidates
         size = packet.size_flits
-        packets = fs.packet
-        res = fs.reserved
-        inc = fs.incoming
         for candidate in candidates:
-            c = candidate.vid
-            if packets[c] is None and not res[c] and inc[c] == 0:
+            if (
+                candidate.packet is None
+                and not candidate.reserved
+                and candidate.incoming == 0
+            ):
                 if whole_packet and candidate.free_slots() < size:
                     continue
                 return candidate
         return None
 
     def _build_va_candidates(
-        self, out_port: int, vnet: int, vc_class: int
+        self, out_port: int, vnet: int, vc_class: Optional[int]
     ) -> List[InputVC]:
         """Downstream VCs eligible for (out_port, vnet, class), scan order.
 
         The topology never changes mid-run, so the filtered list is built
-        once per key and reused every VC allocation.  ``vc_class`` uses
-        the array encoding (``NO_CLASS`` = unconstrained).
+        once per key and reused every VC allocation.
         """
         neighbor = self.topology.neighbor[self.node].get(out_port)
         assert neighbor is not None, "deterministic routing never exits the fabric"
         in_port = self.topology.neighbor_port(self.node, out_port)
-        if vc_class == NO_CLASS:
+        if vc_class is None:
             allowed = self.config.vnet_vcs(vnet)
         else:
             # Dateline routing: restrict allocation to the escape class
@@ -816,17 +659,13 @@ class Router:
         tracer = network.tracer
         route = network.route
         node = self.node
-        fs = self.fs
         for vc in vcs:
-            i = vc.vid
-            packet = fs.packet[i]
-            out_port, vc_class = route(node, packet.dst)
-            fs.out_port[i] = out_port
-            fs.out_vc_class[i] = NO_CLASS if vc_class is None else vc_class
-            fs.state[i] = VC_VA
+            packet = vc.packet
+            vc.out_port, vc.out_vc_class = route(node, packet.dst)
+            vc.state = VC_VA
             if tracer is not None:
                 tracer.on_route_computed(
-                    network.kernel.cycle, packet, node, out_port
+                    network.kernel.cycle, packet, node, vc.out_port
                 )
 
     # -- checkpointing --------------------------------------------------------

@@ -662,12 +662,11 @@ class CampaignService:
 
     def _execute_spec(self, unit: WorkUnit) -> None:
         spec = unit.spec
-        mode = _runner._kernel_mode()
-        cached = _runner._CACHE.get((spec, mode))
+        cached = _runner._CACHE.get(spec)
         if cached is None:
             cached = _runner._disk_load(spec)
             if cached is not None:
-                _runner._CACHE[(spec, mode)] = cached
+                _runner._CACHE[spec] = cached
         if cached is not None:
             self.stats.cache_hits += 1
             _runner._journal_append(unit.key, "done")

@@ -26,34 +26,31 @@ wake is always harmless — the correctness obligation on producers is
 only that no component is left busy without a pending wake.  Execution
 order is deterministic regardless of wake arrival order: due wakeups
 drain into their phase's active set and each set is swept in
-(phase order, registration index) order — exactly the order the
-tick-everything loop used.  ``SimKernel(event_driven=False)`` (or
-``REPRO_KERNEL_MODE=tick``) restores the legacy poll-everything loop,
-which the invariance tests use to prove both schedulers produce
-bit-identical results.
+(phase order, registration index) order — exactly the order a
+tick-everything loop visits components in, which is how the test
+suite's poll-everything reference scheduler proves this one
+bit-identical.
 
-Instrumentation is opt-in and zero-cost when off: ``enable_timing()``
-accumulates wall-clock per phase — and, with ``per_component=True``, per
-component label — for profiling the simulator itself (never visible to
-the simulation), and ``set_tracer()`` streams ``(cycle, phase,
-component)`` tick events to a callback, which is how a wedged simulation
-can be replayed component-by-component.  Subsystems that attach extra
-observability (the telemetry layer's sampler/tracer) record a one-line
-state note in :attr:`SimKernel.annotations` so ``describe()`` can report
-it without the kernel knowing about them.
+There is one per-cycle loop, :meth:`SimKernel.step`, and nothing
+branches in it.  Each registration binds its component's ``tick`` once,
+when the component registers (so a class-level wrapper installed before
+the component is built sees every call), and the sweep calls that
+binding.  ``enable_timing()`` swaps each binding for a wrapper that
+accumulates host seconds and tick counts per (phase, component label) —
+profiling the simulator, never visible to the simulation.  Subsystems
+that attach extra observability (the telemetry layer's sampler/tracer)
+record a one-line state note in :attr:`SimKernel.annotations` so
+``describe()`` can report it without the kernel knowing about them.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.component import Component
 from repro.sim.stats import StatsRegistry
-
-Tracer = Callable[[int, str, Component], None]
 
 
 def component_label(component: Component) -> str:
@@ -73,7 +70,7 @@ class _Scheduled:
     """Per-registration scheduling state (one per active component)."""
 
     __slots__ = (
-        "component", "phase", "order", "next_wake_fn", "heap_due",
+        "component", "phase", "order", "next_wake_fn", "tick", "heap_due",
         "queued_for", "queued_next",
     )
 
@@ -84,6 +81,9 @@ class _Scheduled:
         #: tie-break for simultaneous wakes.
         self.order = order
         self.next_wake_fn = getattr(component, "next_wake", None)
+        #: What the sweep calls: the component's ``tick``, bound once at
+        #: registration (wrapped by :meth:`SimKernel.enable_timing`).
+        self.tick = component.tick
         #: Earliest heap-scheduled visit cycle (-1: none pending).
         self.heap_due = -1
         #: Cycle this registration is already queued in its phase's
@@ -99,12 +99,17 @@ def _reg_order(reg: _Scheduled) -> int:
     return reg.order
 
 
+def _per_phase(table: Dict[Tuple[str, str], float]) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for (phase, _), value in table.items():
+        out[phase] = out.get(phase, 0) + value
+    return out
+
+
 class Phase:
     """One named stage of the per-cycle loop."""
 
-    __slots__ = (
-        "name", "components", "index", "pending", "pending_next", "driver",
-    )
+    __slots__ = ("name", "components", "index", "pending", "pending_next")
 
     def __init__(self, name: str, index: int = 0):
         self.name = name
@@ -117,12 +122,6 @@ class Phase:
         #: of round-tripping through the wakeup heap (the heap is for
         #: *timed* wakes; the next-cycle case is the hot path).
         self.pending_next: List[_Scheduled] = []
-        #: Optional batch driver: ``driver(cycle, sorted_active_regs) ->
-        #: (ticked, skipped)`` sweeps the whole phase in one call (the
-        #: ``REPRO_KERNEL_MODE=batch`` dataplane).  The kernel still owns
-        #: active-set bookkeeping and re-arms each registration from its
-        #: idleness contract afterwards.
-        self.driver = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Phase({self.name!r}, {len(self.components)} components)"
@@ -131,29 +130,9 @@ class Phase:
 class SimKernel:
     """Global clock + phase-ordered wakeup schedule + stats registry."""
 
-    def __init__(
-        self,
-        event_driven: Optional[bool] = None,
-        mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.cycle = 0
         self.stats = StatsRegistry()
-        # Scheduler mode: "tick" (legacy poll-everything), "event"
-        # (wakeup-driven, the default), or "batch" (event scheduling plus
-        # phase drivers that sweep a whole phase in bulk).  The boolean
-        # ``event_driven`` parameter is the legacy spelling and wins when
-        # given explicitly.
-        if mode is None:
-            if event_driven is None:
-                mode = os.environ.get("REPRO_KERNEL_MODE", "event")
-                if mode not in ("tick", "event", "batch"):
-                    mode = "event"
-            else:
-                mode = "event" if event_driven else "tick"
-        elif mode not in ("tick", "event", "batch"):
-            raise ValueError(f"unknown kernel mode {mode!r}")
-        self.mode = mode
-        self._event_driven = mode != "tick"
         self._phases: List[Phase] = []
         self._phase_by_name: Dict[str, Phase] = {}
         #: Registered but never ticked (reactive state-holders); they count
@@ -170,29 +149,14 @@ class SimKernel:
         self.cycles_total = 0
         self.component_wakes = 0
         self.wakes_skipped = 0
-        #: Batched-sweep counters (only move in ``mode="batch"``): phase
-        #: sweeps handled by a driver, router visits served by the fused
-        #: fast path, and visits that fell back to the scalar
-        #: ``tick()`` because a hook override touched the router.
-        self.batch_sweeps = 0
-        self.batch_fast_ticks = 0
-        self.batch_fallback_ticks = 0
         self._timing = False
-        self._component_timing = False
-        self._tracer: Optional[Tracer] = None
-        self.phase_seconds: Dict[str, float] = {}
-        self.phase_ticks: Dict[str, int] = {}
-        #: ``(phase, component label) -> seconds/ticks`` accumulated when
-        #: ``enable_timing(per_component=True)`` is on.
+        #: ``(phase, component label) -> seconds/ticks`` accumulated while
+        #: ``enable_timing()`` is on.
         self.component_seconds: Dict[Tuple[str, str], float] = {}
         self.component_ticks: Dict[Tuple[str, str], int] = {}
         #: Free-form state notes from attached subsystems (telemetry
         #: sampler/tracer...); rendered by :meth:`describe`.
         self.annotations: Dict[str, str] = {}
-
-    @property
-    def event_driven(self) -> bool:
-        return self._event_driven
 
     # -- registration -------------------------------------------------------
     def add_phase(self, name: str, *, before: Optional[str] = None) -> Phase:
@@ -241,22 +205,11 @@ class SimKernel:
             return
         phase_obj = self.add_phase(phase)
         reg = _Scheduled(component, phase_obj, len(phase_obj.components))
+        if self._timing:
+            reg.tick = self._timed(reg)
         phase_obj.components.append(component)
         self._reg_of[id(component)] = reg
-        if self._event_driven:
-            self._schedule(reg, self.cycle + 1)
-
-    def set_phase_driver(self, phase: str, driver) -> None:
-        """Install a batch driver for one phase (creating it if needed).
-
-        ``driver(cycle, regs)`` receives the phase's active registrations
-        for the cycle, sorted in registration order, and must visit each
-        one exactly as the default sweep would (honouring ``has_work()``
-        gating); it returns ``(ticked, skipped)`` counts.  The kernel
-        keeps ownership of wake scheduling and post-sweep re-arming, so a
-        driver only replaces the inner visit loop — never the schedule.
-        """
-        self.add_phase(phase).driver = driver
+        self._schedule(reg, self.cycle + 1)
 
     def phases(self) -> Tuple[str, ...]:
         return tuple(phase.name for phase in self._phases)
@@ -290,8 +243,6 @@ class SimKernel:
                 f"cannot wake unregistered component "
                 f"{component_label(component)}"
             )
-        if not self._event_driven:
-            return
         now = self.cycle
         sweeping = self._sweep_index
         if sweeping is not None and reg.phase.index > sweeping:
@@ -324,32 +275,50 @@ class SimKernel:
         heapq.heappush(self._heap, (at, self._seq, reg))
 
     # -- instrumentation ----------------------------------------------------
-    def enable_timing(
-        self, enabled: bool = True, per_component: bool = False
-    ) -> None:
-        """Accumulate wall-clock seconds + tick counts per phase.
+    def enable_timing(self) -> None:
+        """Accumulate host seconds + tick counts per (phase, component
+        label) — the :class:`RunProfiler` input.
 
-        ``per_component=True`` additionally attributes time to each
-        component label within its phase (the :class:`RunProfiler` input —
-        costs one extra ``perf_counter`` pair per tick, so leave it off
-        unless profiling).  Profiling of the simulator, not the
-        simulation: it cannot change simulated behaviour, only report
-        where host time goes.
+        Wraps every registration's tick binding in a timer; components
+        registering later are wrapped as they register.  Profiling of the
+        simulator, not the simulation: it cannot change simulated
+        behaviour, only report where host time goes.
         """
-        self._timing = enabled
-        self._component_timing = enabled and per_component
+        if self._timing:
+            return
+        self._timing = True
+        for reg in self._reg_of.values():
+            if reg is not None:
+                reg.tick = self._timed(reg)
+
+    def _timed(self, reg: _Scheduled) -> Callable[[int], None]:
+        bound = reg.tick
+        key = (reg.phase.name, component_label(reg.component))
+        seconds = self.component_seconds
+        ticks = self.component_ticks
+        clock = time.perf_counter
+
+        def tick(cycle: int) -> None:
+            start = clock()
+            bound(cycle)
+            seconds[key] = seconds.get(key, 0.0) + (clock() - start)
+            ticks[key] = ticks.get(key, 0) + 1
+
+        return tick
 
     @property
     def timing_enabled(self) -> bool:
         return self._timing
 
     @property
-    def component_timing_enabled(self) -> bool:
-        return self._component_timing
+    def phase_seconds(self) -> Dict[str, float]:
+        """Host seconds per phase, summed over its component labels."""
+        return _per_phase(self.component_seconds)
 
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Stream every component tick as ``(cycle, phase, component)``."""
-        self._tracer = tracer
+    @property
+    def phase_ticks(self) -> Dict[str, int]:
+        """Ticks per phase, summed over its component labels."""
+        return _per_phase(self.component_ticks)
 
     # -- the loop -----------------------------------------------------------
     def step(self) -> int:
@@ -357,10 +326,6 @@ class SimKernel:
         self.cycle += 1
         cycle = self.cycle
         self.cycles_total += 1
-        if not self._event_driven:
-            if self._timing or self._tracer is not None:
-                return self._step_instrumented(cycle)
-            return self._step_tick_all(cycle)
         # Promote the next-cycle active sets queued by the previous sweep
         # (the heap-free re-arm path), stamping the same-cycle dedup
         # marker the heap drain and same-cycle wakes both check.
@@ -390,8 +355,6 @@ class SimKernel:
             if reg.queued_for != cycle:
                 reg.queued_for = cycle
                 reg.phase.pending.append(reg)
-        if self._timing or self._tracer is not None:
-            return self._sweep_instrumented(cycle)
         wakes = 0
         skipped = 0
         nxt_cycle = cycle + 1
@@ -404,33 +367,11 @@ class SimKernel:
             if len(pending) > 1:
                 pending.sort(key=_reg_order)
             pending_next = phase.pending_next
-            driver = phase.driver
-            if driver is not None:
-                ticked, gated = driver(cycle, pending)
-                wakes += ticked
-                skipped += gated
-                self.batch_sweeps += 1
-                # Re-arm from each idleness contract, exactly as the
-                # default sweep below does after visiting.
-                for reg in pending:
-                    fn = reg.next_wake_fn
-                    if fn is None:
-                        if (
-                            reg.component.has_work()
-                            and reg.queued_next != nxt_cycle
-                        ):
-                            reg.queued_next = nxt_cycle
-                            pending_next.append(reg)
-                    else:
-                        nxt = fn(cycle)
-                        if nxt is not None:
-                            self._schedule(reg, nxt if nxt > cycle else nxt_cycle)
-                continue
             for reg in pending:
                 component = reg.component
                 fn = reg.next_wake_fn
                 if component.has_work():
-                    component.tick(cycle)
+                    reg.tick(cycle)
                     wakes += 1
                     if fn is None:
                         if component.has_work() and reg.queued_next != nxt_cycle:
@@ -447,134 +388,6 @@ class SimKernel:
         self.component_wakes += wakes
         self.wakes_skipped += skipped
         self._sweep_index = None
-        return cycle
-
-    def _sweep_instrumented(self, cycle: int) -> int:
-        tracer = self._tracer
-        per_component = self._component_timing
-        for phase in self._phases:
-            if not phase.pending:
-                continue
-            self._sweep_index = phase.index
-            pending = phase.pending
-            phase.pending = []
-            if len(pending) > 1:
-                pending.sort(key=_reg_order)
-            start = time.perf_counter() if self._timing else 0.0
-            driver = phase.driver
-            if driver is not None:
-                # Batched phases profile as one unit: the sweep is a
-                # handful of array passes, so per-component attribution
-                # would be meaningless.  The kernel tracer sees a single
-                # event for the driver instead of one per router.
-                if tracer is not None:
-                    tracer(cycle, phase.name, driver)
-                ticked, gated = driver(cycle, pending)
-                self.component_wakes += ticked
-                self.wakes_skipped += gated
-                self.batch_sweeps += 1
-                for reg in pending:
-                    fn = reg.next_wake_fn
-                    if fn is None:
-                        if reg.component.has_work():
-                            self._schedule(reg, cycle + 1)
-                    else:
-                        nxt = fn(cycle)
-                        if nxt is not None:
-                            self._schedule(reg, nxt if nxt > cycle else cycle + 1)
-                if self._timing:
-                    name = phase.name
-                    self.phase_seconds[name] = self.phase_seconds.get(
-                        name, 0.0
-                    ) + (time.perf_counter() - start)
-                    self.phase_ticks[name] = (
-                        self.phase_ticks.get(name, 0) + ticked
-                    )
-                continue
-            ticked_count = 0
-            for reg in pending:
-                component = reg.component
-                if component.has_work():
-                    if tracer is not None:
-                        tracer(cycle, phase.name, component)
-                    if per_component:
-                        t0 = time.perf_counter()
-                        component.tick(cycle)
-                        key = (phase.name, component_label(component))
-                        self.component_seconds[key] = self.component_seconds.get(
-                            key, 0.0
-                        ) + (time.perf_counter() - t0)
-                        self.component_ticks[key] = (
-                            self.component_ticks.get(key, 0) + 1
-                        )
-                    else:
-                        component.tick(cycle)
-                    ticked_count += 1
-                    self.component_wakes += 1
-                    ticked = True
-                else:
-                    self.wakes_skipped += 1
-                    ticked = False
-                fn = reg.next_wake_fn
-                if fn is not None:
-                    nxt = fn(cycle)
-                    if nxt is not None:
-                        self._schedule(reg, nxt if nxt > cycle else cycle + 1)
-                elif ticked and component.has_work():
-                    self._schedule(reg, cycle + 1)
-            if self._timing:
-                name = phase.name
-                self.phase_seconds[name] = self.phase_seconds.get(
-                    name, 0.0
-                ) + (time.perf_counter() - start)
-                self.phase_ticks[name] = (
-                    self.phase_ticks.get(name, 0) + ticked_count
-                )
-        self._sweep_index = None
-        return cycle
-
-    def _step_tick_all(self, cycle: int) -> int:
-        for phase in self._phases:
-            for component in phase.components:
-                if component.has_work():
-                    component.tick(cycle)
-                    self.component_wakes += 1
-                else:
-                    self.wakes_skipped += 1
-        return cycle
-
-    def _step_instrumented(self, cycle: int) -> int:
-        tracer = self._tracer
-        per_component = self._component_timing
-        for phase in self._phases:
-            start = time.perf_counter() if self._timing else 0.0
-            ticked = 0
-            for component in phase.components:
-                if component.has_work():
-                    if tracer is not None:
-                        tracer(cycle, phase.name, component)
-                    if per_component:
-                        t0 = time.perf_counter()
-                        component.tick(cycle)
-                        key = (phase.name, component_label(component))
-                        self.component_seconds[key] = self.component_seconds.get(
-                            key, 0.0
-                        ) + (time.perf_counter() - t0)
-                        self.component_ticks[key] = (
-                            self.component_ticks.get(key, 0) + 1
-                        )
-                    else:
-                        component.tick(cycle)
-                    ticked += 1
-                    self.component_wakes += 1
-                else:
-                    self.wakes_skipped += 1
-            if self._timing:
-                name = phase.name
-                self.phase_seconds[name] = self.phase_seconds.get(
-                    name, 0.0
-                ) + (time.perf_counter() - start)
-                self.phase_ticks[name] = self.phase_ticks.get(name, 0) + ticked
         return cycle
 
     def run(
@@ -607,72 +420,52 @@ class SimKernel:
         order (which deterministic construction guarantees).  Heap
         entries are captured verbatim, stale ones included: a stale entry
         firing late is part of the schedule's observable behaviour.
+
+        Version 2 drops version 1's scheduler-mode fields: there is only
+        one scheduler.
         """
-        state: Dict[str, object] = {
-            "version": 1,
+        regs = []
+        for phase in self._phases:
+            for component in phase.components:
+                reg = self._reg_of[id(component)]
+                assert reg is not None
+                regs.append(
+                    (phase.index, reg.order, reg.heap_due,
+                     reg.queued_for, reg.queued_next)
+                )
+        return {
+            "version": 2,
             "cycle": self.cycle,
-            "event_driven": self._event_driven,
-            "mode": self.mode,
             "cycles_total": self.cycles_total,
             "component_wakes": self.component_wakes,
             "wakes_skipped": self.wakes_skipped,
-            "batch_sweeps": self.batch_sweeps,
-            "batch_fast_ticks": self.batch_fast_ticks,
-            "batch_fallback_ticks": self.batch_fallback_ticks,
             "seq": self._seq,
-        }
-        if self._event_driven:
-            regs = []
-            for phase in self._phases:
-                for component in phase.components:
-                    reg = self._reg_of[id(component)]
-                    assert reg is not None
-                    regs.append(
-                        (phase.index, reg.order, reg.heap_due,
-                         reg.queued_for, reg.queued_next)
-                    )
-            state["regs"] = regs
-            state["heap"] = [
+            "regs": regs,
+            "heap": [
                 (due, seq, reg.phase.index, reg.order)
                 for due, seq, reg in self._heap
-            ]
-            state["pending"] = [
+            ],
+            "pending": [
                 [reg.order for reg in phase.pending] for phase in self._phases
-            ]
-            state["pending_next"] = [
+            ],
+            "pending_next": [
                 [reg.order for reg in phase.pending_next]
                 for phase in self._phases
-            ]
-        return state
+            ],
+        }
 
     def restore(self, state: Dict[str, object]) -> None:
         """Load a :meth:`snapshot` onto an identically-constructed kernel."""
-        if state.get("version") != 1:
+        if state.get("version") != 2:
             raise ValueError(
                 f"unsupported kernel snapshot version {state.get('version')!r}"
-            )
-        saved_mode = state.get(
-            "mode", "event" if state["event_driven"] else "tick"
-        )
-        if bool(state["event_driven"]) != self._event_driven:
-            saved_mode = "event" if state["event_driven"] else "tick"
-        if saved_mode != self.mode:
-            raise ValueError(
-                "kernel mode mismatch: snapshot was taken under "
-                f"{saved_mode!r} scheduling; restore under the same "
-                "REPRO_KERNEL_MODE"
             )
         self.cycle = state["cycle"]
         self.cycles_total = state["cycles_total"]
         self.component_wakes = state["component_wakes"]
         self.wakes_skipped = state["wakes_skipped"]
-        self.batch_sweeps = state.get("batch_sweeps", 0)
-        self.batch_fast_ticks = state.get("batch_fast_ticks", 0)
-        self.batch_fallback_ticks = state.get("batch_fallback_ticks", 0)
         self._seq = state["seq"]
         self._sweep_index = None
-        if not self._event_driven:
-            return
         reg_at: Dict[Tuple[int, int], _Scheduled] = {}
         for phase in self._phases:
             for component in phase.components:
@@ -710,21 +503,13 @@ class SimKernel:
 
         ``component_wakes`` is the number of component visits that
         actually ticked; ``wakes_skipped`` counts visits gated off by
-        ``has_work()`` (in tick-all mode: every poll of an idle
-        component).  The tick-everything cost this kernel replaced is
+        ``has_work()``.  The tick-everything cost this kernel replaced is
         ``cycles_total × registered components``.
-
-        The ``batch_*`` counters only move under ``mode="batch"``: driven
-        phase sweeps, router visits served by the fused fast path, and
-        per-router fallbacks to the scalar ``tick()``.
         """
         return {
             "cycles_total": self.cycles_total,
             "component_wakes": self.component_wakes,
             "wakes_skipped": self.wakes_skipped,
-            "batch_sweeps": self.batch_sweeps,
-            "batch_fast_ticks": self.batch_fast_ticks,
-            "batch_fallback_ticks": self.batch_fallback_ticks,
         }
 
     def idle(self) -> bool:
@@ -758,8 +543,8 @@ class SimKernel:
         """A schedule + instrumentation summary (debug aid).
 
         One line per phase (component/busy counts), one per passive phase,
-        plus the scheduler's active-set fraction, the instrumentation
-        state (timing/tracer) and any subsystem :attr:`annotations`
+        plus the scheduler's active-set fraction, the timing state and any
+        subsystem :attr:`annotations`
         (e.g. the telemetry sampler's window setting).
         """
         lines = [f"cycle {self.cycle}"]
@@ -767,25 +552,13 @@ class SimKernel:
         visits = self.component_wakes + self.wakes_skipped
         denom = self.cycles_total * active_slots
         fraction = visits / denom if denom else 0.0
-        mode_name = {
-            "tick": "tick-all", "event": "event-driven", "batch": "batched",
-        }[self.mode]
         lines.append(
-            f"  kernel: {mode_name}"
-            + f", {self.cycles_total} cycles, "
+            f"  kernel: {self.cycles_total} cycles, "
             f"{self.component_wakes} wakes ({self.wakes_skipped} skipped), "
             f"active-set fraction {fraction:.1%}"
         )
         lines.append(
-            "  instrumentation: timing="
-            + ("on" if self._timing else "off")
-            + (
-                " (per-component)"
-                if self._component_timing
-                else ""
-            )
-            + ", tracer="
-            + ("set" if self._tracer is not None else "none")
+            "  instrumentation: timing=" + ("on" if self._timing else "off")
         )
         for key in sorted(self.annotations):
             lines.append(f"  {key}: {self.annotations[key]}")

@@ -1,7 +1,8 @@
 """Run-level wall-clock profiling of the simulator itself.
 
-``SimKernel.enable_timing(per_component=True)`` accumulates host seconds
-per phase and per component label; this module turns those raw dicts
+``SimKernel.enable_timing()`` wraps every registered component's tick
+and accumulates host seconds and tick counts per (phase, component
+label), which also sum to per-phase totals; this module turns those dicts
 into a :class:`RunProfile` — a picklable value that rides inside
 ``SimulationResult`` through the process pool and the disk cache — and
 aggregates profiles across a campaign into the ``profile.json`` the

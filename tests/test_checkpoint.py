@@ -87,41 +87,7 @@ class TestRoundTripInvariance:
             f"checkpoint/restore is not state-complete"
         )
 
-    @pytest.mark.parametrize("scheme", ["cc", "disco"])
-    def test_restore_under_batch_mode_reproduces_the_golden_digest(
-        self, scheme, monkeypatch
-    ):
-        """The pause/pickle/restore round trip under the batched sweep
-        (``REPRO_KERNEL_MODE=batch``): FabricState travels through the
-        version-2 Network envelope and the finished run still hits the
-        golden digest.  ``cc`` exercises the fast path, ``disco`` the
-        per-router fallback."""
-        monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
-        spec = RunSpec(scheme=scheme, **QUICK)
-        paused = _build_cold(spec)
-        assert paused.run(pause_at=1500) is None
-        state = pickle.loads(
-            pickle.dumps(paused.state_dict(), pickle.HIGHEST_PROTOCOL)
-        )
-        fresh = checkpoint.build_system(spec)
-        fresh.load_state(state)
-        result = fresh.run()
-        assert result_digest(result) == GOLDEN_DIGESTS[scheme]
-
-    def test_batch_snapshot_rejected_under_event_restore(self, monkeypatch):
-        """Mode is part of the kernel envelope: a snapshot taken under
-        batch scheduling must refuse to restore into an event kernel."""
-        monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
-        spec = RunSpec(scheme="baseline", **QUICK)
-        system = _build_cold(spec)
-        assert system.run(pause_at=200) is None
-        state = system.state_dict()
-        assert state["kernel"]["mode"] == "batch"
-        monkeypatch.setenv("REPRO_KERNEL_MODE", "event")
-        with pytest.raises(ValueError, match="kernel mode mismatch"):
-            checkpoint.build_system(spec).load_state(state)
-
-    def test_kernel_rejects_version_and_mode_mismatch(self):
+    def test_kernel_rejects_version_mismatch(self):
         spec = RunSpec(scheme="baseline", **QUICK)
         system = _build_cold(spec)
         assert system.run(pause_at=200) is None
@@ -129,11 +95,11 @@ class TestRoundTripInvariance:
         bad_version = dict(state, version=99)
         with pytest.raises(ValueError, match="version"):
             checkpoint.build_system(spec).load_state(bad_version)
-        kernel_state = dict(state["kernel"], event_driven=not
-                            state["kernel"]["event_driven"])
-        with pytest.raises(ValueError, match="kernel mode mismatch"):
+        # Version 1 kernel snapshots carried a scheduler mode; refused.
+        old_kernel = dict(state["kernel"], version=1)
+        with pytest.raises(ValueError, match="kernel snapshot version 1"):
             checkpoint.build_system(spec).load_state(
-                dict(state, kernel=kernel_state)
+                dict(state, kernel=old_kernel)
             )
 
 

@@ -14,10 +14,14 @@ failing on an "invisible" refactor means the refactor is not invisible.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.experiments.runner import QUICK_ACCESSES, RunSpec, run_spec
+from tests.tick_all import simulate_tick_all
 
 #: scheme -> sha256 over (full snapshot, measured snapshot, cycles,
 #: avg miss latency) for the quick blackscholes spec.
@@ -60,68 +64,41 @@ def test_default_mesh_counter_snapshots_are_golden(scheme):
 
 @pytest.mark.parametrize("scheme", sorted(GOLDEN_DIGESTS))
 def test_tick_all_kernel_reproduces_the_goldens(scheme, monkeypatch):
-    """Event-vs-tick invariance: the legacy poll-everything scheduler must
-    hit the same five digests as the wakeup scheduler.
+    """Event-vs-tick invariance: the poll-everything reference scheduler
+    (:mod:`tests.tick_all`) must hit the same five digests as the
+    wakeup scheduler.
 
-    The runner keys its memo and disk caches on the kernel mode, so this
-    is a genuinely independent tick-all run, not a cache readback.
+    It runs through ``runner._simulate``, so this is a genuinely
+    independent tick-all run, not a cache readback.
     """
-    monkeypatch.setenv("REPRO_KERNEL_MODE", "tick")
     spec = RunSpec(
         scheme=scheme, workload="blackscholes",
         accesses_per_core=QUICK_ACCESSES,
     )
-    result = run_spec(spec)
+    result = simulate_tick_all(spec, monkeypatch)
     assert result_digest(result) == GOLDEN_DIGESTS[scheme], (
         f"tick-all {scheme} run diverged from the golden digest — the "
         f"event-driven scheduler is not behaviour-preserving"
     )
 
 
-@pytest.mark.parametrize("scheme", sorted(GOLDEN_DIGESTS))
-def test_batch_kernel_reproduces_the_goldens(scheme, monkeypatch):
-    """Event-vs-batch invariance: the batched dataplane sweep
-    (``REPRO_KERNEL_MODE=batch``, the fabric-array fast path of
-    :mod:`repro.noc.batch`) must hit the same five digests.
-
-    The runner keys its memo and disk caches on the kernel mode, so this
-    is a genuinely independent batched run, not a cache readback.  The
-    disco scheme exercises the per-router fallback (DiscoRouter is not
-    batch-eligible); the other four run the fast path.
-    """
-    monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
-    spec = RunSpec(
-        scheme=scheme, workload="blackscholes",
-        accesses_per_core=QUICK_ACCESSES,
+def test_simulator_runs_without_numpy():
+    """numpy is not a dependency: with it made unimportable, a fresh
+    quick disco run still hits its golden digest."""
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from repro.experiments import runner\n"
+        "spec = runner.RunSpec(scheme='disco', workload='blackscholes',\n"
+        "                      accesses_per_core=runner.QUICK_ACCESSES)\n"
+        "print(runner.result_digest(runner._simulate(spec)))\n"
     )
-    result = run_spec(spec)
-    assert result_digest(result) == GOLDEN_DIGESTS[scheme], (
-        f"batched {scheme} run diverged from the golden digest — the "
-        f"batch sweep is not behaviour-preserving"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, check=True, timeout=300,
     )
-
-
-@pytest.mark.parametrize("vector_min", ["0", "999999999"])
-def test_batch_vector_regimes_reproduce_the_goldens(vector_min, monkeypatch):
-    """Both batch regimes — forced-vectorized (min 0) and forced
-    fused-scalar (min huge) — hit the golden digest.
-
-    ``REPRO_BATCH_VECTOR_MIN`` is not part of the runner's cache key (it
-    cannot change results, only which partition code runs), so this goes
-    through ``runner._simulate`` directly to guarantee a fresh run.
-    Without numpy the forced-vectorized leg silently degrades to the
-    fused-scalar sweep, which is exactly the fallback being promised.
-    """
-    from repro.experiments import runner
-
-    monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
-    monkeypatch.setenv("REPRO_BATCH_VECTOR_MIN", vector_min)
-    spec = RunSpec(
-        scheme="cc", workload="blackscholes",
-        accesses_per_core=QUICK_ACCESSES,
-    )
-    result = runner._simulate(spec)
-    assert result_digest(result) == GOLDEN_DIGESTS["cc"]
+    assert out.stdout.strip() == GOLDEN_DIGESTS["disco"]
 
 
 def test_kernels_agree_under_telemetry(monkeypatch):
@@ -137,15 +114,12 @@ def test_kernels_agree_under_telemetry(monkeypatch):
         accesses_per_core=QUICK_ACCESSES,
         stats_interval=64, trace_packets=True,
     )
-    results = {}
-    for mode in ("event", "tick"):
-        monkeypatch.setenv("REPRO_KERNEL_MODE", mode)
-        results[mode] = run_spec(spec)
+    event = run_spec(spec)
+    tick = simulate_tick_all(spec, monkeypatch)
 
     def strip(snapshot):
         return {g: snapshot[g] for g in snapshot if g != "kernel"}
 
-    event, tick = results["event"], results["tick"]
     assert strip(event.snapshot_full) == strip(tick.snapshot_full)
     assert strip(event.snapshot_measured) == strip(tick.snapshot_measured)
     assert event.cycles == tick.cycles

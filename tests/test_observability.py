@@ -14,19 +14,16 @@ Four properties matter, in order of importance:
    worker heartbeat, the flight record and :class:`RunnerError`.
 4. **Postmortems** — a genuinely SIGKILLed pool worker leaves a flight
    record behind (persisted *ahead of* death by the inflight dump), and
-   the SLO/sentinel math is pinned on fabricated inputs.
+   the SLO math is pinned on fabricated inputs.
 """
 
 import json
 import logging
 import os
 import signal
-import subprocess
-import sys
 import threading
 import time
 import urllib.request
-from pathlib import Path
 
 import pytest
 
@@ -187,6 +184,18 @@ class TestMetricFamilies:
             "not a number" in error
             for error in validate_openmetrics("repro_g NaNOpe\n# EOF\n")
         )
+
+    def test_check_cli_validates_metrics_files(self, tmp_path):
+        from repro.telemetry.check import main as check_main
+
+        registry = MetricsRegistry()
+        registry.counter("repro_events", "test").inc(3)
+        good = tmp_path / "good.txt"
+        good.write_text(registry.render())
+        assert check_main(["--metrics", str(good)]) == 0
+        bad = tmp_path / "bad.txt"
+        bad.write_text("repro_x nope\n")  # bad value, no EOF
+        assert check_main(["--metrics", str(bad)]) != 0
 
     def test_snapshot_bridge_mirrors_every_registry_counter(self):
         result = run_spec(RunSpec(scheme="disco", **QUICK))
@@ -788,87 +797,3 @@ class TestServiceEndpoints:
         registry = build_service_registry(service)
         samples = parse_samples(registry.render())
         assert samples["repro_slo_ok"][(("slo", "shed_rate"),)] == 0
-
-
-# --------------------------------------------------------------------------
-# the regression sentinel and the CLI checkers
-# --------------------------------------------------------------------------
-
-_REPO = Path(__file__).resolve().parents[1]
-
-
-def _run_sentinel(*args):
-    return subprocess.run(
-        [sys.executable, str(_REPO / "benchmarks" / "sentinel.py"), *args],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-
-
-def _trajectory(path, walls, config="smoke", kernel="event"):
-    runs = [
-        {"config": config, "kernel": kernel, "wall_seconds": wall,
-         "cache_hit": False, "when": f"2026-01-0{i + 1}"}
-        for i, wall in enumerate(walls)
-    ]
-    path.write_text(json.dumps({"baseline": {}, "runs": runs}))
-
-
-class TestSentinel:
-    def test_ok_regression_and_baseline_verdicts(self, tmp_path):
-        ok_path = tmp_path / "BENCH_ok.json"
-        _trajectory(ok_path, [10.0, 12.0, 11.0])
-        result = _run_sentinel(str(ok_path))
-        assert result.returncode == 0, result.stderr
-        assert "OK" in result.stdout and "REGRESSION" not in result.stdout
-        bad_path = tmp_path / "BENCH_bad.json"
-        _trajectory(bad_path, [10.0, 25.0])  # 2.5x the 10s reference
-        result = _run_sentinel(str(bad_path))
-        assert result.returncode == 1
-        assert "REGRESSION" in result.stdout
-        base_path = tmp_path / "BENCH_base.json"
-        _trajectory(base_path, [10.0])
-        result = _run_sentinel(str(base_path))
-        assert result.returncode == 0
-        assert "BASELINE" in result.stdout
-
-    def test_cache_hits_never_gate_and_threshold_is_adjustable(
-        self, tmp_path
-    ):
-        path = tmp_path / "BENCH_mix.json"
-        runs = [
-            {"config": "smoke", "kernel": "event", "wall_seconds": 10.0,
-             "cache_hit": False},
-            # A cache-hit "run" times a dict lookup: skipped entirely.
-            {"config": "smoke", "kernel": "event", "wall_seconds": 0.01,
-             "cache_hit": True},
-            {"config": "smoke", "kernel": "event", "wall_seconds": 14.0,
-             "cache_hit": False},
-        ]
-        path.write_text(json.dumps({"runs": runs}))
-        assert _run_sentinel(str(path)).returncode == 0  # 1.4x < 2x
-        tight = _run_sentinel(str(path), "--threshold", "1.2")
-        assert tight.returncode == 1  # 1.4x > 1.2x
-        parsed = json.loads(
-            _run_sentinel(str(path), "--json").stdout
-        )
-        assert parsed["verdicts"][0]["reference_seconds"] == 10.0
-
-    def test_committed_trajectory_is_clean(self):
-        """The repo's own bench trajectory must pass its own sentinel."""
-        result = _run_sentinel()
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "no regressions" in result.stdout
-
-    def test_check_cli_validates_metrics_files(self, tmp_path):
-        from repro.telemetry.check import main as check_main
-
-        registry = MetricsRegistry()
-        registry.counter("repro_events", "test").inc(3)
-        good = tmp_path / "good.txt"
-        good.write_text(registry.render())
-        assert check_main(["--metrics", str(good)]) == 0
-        bad = tmp_path / "bad.txt"
-        bad.write_text("repro_x nope\n")  # bad value, no EOF
-        assert check_main(["--metrics", str(bad)]) != 0

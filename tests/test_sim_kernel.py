@@ -14,6 +14,7 @@ from repro.sim import (
     StatsRegistry,
     merge_snapshots,
 )
+from tests.tick_all import TickAllKernel
 
 
 class Recorder:
@@ -128,20 +129,6 @@ class TestInstrumentation:
             kernel.step()
         assert kernel.phase_ticks == {"work": 3}  # idle b never counted
         assert kernel.phase_seconds["work"] >= 0.0
-
-    def test_tracer_sees_every_tick_in_order(self):
-        kernel = SimKernel()
-        a = Recorder("a", [], busy=True)
-        b = Recorder("b", [], busy=True)
-        kernel.register(a, phase="p1")
-        kernel.register(b, phase="p2")
-        events = []
-        kernel.set_tracer(lambda cycle, phase, comp: events.append((cycle, phase, comp)))
-        kernel.step()
-        assert events == [(1, "p1", a), (1, "p2", b)]
-        kernel.set_tracer(None)
-        kernel.step()
-        assert len(events) == 2  # tracer off again
 
 
 class TestStatsRegistry:
@@ -363,13 +350,14 @@ class TestWakeupEdgeCases:
 
 
 class TestEventTickInvariance:
-    """The two schedulers must be observationally identical: same
-    deliveries, same cycle counts, same counters (minus the ``kernel``
-    idle-efficiency group, which measures the scheduler itself)."""
+    """The wakeup scheduler must be observationally identical to the
+    poll-everything reference (:mod:`tests.tick_all`): same deliveries,
+    same cycle counts, same counters (minus the ``kernel`` idle-efficiency
+    group, which measures the scheduler itself)."""
 
     @staticmethod
-    def _drain(event_driven):
-        kernel = SimKernel(event_driven=event_driven)
+    def _drain(kernel_cls):
+        kernel = kernel_cls()
         network = Network(NocConfig(width=4, height=4), kernel=kernel)
         delivered = []
         network.set_delivery_handler(
@@ -383,16 +371,16 @@ class TestEventTickInvariance:
         return delivered, snapshot, network.cycle
 
     def test_network_drain_is_mode_invariant(self):
-        event = self._drain(event_driven=True)
-        tick = self._drain(event_driven=False)
+        event = self._drain(SimKernel)
+        tick = self._drain(TickAllKernel)
         assert event == tick
 
     @staticmethod
-    def _recovered_drop(event_driven):
+    def _recovered_drop(kernel_cls):
         """A retransmission deadline (timed wakeup) firing mid-drain."""
         from repro.faults import FaultController, FaultPlan, ScheduledFault
 
-        kernel = SimKernel(event_driven=event_driven)
+        kernel = kernel_cls()
         network = Network(
             NocConfig(width=4, height=4, retransmission=True, retx_timeout=64),
             kernel=kernel,
@@ -420,8 +408,8 @@ class TestEventTickInvariance:
         return delivered, network
 
     def test_retx_deadline_fires_identically_in_both_modes(self):
-        event_delivered, event_net = self._recovered_drop(event_driven=True)
-        tick_delivered, tick_net = self._recovered_drop(event_driven=False)
+        event_delivered, event_net = self._recovered_drop(SimKernel)
+        tick_delivered, tick_net = self._recovered_drop(TickAllKernel)
         # The drop really forced the retransmission timer to fire ...
         assert event_net.recovered.retransmissions >= 1
         # ... and both schedulers recovered identically.

@@ -303,7 +303,7 @@ class TestExporters:
 class TestRunProfiler:
     def test_profile_ranks_components_by_wall_clock(self):
         network, _ = traced_network(trace_packets=False)
-        network.kernel.enable_timing(per_component=True)
+        network.kernel.enable_timing()
         run_traffic(network)
         profile = profile_from_kernel(network.kernel, wall_seconds=1.0)
         top = profile.top_components()
@@ -365,8 +365,8 @@ class TestDescribe:
         assert "telemetry.tracer: 1/1 packets" in text
         assert "telemetry.sample: 1 components" in text
         assert "timing=off" in text
-        network.kernel.enable_timing(per_component=True)
-        assert "timing=on (per-component)" in network.kernel.describe()
+        network.kernel.enable_timing()
+        assert "timing=on" in network.kernel.describe()
 
     def test_busy_components_order_is_deterministic(self):
         network, _ = traced_network(stats_interval=8)
