@@ -17,28 +17,28 @@ and simulations embarrassingly parallel:
   results automatically.  Disable with ``REPRO_DISK_CACHE=0``; clear with
   :func:`clear_disk_cache` (or just delete the directory).
 - **Parallel fan-out**: :func:`run_specs` / :func:`run_matrix` dispatch
-  uncached specs over a ``ProcessPoolExecutor`` (workers default to the
-  CPU count; pin with ``REPRO_JOBS``, ``REPRO_JOBS=1`` forces serial).
-  Determinism guarantees the parallel results are bit-identical to serial
-  runs — the acceptance tests assert it field for field.
+  uncached specs over a process pool (workers default to the CPU count;
+  pin with ``REPRO_JOBS``, ``REPRO_JOBS=1`` forces serial).  Determinism
+  guarantees the parallel results are bit-identical to serial runs — the
+  acceptance tests assert it field for field.
 
-The batch path is hardened against worker failure: each spec gets its own
-future with a per-spec timeout (``REPRO_SPEC_TIMEOUT`` seconds, default
-600; ``0`` disables) and one retry; a worker that dies abruptly
-(``BrokenProcessPool``) triggers a serial in-process fallback that keeps
-every already-completed result; and a batch with unrecoverable failures
-raises :class:`RunnerError` naming exactly the failed specs while the
-survivors stay in the memo/disk caches.  Disk-cache entries carry a
-magic + SHA-256 envelope; an entry that fails validation is quarantined
-(renamed ``*.corrupt``) once and recomputed.
+One :class:`Executor` runs every attempt, for :func:`run_specs` and the
+campaign service alike: a per-attempt timeout (``REPRO_SPEC_TIMEOUT``
+seconds, default 600; ``0`` disables), one retry rule (an error is
+retried once, a worker death until ``REPRO_QUARANTINE_AFTER``
+interruptions quarantine the spec) and one journal rule.  A batch with
+unrecoverable failures raises :class:`RunnerError` naming exactly the
+failed specs while the survivors stay in the memo/disk caches.
+Disk-cache entries carry a magic + SHA-256 envelope; an entry that fails
+validation is quarantined (renamed ``*.corrupt``) once and recomputed.
 
 Crash safety (see :mod:`repro.experiments.checkpoint`): a campaign keeps
 an append-only JSONL journal (``campaign.journal.jsonl`` in the cache
 directory) recording each spec's state (pending/running/done/failed/
-quarantined); ``run_specs(resume=True)`` (or ``REPRO_RESUME=1``) replays
-the journal to skip completed specs, restores partially-run ones from
-their latest checkpoint, and quarantines poison specs after
-``REPRO_QUARANTINE_AFTER`` crash-loops (with a capped, seeded backoff).
+quarantined); ``run_specs(resume=True)`` (or ``REPRO_RESUME=1``) seeds
+each spec's interruption count from it: done specs come from the caches,
+partially-run ones restore from their latest checkpoint, crash-looped
+ones are quarantined by the retry rule.
 With ``REPRO_WATCHDOG_SECONDS`` set, pool workers write per-pid
 heartbeat files carrying their simulated cycle, and a watchdog thread
 SIGKILLs any worker whose cycle counter freezes past the stall budget —
@@ -58,7 +58,7 @@ import tempfile
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FutureTimeout
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace as _dc_replace
 from pathlib import Path
@@ -666,16 +666,12 @@ def _train_if_needed(system: CmpSystem, spec: RunSpec) -> None:
 
 def run_spec(spec: RunSpec, verbose: bool = False) -> SimulationResult:
     """Run (or recall) one simulation: memo -> disk -> simulate."""
-    cached = _CACHE.get(spec)
-    if cached is not None:
-        return cached
-    result = _disk_load(spec)
+    result = Executor.lookup(spec)
     if result is None:
         global _SIMULATED
         _SIMULATED += 1
         result = _simulate(spec, verbose=verbose)
-        _disk_store(spec, result)
-    _CACHE[spec] = result
+        _store(spec, result, verbose)
     return result
 
 
@@ -733,12 +729,6 @@ def _retry_backoff(spec: Optional[RunSpec] = None) -> float:
     return rng.uniform(0.5, 1.5) * base
 
 
-def _pause_before_retry(spec: Optional[RunSpec] = None) -> None:
-    delay = _retry_backoff(spec)
-    if delay > 0:
-        time.sleep(delay)
-
-
 def _spec_timeout() -> Optional[float]:
     """Per-spec future timeout in seconds (``REPRO_SPEC_TIMEOUT``; ``0``
     or negative disables, unparseable values use the default)."""
@@ -786,7 +776,7 @@ def _journal_lock() -> "FileLock":
     )
 
 
-def _journal_append(key: str, state: str, **extra) -> None:
+def _journal_append(key: Optional[str], state: str, **extra) -> None:
     """Append one spec-state record.  Journal I/O failures never take a
     campaign down — the journal is a recovery aid, not a correctness
     dependency (results still flow through the content-addressed
@@ -794,9 +784,12 @@ def _journal_append(key: str, state: str, **extra) -> None:
     ``os.write`` on an ``O_APPEND`` descriptor, under the journal
     lockfile: concurrent writers (threads, processes, hosts) each land a
     whole line or nothing — a torn *tail* can only come from a crash
-    mid-write, which replay already tolerates."""
+    mid-write, which replay already tolerates.  ``key=None`` (a unit
+    that is not journaled, such as a fault campaign) is a no-op."""
     from repro.experiments.lockfile import LockTimeout
 
+    if key is None:
+        return
     record = {"key": key, "state": state, "ts": time.time()}
     corr = current_correlation()
     if corr:
@@ -886,6 +879,13 @@ def _quarantine_after() -> int:
 # --------------------------------------------------------------------------
 
 
+def heartbeat_dir() -> Optional[Path]:
+    """Worker heartbeat directory (``REPRO_HEARTBEAT_DIR``), or ``None``
+    when supervision is off — the one reader of that variable."""
+    directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
+    return Path(directory) if directory else None
+
+
 def _heartbeat_writer(spec: RunSpec):
     """Progress hook writing this process's heartbeat file, or ``None``
     when supervision is off (``REPRO_HEARTBEAT_DIR`` unset).
@@ -895,10 +895,10 @@ def _heartbeat_writer(spec: RunSpec):
     advancing), so a loaded machine is never punished.  Writes are atomic
     (tmp + ``os.replace``) and throttled to roughly one per second.
     """
-    directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-    if not directory:
+    directory = heartbeat_dir()
+    if directory is None:
         return None
-    path = Path(directory) / f"hb_{os.getpid()}.json"
+    path = directory / f"hb_{os.getpid()}.json"
     key = spec_key(spec)
     state = {"last": 0.0}
 
@@ -985,11 +985,9 @@ def clean_stale_heartbeats(directory: Optional[Path] = None) -> int:
     but belongs to another user (``EPERM``) is treated as alive — never
     delete evidence about a process we cannot inspect.
     """
+    directory = directory or heartbeat_dir()
     if directory is None:
-        env = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-        if not env:
-            return 0
-        directory = Path(env)
+        return 0
     removed = 0
     try:
         beats = list(directory.glob("hb_*.json"))
@@ -1022,9 +1020,9 @@ def clean_stale_heartbeats(directory: Optional[Path] = None) -> int:
     return removed
 
 
-def _watchdog_seconds() -> Optional[float]:
+def watchdog_seconds() -> Optional[float]:
     """Stall threshold for the pool watchdog (``REPRO_WATCHDOG_SECONDS``;
-    unset, 0 or negative disables)."""
+    unset, 0 or negative disables) — the one reader of that variable."""
     env = os.environ.get("REPRO_WATCHDOG_SECONDS", "").strip()
     if not env:
         return None
@@ -1041,8 +1039,8 @@ class _Watchdog:
     A worker whose cycle counter stops advancing for ``stall_seconds`` is
     wedged (deadlocked, livelocked, stuck outside the run loop) — as
     opposed to slow, which keeps the counter moving — and is SIGKILLed.
-    The kill surfaces as ``BrokenProcessPool`` in the parent, whose
-    serial fallback (plus any checkpoint) recovers the lost work.
+    The kill surfaces as ``BrokenProcessPool``: an interruption, which
+    the executor's caller recovers (plus any checkpoint).
     """
 
     def __init__(self, directory: Path, stall_seconds: float):
@@ -1136,31 +1134,23 @@ def _start_watchdog() -> Tuple[Optional[_Watchdog], bool]:
     """Arm worker supervision when configured: point workers at a
     heartbeat directory (unless the caller pinned one) and start the
     stall watchdog.  Returns ``(watchdog, env_was_set_here)``."""
-    stall = _watchdog_seconds()
+    stall = watchdog_seconds()
     if stall is None:
         return None, False
-    set_here = False
-    directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-    if not directory:
-        directory = str(cache_dir() / "heartbeats")
-        os.environ["REPRO_HEARTBEAT_DIR"] = directory
-        set_here = True
+    directory = heartbeat_dir()
+    set_here = directory is None
+    if set_here:
+        directory = cache_dir() / "heartbeats"
+        os.environ["REPRO_HEARTBEAT_DIR"] = str(directory)
     try:
-        Path(directory).mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError:
         pass
     # SIGKILLed workers from an earlier campaign leave orphan heartbeat
     # files behind; sweep them before arming so the fresh watchdog never
     # reasons about (or signals) a recycled pid.
-    clean_stale_heartbeats(Path(directory))
-    return _Watchdog(Path(directory), stall).start(), set_here
-
-
-def _stop_watchdog(watchdog: Optional[_Watchdog], set_here: bool) -> None:
-    if watchdog is not None:
-        watchdog.stop()
-    if set_here:
-        os.environ.pop("REPRO_HEARTBEAT_DIR", None)
+    clean_stale_heartbeats(directory)
+    return _Watchdog(directory, stall).start(), set_here
 
 
 def _store(spec: RunSpec, result: SimulationResult, verbose: bool) -> None:
@@ -1183,133 +1173,165 @@ def _store(spec: RunSpec, result: SimulationResult, verbose: bool) -> None:
     )
 
 
-def _journal_outcome(
-    spec: RunSpec,
-    journal: Optional[Dict[RunSpec, str]],
-    out: Dict[RunSpec, SimulationResult],
-    failures: Dict[RunSpec, BaseException],
-) -> None:
-    """Record a resolved spec's terminal journal state (when journaling)."""
-    key = journal.get(spec) if journal else None
-    if key is None:
-        return
-    if spec in out:
+# --------------------------------------------------------------------------
+# the executor (one execution core for run_specs and the service)
+# --------------------------------------------------------------------------
+
+#: Attempt outcomes and retry decisions (:meth:`Executor.decide`).
+DONE, ERROR, INTERRUPTED = "done", "error", "interrupted"
+RETRY, FAILED, QUARANTINED = "retry", "failed", "quarantined"
+
+
+def _pool_worker_init() -> None:
+    """Restore default signal dispositions in pool workers.
+
+    A caller may install a graceful SIGTERM handler (the service does);
+    forked workers would inherit it and *swallow* the SIGTERM the pool
+    sends during broken-pool cleanup — the worker lingers, the pool's
+    join never returns, and interpreter shutdown wedges.  Workers must
+    die on SIGTERM and ignore the terminal's SIGINT (the parent
+    coordinates shutdown)."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+class Executor:
+    """The execution core under :func:`run_specs` and the service: the
+    memo → disk lookup, a lazy pool of ``workers`` processes (torn down
+    once per generation when a worker dies, reported to ``on_respawn``;
+    the watchdog armed with it), one :meth:`attempt`, the retry rule
+    (:meth:`decide`) and the journal transitions — ``running`` per
+    attempt a worker takes, then ``done``/``failed``/``quarantined``.
+    ``workers=0`` runs spec attempts in-process through :func:`run_spec`.
+    Threads may share one executor."""
+
+    def __init__(self, workers: int, verbose: bool = False, on_respawn=None):
+        self.workers = workers
+        self.verbose = verbose
+        self.on_respawn = on_respawn
+        self.generation = 0
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.RLock()
+        self._watchdog: Tuple[Optional[_Watchdog], bool] = (None, False)
+        self._abandoned = False
+
+    @staticmethod
+    def lookup(spec: RunSpec, key: Optional[str] = None) -> Optional[SimulationResult]:
+        """Memo, then disk cache; a hit resolves journal ``key`` done."""
+        result = _CACHE.get(spec)
+        if result is None:
+            result = _disk_load(spec)
+            if result is None:
+                return None
+            _CACHE[spec] = result
         _journal_append(key, "done")
-    elif spec in failures:
-        _journal_append(key, "failed", error=repr(failures[spec]))
+        return result
 
+    @staticmethod
+    def admit(key: str, **extra) -> None:
+        """Journal a unit ``pending``."""
+        _journal_append(key, "pending", **extra)
 
-def _run_serial(
-    misses: Sequence[RunSpec],
-    out: Dict[RunSpec, SimulationResult],
-    failures: Dict[RunSpec, BaseException],
-    verbose: bool,
-    prior: Optional[Dict[RunSpec, BaseException]] = None,
-    journal: Optional[Dict[RunSpec, str]] = None,
-) -> None:
-    """In-process execution with per-spec isolation: one bad spec records
-    a failure instead of aborting the survivors behind it.  Matches the
-    pool path's contract — a per-spec timeout (``REPRO_SPEC_TIMEOUT``,
-    enforced by the run loop's cooperative deadline) and one retry after
-    a jittered pause, the first symptom kept in ``prior``.
-    Journal states are appended per spec as it starts and resolves, so a
-    campaign killed mid-batch leaves an accurate ledger behind."""
-    if prior is None:
-        prior = {}
-    for spec in misses:
-        if journal and spec in journal:
-            _journal_append(journal[spec], "running")
-        for attempt in (0, 1):
-            try:
-                out[spec] = run_spec(spec, verbose=verbose)
-            except Exception as exc:
-                if attempt == 0:
-                    prior[spec] = exc
-                    _pause_before_retry(spec)
-                    continue
-                failures[spec] = exc
-            break
-        _journal_outcome(spec, journal, out, failures)
+    def attempt(
+        self, spec: Optional[RunSpec], *call, key: Optional[str] = None
+    ) -> Tuple[str, object]:
+        """Dispatch ``spec`` (or ``call``, ``fn, *args``, for a pooled unit
+        that is not a spec), wait up to ``REPRO_SPEC_TIMEOUT``, classify:
+        ``(DONE, value)`` with a spec published to the caches, ``(ERROR,
+        exc)`` for its own exception or a timeout, ``(INTERRUPTED, exc)``
+        when a worker died under it."""
+        generation, future = self.generation, None
+        try:
+            if not self.workers:
+                _journal_append(key, "running")
+                value = run_spec(spec, self.verbose)
+            else:
+                if spec is not None:
+                    call = (_simulate, spec, False, current_correlation())
+                with self._lock:
+                    generation = self.generation
+                    future = self.start().submit(*call)
+                    if spec is not None:
+                        global _SIMULATED
+                        _SIMULATED += 1
+                _journal_append(key, "running")
+                value = future.result(timeout=_spec_timeout())
+                if spec is not None:
+                    _store(spec, value, self.verbose)
+        except BrokenProcessPool as exc:
+            self._respawn(generation)
+            return INTERRUPTED, exc
+        except Exception as exc:
+            if future is not None and not future.done():  # the wait ran out
+                future.cancel()  # no-op if already running
+                self._abandoned = True  # a worker may still be wedged
+                what = spec or call[0].__name__
+                exc = TimeoutError(f"exceeded {_spec_timeout()}s: {what}")
+            return ERROR, exc
+        _journal_append(key, "done")
+        return DONE, value
 
+    def start(self) -> ProcessPoolExecutor:
+        """The live pool, spawned now if there is none: the watchdog first,
+        so workers inherit its heartbeat directory, then workers forked
+        from the calling thread (a worker forked from a dispatch thread
+        inherits that thread's malloc arena and peaks about 1 MB higher)."""
+        with self._lock:
+            if self._pool is None:
+                if self._watchdog[0] is None:
+                    self._watchdog = _start_watchdog()
+                self._pool = ProcessPoolExecutor(
+                    self.workers, initializer=_pool_worker_init
+                )
+                self._pool.submit(int)  # a pool forks at its first submit
+            return self._pool
 
-def _run_parallel(
-    misses: Sequence[RunSpec],
-    jobs: int,
-    out: Dict[RunSpec, SimulationResult],
-    failures: Dict[RunSpec, BaseException],
-    verbose: bool,
-    prior: Optional[Dict[RunSpec, BaseException]] = None,
-    journal: Optional[Dict[RunSpec, str]] = None,
-) -> None:
-    """Fan misses out over a process pool, one future per spec.
+    @staticmethod
+    def decide(
+        kind: str,
+        n: int,
+        spec: Optional[RunSpec] = None,
+        key: Optional[str] = None,
+        error: Optional[BaseException] = None,
+    ) -> Tuple[str, float]:
+        """``(verdict, delay)`` for a unit's ``n``-th ``kind`` outcome: an
+        error is retried once, an interruption until
+        ``REPRO_QUARANTINE_AFTER``, after ``min(_retry_backoff(spec) *
+        2**(n-1), 5s)``; terminal verdicts are journaled under ``key``."""
+        if kind == ERROR and n >= 2:
+            _journal_append(key, "failed", error=repr(error))
+            return FAILED, 0.0
+        if kind == INTERRUPTED and n >= _quarantine_after():
+            _journal_append(key, "quarantined", attempts=n)
+            return QUARANTINED, 0.0
+        return RETRY, min(_retry_backoff(spec) * 2 ** (n - 1), 5.0)
 
-    Each spec gets a per-spec timeout and one retry (a fresh future,
-    after a jittered :func:`_retry_backoff` pause) on timeout or
-    exception; the first attempt's exception is recorded in ``prior`` so
-    :class:`RunnerError` can report both symptoms.  A dead worker
-    (``BrokenProcessPool``) abandons the pool and reruns everything
-    unresolved serially in-process — completed results are kept either
-    way.  A future still running after its retry window is abandoned
-    (``shutdown(wait=False)``) rather than joined, so one hung worker
-    cannot hang the batch.
-    """
-    timeout = _spec_timeout()
-    # The heartbeat directory must be in the environment before the pool
-    # exists so workers inherit it.
-    watchdog, hb_set_here = _start_watchdog()
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    futures = {spec: pool.submit(_simulate, spec) for spec in misses}
-    if journal:
-        for spec in misses:  # all genuinely dispatched at once
-            _journal_append(journal[spec], "running")
-    abandoned = False
-    if prior is None:
-        prior = {}
-    try:
-        for spec in misses:
-            for attempt in (0, 1):
-                try:
-                    result = futures[spec].result(timeout=timeout)
-                except BrokenProcessPool:
-                    raise  # handled below: serial fallback
-                except _FutureTimeout:
-                    futures[spec].cancel()  # no-op if already running
-                    abandoned = True  # a worker may still be wedged
-                    if attempt == 0:
-                        prior[spec] = TimeoutError(
-                            f"spec exceeded {timeout}s: "
-                            f"{spec.scheme}:{spec.workload}"
-                        )
-                        _pause_before_retry(spec)
-                        futures[spec] = pool.submit(_simulate, spec)
-                        continue
-                    failures[spec] = TimeoutError(
-                        f"spec exceeded {timeout}s twice: "
-                        f"{spec.scheme}:{spec.workload}"
-                    )
-                except Exception as exc:
-                    if attempt == 0:
-                        prior[spec] = exc
-                        _pause_before_retry(spec)
-                        futures[spec] = pool.submit(_simulate, spec)
-                        continue
-                    failures[spec] = exc
-                else:
-                    _store(spec, result, verbose)
-                    out[spec] = result
-                break
-            _journal_outcome(spec, journal, out, failures)
-    except BrokenProcessPool:
-        # The pool is unusable (a worker died mid-task, e.g. OOM-kill or
-        # a hard crash).  Keep what finished; rerun the rest in-process.
-        abandoned = True
-        remaining = [
-            spec for spec in misses if spec not in out and spec not in failures
-        ]
-        _run_serial(remaining, out, failures, verbose, prior, journal)
-    finally:
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
-        _stop_watchdog(watchdog, hb_set_here)
+    def _respawn(self, generation: int) -> None:
+        """Tear a broken pool down once, whichever of its attempts
+        reports it first."""
+        with self._lock:
+            if generation != self.generation:
+                return  # a sibling attempt already tore it down
+            self.generation += 1
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        if self.on_respawn is not None:
+            self.on_respawn(self.generation)
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the pool down — never joining a worker an abandoned
+        attempt may have wedged — and stop the watchdog."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait and not self._abandoned, cancel_futures=True)
+        watchdog, set_here = self._watchdog
+        self._watchdog = (None, False)
+        if watchdog is not None:
+            watchdog.stop()
+        if set_here:
+            os.environ.pop("REPRO_HEARTBEAT_DIR", None)
 
 
 def _profile_destination(profile_out: Optional[str]) -> Optional[str]:
@@ -1354,80 +1376,64 @@ def run_specs(
     profile_out: Optional[str] = None,
     resume: Optional[bool] = None,
 ) -> Dict[RunSpec, SimulationResult]:
-    """Resolve a batch of specs, fanning cache misses out over processes.
+    """Resolve a batch of specs: the synchronous caller of the
+    :class:`Executor`.
 
     Duplicate specs are deduplicated; cached results (memo or disk) are
     never resubmitted, so figures sharing runs stay shared across both
-    processes and invocations.  With one miss (or one worker) the batch
-    runs serially in-process — no pool overhead.  Determinism makes the
-    parallel path bit-identical to the serial one.
+    processes and invocations.  Misses are dispatched in list order, at
+    most ``jobs`` attempts in flight — in-process through
+    :func:`run_spec` when ``jobs == 1`` (or one miss).  Determinism makes
+    the parallel path bit-identical to the serial one.
 
-    Failure containment: a spec that fails (after one retry) never takes
-    the batch down with it.  Survivors land in the memo/disk caches and a
-    :class:`RunnerError` naming exactly the failed specs is raised at the
-    end, with the completed results attached.
+    Failure containment: a spec that fails (after the executor's one
+    retry) never takes the batch down with it.  Survivors land in the
+    memo/disk caches and a :class:`RunnerError` naming exactly the failed
+    specs is raised at the end, with the completed results attached.  A
+    worker death breaks the pool: unlike the service, which respawns it,
+    a batch reruns the specs it left unresolved in-process.
 
-    Every batch journals its specs' states (pending/running/done/failed)
-    to ``campaign.journal.jsonl``.  With ``resume=True`` (default: the
-    ``REPRO_RESUME=1`` environment switch) the journal from a crashed
-    campaign is replayed first: completed specs are already served by the
-    caches, partially-run specs restore from their latest checkpoint
-    inside :func:`_simulate`, specs interrupted mid-run get a capped
-    seeded backoff before their next attempt, and specs crash-looped
-    ``REPRO_QUARANTINE_AFTER`` consecutive times are quarantined into the
-    failure set instead of being retried forever.
+    Every batch journals its misses to ``campaign.journal.jsonl``.  With
+    ``resume=True`` (default: the ``REPRO_RESUME=1`` environment switch)
+    each spec's interruption count is seeded from a crashed campaign's
+    journal: completed specs are already served by the caches,
+    partially-run specs restore from their latest checkpoint inside
+    :func:`_simulate`, and the retry rule backs an interrupted spec off
+    before its first dispatch or, at ``REPRO_QUARANTINE_AFTER``,
+    quarantines it into the failure set instead of retrying it forever.
     """
-    ordered: List[RunSpec] = []
-    seen = set()
-    for spec in specs:
-        if spec not in seen:
-            seen.add(spec)
-            ordered.append(spec)
     out: Dict[RunSpec, SimulationResult] = {}
     misses: List[RunSpec] = []
-    for spec in ordered:
-        cached = _CACHE.get(spec)
+    for spec in dict.fromkeys(specs):
+        cached = Executor.lookup(spec)
         if cached is None:
-            cached = _disk_load(spec)
-            if cached is not None:
-                _CACHE[spec] = cached
-        if cached is not None:
-            out[spec] = cached
-        else:
             misses.append(spec)
-    if not misses:
-        _emit_profile(out, profile_out, verbose)
-        return out
+        else:
+            out[spec] = cached
     failures: Dict[RunSpec, BaseException] = {}
     prior: Dict[RunSpec, BaseException] = {}
-    if resume is None:
-        resume = os.environ.get("REPRO_RESUME", "") == "1"
-    keys = {spec: spec_key(spec) for spec in misses}
-    for spec in misses:
-        _journal_append(keys[spec], "pending")
-    if resume:
-        misses = _replay_journal(misses, keys, failures)
-    resume_set_here = False
-    if resume and os.environ.get("REPRO_RESUME", "") != "1":
-        # Checkpoint restoration inside the workers keys off the
-        # environment; propagate an explicit resume=True to them.
-        os.environ["REPRO_RESUME"] = "1"
-        resume_set_here = True
-    try:
-        jobs = default_jobs() if jobs is None else max(1, jobs)
-        jobs = min(jobs, max(1, len(misses)))
-        if jobs == 1:
-            _run_serial(misses, out, failures, verbose, prior, keys)
-        elif misses:
-            # Workers simulate in their own processes; credit the
-            # parent's counter here so cold/cache-hit detection works
-            # either way.
-            global _SIMULATED
-            _SIMULATED += len(misses)
-            _run_parallel(misses, jobs, out, failures, verbose, prior, keys)
-    finally:
-        if resume_set_here:
-            os.environ.pop("REPRO_RESUME", None)
+    if misses:
+        if resume is None:
+            resume = os.environ.get("REPRO_RESUME", "") == "1"
+        keys = {spec: spec_key(spec) for spec in misses}
+        for spec in misses:
+            Executor.admit(keys[spec])
+        journal = _journal_read() if resume else {}
+        resume_set_here = False
+        if resume and os.environ.get("REPRO_RESUME", "") != "1":
+            # Checkpoint restoration inside the workers keys off the
+            # environment; propagate an explicit resume=True to them.
+            os.environ["REPRO_RESUME"] = "1"
+            resume_set_here = True
+        try:
+            jobs = default_jobs() if jobs is None else max(1, jobs)
+            batch = (keys, journal, out, failures, prior, verbose)
+            unresolved = _dispatch(misses, min(jobs, len(misses)), *batch)
+            # A worker death broke the pool: rerun what it left in-process.
+            _dispatch(unresolved, 1, *batch)
+        finally:
+            if resume_set_here:
+                os.environ.pop("REPRO_RESUME", None)
     # Aggregate profiles before any failure raise, so survivors of a
     # partially-failed batch still land in profile.json.
     _emit_profile(out, profile_out, verbose)
@@ -1436,41 +1442,60 @@ def run_specs(
     return out
 
 
-def _replay_journal(
+def _dispatch(
     misses: Sequence[RunSpec],
+    jobs: int,
     keys: Dict[RunSpec, str],
+    journal: Dict[str, dict],
+    out: Dict[RunSpec, SimulationResult],
     failures: Dict[RunSpec, BaseException],
+    prior: Dict[RunSpec, BaseException],
+    verbose: bool,
 ) -> List[RunSpec]:
-    """Apply a crashed campaign's journal to this batch's cache misses:
-    quarantine crash-looped specs, pause (capped, seeded backoff) before
-    re-attempting interrupted ones, and keep the rest."""
-    journal = _journal_read()
-    limit = _quarantine_after()
-    retained: List[RunSpec] = []
-    backoff = 0.0
-    for spec in misses:
-        entry = journal.get(keys[spec])
-        attempts = entry["attempts"] if entry is not None else 0
-        if attempts >= limit:
-            _journal_append(keys[spec], "quarantined", attempts=attempts)
+    """Resolve ``misses`` in list order, at most ``jobs`` at a time
+    (in-process for one), each from its interruption count in a resumed
+    ``journal`` (consumed once); ``prior`` keeps first errors.  Returns
+    what a broken pool left unresolved: nothing is dispatched after it
+    breaks."""
+    executor = Executor(jobs if jobs > 1 else 0, verbose)
+    corr = current_correlation()
+
+    def resolve(spec: RunSpec) -> None:
+        key = keys[spec]
+        n = journal.pop(key, {}).get("attempts", 0)
+        verdict, delay = (
+            executor.decide(INTERRUPTED, n, spec, key) if n else (RETRY, 0.0)
+        )
+        while verdict == RETRY and not executor.generation:
+            time.sleep(delay)
+            with correlation_scope(corr):
+                kind, value = executor.attempt(spec, key=key)
+            if kind != ERROR:
+                if kind == DONE:
+                    out[spec] = value
+                return
+            n = 2 if spec in prior else 1
+            prior.setdefault(spec, value)
+            verdict, delay = executor.decide(ERROR, n, spec, key, value)
+        if verdict == FAILED:
+            failures[spec] = value
+        elif verdict == QUARANTINED:
             failures[spec] = RuntimeError(
-                f"quarantined after {attempts} interrupted attempts: "
+                f"quarantined after {n} interrupted attempts: "
                 f"{spec.scheme}:{spec.workload}"
             )
-            continue
-        if attempts > 0:
-            backoff = max(
-                backoff,
-                min(_retry_backoff(spec) * (2 ** (attempts - 1)), 5.0),
-            )
-        retained.append(spec)
-    if backoff > 0:
-        _LOG.info(
-            "resume: pausing %.2fs before re-attempting interrupted specs",
-            backoff,
-        )
-        time.sleep(backoff)
-    return retained
+
+    threads = ThreadPoolExecutor(jobs) if jobs > 1 else None
+    try:
+        if threads is not None:
+            executor.start()  # fork the workers from this thread
+        for _ in threads.map(resolve, misses) if threads else map(resolve, misses):
+            pass
+    finally:
+        if threads is not None:
+            threads.shutdown(cancel_futures=True)
+        executor.close()
+    return [spec for spec in misses if spec not in out and spec not in failures]
 
 
 def run_matrix(

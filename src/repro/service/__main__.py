@@ -3,10 +3,13 @@
 Starts the scheduler and the HTTP frontend, then waits for SIGTERM or
 SIGINT; on either it stops accepting, drains the backlog (bounded by
 ``--drain-timeout``), and exits 0 — the clean-shutdown contract the
-chaos drill asserts.  All the runner's environment knobs apply
-(``REPRO_CACHE_DIR``, ``REPRO_WATCHDOG_SECONDS``,
-``REPRO_QUARANTINE_AFTER``, ``REPRO_SPEC_TIMEOUT``...), so a service is
-exactly a long-lived, admission-controlled batch runner.
+chaos drill asserts.  Units run through the batch runner's own
+:class:`~repro.experiments.runner.Executor`, so all its environment knobs
+apply (``REPRO_CACHE_DIR``, ``REPRO_WATCHDOG_SECONDS``,
+``REPRO_QUARANTINE_AFTER``, ``REPRO_SPEC_TIMEOUT``...) with the same
+meaning: a service is a long-lived, admission-controlled batch runner
+that respawns its pool after a worker death instead of finishing the
+batch in-process.
 """
 
 from __future__ import annotations

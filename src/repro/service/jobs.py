@@ -59,11 +59,11 @@ class WorkUnit:
     """One schedulable unit: a simulation spec or a fault campaign.
 
     Mutable scheduling state lives here (attempt counters, backoff
-    deadline, enqueue stamp); the payload itself is immutable.  Failure
-    accounting distinguishes *errors* (the unit's own exception — retried
-    once, then failed) from *interruptions* (a worker died under it —
-    retried with backoff until the crash-loop quarantine bound), exactly
-    mirroring the batch runner's journal semantics.
+    deadline, enqueue stamp); the payload itself is immutable.  The
+    executor's retry rule (:meth:`~repro.experiments.runner.Executor.
+    decide`) counts *errors* (the unit's own exception — retried once,
+    then failed) apart from *interruptions* (a worker died under it —
+    retried with backoff until the crash-loop quarantine bound).
     """
 
     __slots__ = (
@@ -78,7 +78,6 @@ class WorkUnit:
         "interruptions",
         "enqueued",
         "ready_at",
-        "last_error",
     )
 
     def __init__(self, job: "Job", index: int, kind: str, payload):
@@ -100,7 +99,6 @@ class WorkUnit:
         self.interruptions = 0
         self.enqueued = 0.0  # monotonic stamp, set at (re)enqueue
         self.ready_at = 0.0  # backoff deadline; 0 = immediately eligible
-        self.last_error: Optional[str] = None
 
     def order_key(self):
         """Heap key: client priority first, then global FIFO order."""
@@ -166,18 +164,13 @@ class Job:
 
     def snapshot(self) -> Dict:
         """The ``/status`` view: JSON-able, cheap, lock-consistent."""
-        with self._cond:
-            resolved = len(self.results) + len(self.failures)
-            if resolved >= self.total:
-                state = FAILED if self.failures else DONE
-            else:
-                state = RUNNING if self._started else QUEUED
+        with self._cond:  # re-entrant: ``state`` takes it too
             return {
                 "job": self.job_id,
                 "correlation": self.correlation,
                 "client": self.client,
                 "priority": self.priority,
-                "state": state,
+                "state": self.state,
                 "units": self.total,
                 "completed": len(self.results),
                 "failed": len(self.failures),

@@ -4,9 +4,8 @@
 service: clients submit jobs (spec sweeps and/or fault campaigns) at any
 time, an admission layer sheds overload with structured
 :class:`~repro.service.admission.Overloaded` responses, and admitted
-work flows through per-worker priority queues into the existing
-``ProcessPoolExecutor`` machinery, streaming each unit's result the
-moment it completes.
+work flows through per-worker priority queues into the runner's shared
+executor, streaming each unit's result the moment it completes.
 
 Scheduling model
 ----------------
@@ -19,24 +18,20 @@ while any queue holds work.  Units backing off after a failure sit in a
 shared delayed set until their deadline, then rejoin the least-loaded
 heap.
 
-Robustness (the PR 7 machinery, extended)
------------------------------------------
-- Every spec unit journals ``pending``/``running``/``done``/``failed``/
-  ``quarantined`` through the runner's locked campaign journal, so a
-  killed service resumes exactly like a killed batch.
-- A worker-process death (``BrokenProcessPool`` — OOM, chaos SIGKILL, or
-  the heartbeat watchdog killing a wedged worker) respawns the pool once
-  per generation and counts an *interruption* against the in-flight
-  units; a unit interrupted ``REPRO_QUARANTINE_AFTER`` consecutive times
-  is quarantined instead of retried forever.  Ordinary exceptions get
-  one retry with capped jittered backoff, then fail the unit.
-- Stale heartbeat files are swept at startup
-  (:func:`~repro.experiments.runner.clean_stale_heartbeats`) and the
-  heartbeat watchdog is armed whenever ``REPRO_WATCHDOG_SECONDS`` is
-  set, exactly as in the batch runner.
-- Results publish through the same content-addressed caches (memo +
-  atomic-rename disk entries), so many service processes — on many hosts
-  — can share one cache directory without corrupting an entry.
+Execution
+---------
+The service is the concurrent caller of the runner's
+:class:`~repro.experiments.runner.Executor`, the one ``run_specs`` uses:
+each dispatcher runs one attempt at a time, so the same cache lookup,
+journal transitions and retry rule apply and a killed service resumes
+exactly like a killed batch.  The callers differ in one rule: after a
+worker death the service respawns the pool and retries the interrupted
+unit (until ``REPRO_QUARANTINE_AFTER`` quarantines it) where a batch
+falls back to running in-process.  Retries wait in the delayed set, not
+in a dispatcher; fault-campaign units skip the cache and the journal.
+Stale heartbeat files are swept at startup, and results publish through
+the content-addressed caches, so many service processes — on many hosts
+— can share one cache directory without corrupting an entry.
 
 Every decision is counted (:class:`ServiceStats` +
 :class:`~repro.service.admission.AdmissionStats`, both registered in a
@@ -48,21 +43,24 @@ age, shed markers) for the ``/stats`` endpoint.
 from __future__ import annotations
 
 import heapq
-import logging
-import os
-import signal
 import threading
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    TimeoutError as _FutureTimeout,
-)
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.experiments import runner as _runner
+from repro.experiments.runner import (
+    DONE,
+    INTERRUPTED,
+    QUARANTINED,
+    RETRY,
+    Executor,
+    RunSpec,
+    clean_stale_heartbeats,
+    default_jobs,
+    heartbeat_dir,
+    result_digest,
+    watchdog_seconds,
+)
 from repro.faults.campaign import run_campaign_payload
 from repro.service.admission import (
     AdmissionController,
@@ -83,10 +81,6 @@ from repro.telemetry.sampler import WallClockSeries
 from repro.telemetry.slo import SLOSpec, SLOStatus, default_slos, evaluate_all
 
 _LOG = get_logger("repro.service")
-
-#: Cap on the exponential retry backoff (seconds) — matches the batch
-#: runner's resume backoff cap.
-_BACKOFF_CAP = 5.0
 
 
 @dataclass
@@ -117,37 +111,8 @@ class ServiceStats:
     queue_age_samples: int = 0
 
     def counters(self) -> Dict[str, int]:
-        """Registry-provider view of the group."""
-        return {
-            "units_completed": self.units_completed,
-            "units_failed": self.units_failed,
-            "units_quarantined": self.units_quarantined,
-            "cache_hits": self.cache_hits,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "steals": self.steals,
-            "retries": self.retries,
-            "worker_respawns": self.worker_respawns,
-            "queue_age_ms_total": self.queue_age_ms_total,
-            "queue_age_samples": self.queue_age_samples,
-        }
-
-
-def _quarantine_after() -> int:
-    return _runner._quarantine_after()
-
-
-def _pool_worker_init() -> None:
-    """Restore default signal dispositions in pool workers.
-
-    The service's main process installs a graceful SIGTERM handler;
-    forked pool workers inherit it, which would make them *swallow* the
-    SIGTERM the executor itself sends during broken-pool cleanup — the
-    worker lingers, the executor's join never returns, and interpreter
-    shutdown wedges.  Workers must die on SIGTERM and ignore the
-    terminal's SIGINT (the main process coordinates shutdown)."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+        """Registry-provider view of the group (every field, in order)."""
+        return asdict(self)
 
 
 class CampaignService:
@@ -159,12 +124,10 @@ class CampaignService:
         rate: float = 8.0,
         burst: float = 32.0,
         max_queue_depth: int = 256,
-        error_retries: int = 1,
         registry: Optional[StatsRegistry] = None,
         slos: Optional[Sequence[SLOSpec]] = None,
     ):
-        self.workers = max(1, workers or _runner.default_jobs())
-        self.error_retries = max(0, error_retries)
+        self.workers = max(1, workers or default_jobs())
         self.stats = ServiceStats()
         self.admission = AdmissionController(
             rate=rate,
@@ -202,23 +165,17 @@ class CampaignService:
         self._accepting = False
         self._stopping = False
         self._threads: List[threading.Thread] = []
-
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_generation = 0
-        self._pool_lock = threading.Lock()
-        self._watchdog = None
-        self._hb_set_here = False
+        self.executor = Executor(self.workers, on_respawn=self._respawned)
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "CampaignService":
         if self._threads:
             raise RuntimeError("service already started")
         # Sweep heartbeat orphans from previous (SIGKILLed) incarnations
-        # before any supervision arms — see satellite in runner.
-        swept = _runner.clean_stale_heartbeats()
+        # before any supervision arms (the executor arms it with the pool).
+        swept = clean_stale_heartbeats()
         if swept:
             _LOG.info("startup: removed %d stale heartbeat files", swept)
-        self._watchdog, self._hb_set_here = _runner._start_watchdog()
         self._accepting = True
         self.started_mono = time.monotonic()
         for index in range(self.workers):
@@ -264,12 +221,7 @@ class CampaignService:
             self._cond.notify_all()
         for thread in self._threads:
             thread.join(timeout=max(0.1, deadline - time.monotonic()))
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-        _runner._stop_watchdog(self._watchdog, self._hb_set_here)
-        self._watchdog = None
+        self.executor.close(wait=False)
         _LOG.info(
             "service down (%s)", "drained" if drained else "abandoned backlog"
         )
@@ -314,12 +266,12 @@ class CampaignService:
 
     def heartbeat_lags(self) -> Dict[int, float]:
         """Seconds since each worker's heartbeat file was refreshed."""
-        directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-        if not directory:
+        directory = heartbeat_dir()
+        if directory is None:
             return {}
         lags: Dict[int, float] = {}
         try:
-            for path in Path(directory).glob("hb_*.json"):
+            for path in directory.glob("hb_*.json"):
                 try:
                     pid = int(path.stem.split("_", 1)[1])
                 except (IndexError, ValueError):
@@ -381,13 +333,7 @@ class CampaignService:
     def _stale_heartbeats(self) -> List[Tuple[int, float]]:
         """Heartbeat pids older than the watchdog budget (or 60s when no
         watchdog is armed) — the readiness probe's staleness evidence."""
-        budget = 60.0
-        env = os.environ.get("REPRO_WATCHDOG_SECONDS", "").strip()
-        if env:
-            try:
-                budget = max(1.0, float(env))
-            except ValueError:
-                pass
+        budget = watchdog_seconds() or 60.0
         return sorted(
             (pid, age)
             for pid, age in self.heartbeat_lags().items()
@@ -396,12 +342,12 @@ class CampaignService:
 
     def _heartbeat_summary(self) -> Dict:
         """Worker heartbeat freshness (rides the PR 7 heartbeat files)."""
-        directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-        summary = {"dir": directory or None, "workers": 0, "freshest_age": None}
-        if not directory:
-            return summary
-        lags = self.heartbeat_lags()
-        summary["workers"] = len(lags)
+        directory, lags = heartbeat_dir(), self.heartbeat_lags()
+        summary = {
+            "dir": str(directory) if directory else None,
+            "workers": len(lags),
+            "freshest_age": None,
+        }
         if lags:
             summary["freshest_age"] = round(min(lags.values()), 3)
             summary["ages"] = {str(pid): age for pid, age in lags.items()}
@@ -481,7 +427,7 @@ class CampaignService:
         """
         units_payload: List[Tuple[str, object]] = []
         for payload in specs:
-            if isinstance(payload, _runner.RunSpec):
+            if isinstance(payload, RunSpec):
                 units_payload.append((UNIT_SPEC, payload))
             else:
                 units_payload.append((UNIT_SPEC, spec_from_payload(payload)))
@@ -518,9 +464,7 @@ class CampaignService:
             self.jobs[job.job_id] = job
             for unit in job.units:
                 if unit.kind == UNIT_SPEC:
-                    _runner._journal_append(
-                        unit.key, "pending", corr=job.correlation
-                    )
+                    self.executor.admit(unit.key, corr=job.correlation)
                 self._enqueue_locked(unit)
             self._cond.notify_all()
         self.series.record(queue_depth=depth + len(job.units), admitted=1)
@@ -630,13 +574,14 @@ class CampaignService:
 
     # -- execution -----------------------------------------------------------
     def _execute(self, unit: WorkUnit) -> None:
-        """Dispatch one unit under its job's correlation scope.
+        """Run one attempt of a unit under its job's correlation scope.
 
         Binding the scope here means every log record, journal append
         and flight event the dispatch produces — on this thread —
         carries the submit-time correlation id without any call site
-        naming it; the pool worker gets it as an explicit
-        ``_simulate`` argument (contextvars don't cross processes).
+        naming it; the executor hands it to the pool worker as an
+        explicit ``_simulate`` argument (contextvars don't cross
+        processes).  Campaign units skip the cache and the journal.
         """
         with correlation_scope(unit.job.correlation):
             age_ms = int((time.monotonic() - unit.enqueued) * 1000)
@@ -655,151 +600,67 @@ class CampaignService:
             )
             unit.job.mark_started()
             self._maybe_evaluate_slos()
-            if unit.kind == UNIT_SPEC:
-                self._execute_spec(unit)
+            spec = unit.spec
+            if spec is None:
+                kind, value = self.executor.attempt(
+                    None, run_campaign_payload, unit.payload
+                )
             else:
-                self._execute_campaign(unit)
+                cached = self.executor.lookup(spec, unit.key)
+                if cached is not None:
+                    self.stats.cache_hits += 1
+                    self._resolve_result(unit, self._summary(unit, cached, True))
+                    return
+                kind, value = self.executor.attempt(spec, key=unit.key)
+            if kind == DONE:
+                self._resolve_result(unit, self._summary(unit, value, False))
+                return
+            if kind == INTERRUPTED:
+                unit.interruptions += 1
+                n, message = unit.interruptions, "worker process died"
+            else:
+                unit.errors += 1
+                n, message = unit.errors, repr(value)
+            key = unit.key if spec is not None else None
+            verdict, delay = self.executor.decide(kind, n, spec, key, value)
+            if verdict == RETRY:
+                self._requeue(unit, n, delay, message)
+            else:
+                self._resolve_failure(unit, message, verdict == QUARANTINED)
 
-    def _execute_spec(self, unit: WorkUnit) -> None:
-        spec = unit.spec
-        cached = _runner._CACHE.get(spec)
-        if cached is None:
-            cached = _runner._disk_load(spec)
-            if cached is not None:
-                _runner._CACHE[spec] = cached
-        if cached is not None:
-            self.stats.cache_hits += 1
-            _runner._journal_append(unit.key, "done")
-            self._resolve_result(unit, self._spec_summary(unit, cached, True))
-            return
-        _runner._journal_append(unit.key, "running")
-        generation = self._pool_generation
-        try:
-            future = self._pool_submit(
-                _runner._simulate, spec, False, unit.job.correlation
-            )
-            result = future.result(timeout=_runner._spec_timeout())
-        except BrokenProcessPool:
-            self._respawn_pool(generation)
-            self._interrupted(unit, "worker process died")
-            return
-        except _FutureTimeout:
-            future.cancel()
-            self._errored(
-                unit, f"spec exceeded {_runner._spec_timeout()}s"
-            )
-            return
-        except Exception as exc:
-            self._errored(unit, repr(exc))
-            return
-        _runner._store(spec, result, verbose=False)
-        _runner._journal_append(unit.key, "done")
-        self._resolve_result(unit, self._spec_summary(unit, result, False))
-
-    def _execute_campaign(self, unit: WorkUnit) -> None:
-        generation = self._pool_generation
-        try:
-            future = self._pool_submit(run_campaign_payload, unit.payload)
-            summary = future.result(timeout=_runner._spec_timeout())
-        except BrokenProcessPool:
-            self._respawn_pool(generation)
-            self._interrupted(unit, "worker process died")
-            return
-        except _FutureTimeout:
-            future.cancel()
-            self._errored(
-                unit, f"campaign exceeded {_runner._spec_timeout()}s"
-            )
-            return
-        except Exception as exc:
-            self._errored(unit, repr(exc))
-            return
-        event = {
-            "type": "result",
-            "job": unit.job.job_id,
-            "correlation": unit.job.correlation,
-            "index": unit.index,
-            "key": unit.key,
-            "campaign": summary,
-        }
-        self._resolve_result(unit, event)
-
-    def _spec_summary(self, unit: WorkUnit, result, cached: bool) -> Dict:
+    @staticmethod
+    def _event(unit: WorkUnit, kind: str, **fields) -> Dict:
+        """One unit's ``result``/``failed`` stream event."""
         return {
-            "type": "result",
+            "type": kind,
             "job": unit.job.job_id,
             "correlation": unit.job.correlation,
             "index": unit.index,
             "key": unit.key,
-            "digest": _runner.result_digest(result),
-            "cached": cached,
-            "scheme": unit.spec.scheme,
-            "workload": unit.spec.workload,
-            "cycles": result.cycles,
-            "avg_miss_latency": result.avg_miss_latency,
+            **fields,
         }
+
+    def _summary(self, unit: WorkUnit, value, cached: bool) -> Dict:
+        """A unit's ``result`` event: a spec's digest, a campaign's
+        summary."""
+        if unit.spec is None:
+            return self._event(unit, "result", campaign=value)
+        return self._event(
+            unit,
+            "result",
+            digest=result_digest(value),
+            cached=cached,
+            scheme=unit.spec.scheme,
+            workload=unit.spec.workload,
+            cycles=value.cycles,
+            avg_miss_latency=value.avg_miss_latency,
+        )
 
     # -- failure/retry plumbing ----------------------------------------------
-    def _interrupted(self, unit: WorkUnit, message: str) -> None:
-        """A worker died under the unit — the crash-loop path."""
-        unit.interruptions += 1
-        unit.last_error = message
-        limit = _quarantine_after()
-        if unit.interruptions >= limit:
-            self.stats.units_quarantined += 1
-            if unit.kind == UNIT_SPEC:
-                _runner._journal_append(
-                    unit.key, "quarantined", attempts=unit.interruptions
-                )
-            _LOG.warning(
-                "quarantined %s after %d interruptions",
-                unit.describe(),
-                unit.interruptions,
-            )
-            recorder = _flight.recorder(role="service")
-            recorder.record(
-                "quarantine",
-                unit=unit.describe(),
-                job=unit.job.job_id,
-                attempts=unit.interruptions,
-                error=message,
-            )
-            recorder.dump(
-                "quarantine",
-                corr=unit.job.correlation,
-                extra={
-                    "key": unit.key,
-                    "attempts": unit.interruptions,
-                    "error": message,
-                },
-            )
-            self._resolve_failure(
-                unit,
-                f"quarantined after {unit.interruptions} interrupted "
-                f"attempts: {message}",
-                quarantined=True,
-            )
-            return
-        self._requeue(unit, unit.interruptions, message)
-
-    def _errored(self, unit: WorkUnit, message: str) -> None:
-        """The unit's own exception/timeout — bounded ordinary retries."""
-        unit.errors += 1
-        unit.last_error = message
-        if unit.errors > self.error_retries:
-            if unit.kind == UNIT_SPEC:
-                _runner._journal_append(unit.key, "failed", error=message)
-            self._resolve_failure(unit, message)
-            return
-        self._requeue(unit, unit.errors, message)
-
-    def _requeue(self, unit: WorkUnit, attempt: int, message: str) -> None:
-        base = (
-            _runner._retry_backoff(unit.spec)
-            if unit.kind == UNIT_SPEC
-            else _runner._retry_backoff()
-        )
-        delay = min(max(base, 0.05) * (2 ** (attempt - 1)), _BACKOFF_CAP)
+    def _requeue(
+        self, unit: WorkUnit, attempt: int, delay: float, message: str
+    ) -> None:
+        """Park a retried unit in the delayed set for ``delay`` seconds."""
         unit.ready_at = time.monotonic() + delay
         self.stats.retries += 1
         self.series.record(retry=1)
@@ -826,7 +687,7 @@ class CampaignService:
     def _resolve_result(self, unit: WorkUnit, event: Dict) -> None:
         self.stats.units_completed += 1
         self.series.record(completed=1)
-        if unit.kind == UNIT_SPEC and unit.spec is not None:
+        if unit.spec is not None:
             with self._cond:
                 self._scheme_completed[unit.spec.scheme] = (
                     self._scheme_completed.get(unit.spec.scheme, 0) + 1
@@ -837,18 +698,38 @@ class CampaignService:
     def _resolve_failure(
         self, unit: WorkUnit, message: str, quarantined: bool = False
     ) -> None:
+        if quarantined:
+            self.stats.units_quarantined += 1
+            _LOG.warning(
+                "quarantined %s after %d interruptions",
+                unit.describe(),
+                unit.interruptions,
+            )
+            recorder = _flight.recorder(role="service")
+            recorder.record(
+                "quarantine",
+                unit=unit.describe(),
+                job=unit.job.job_id,
+                attempts=unit.interruptions,
+                error=message,
+            )
+            recorder.dump(
+                "quarantine",
+                corr=unit.job.correlation,
+                extra={
+                    "key": unit.key,
+                    "attempts": unit.interruptions,
+                    "error": message,
+                },
+            )
+            message = (
+                f"quarantined after {unit.interruptions} interrupted "
+                f"attempts: {message}"
+            )
         self.stats.units_failed += 1
         self.series.record(failed=1)
         unit.job.publish(
-            {
-                "type": "failed",
-                "job": unit.job.job_id,
-                "correlation": unit.job.correlation,
-                "index": unit.index,
-                "key": unit.key,
-                "error": message,
-                "quarantined": quarantined,
-            }
+            self._event(unit, "failed", error=message, quarantined=quarantined)
         )
         self._maybe_finish(unit.job)
 
@@ -877,46 +758,21 @@ class CampaignService:
         )
 
     # -- the process pool ----------------------------------------------------
-    def _pool_submit(self, fn, *args):
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_pool_worker_init,
-                )
-            return self._pool.submit(fn, *args)
-
-    def _respawn_pool(self, generation: int) -> None:
-        """Tear down a broken pool exactly once per generation (every
-        in-flight unit sees the same ``BrokenProcessPool``)."""
-        with self._pool_lock:
-            if generation != self._pool_generation:
-                return  # a sibling already respawned
-            self._pool_generation += 1
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    def _respawned(self, generation: int) -> None:
+        """Executor hook: a broken pool was torn down (once per
+        generation; the next dispatch spawns a fresh one)."""
         self.stats.worker_respawns += 1
         self.series.record(respawn=1)
-        _LOG.warning("process pool died; respawned (generation %d)",
-                     self._pool_generation)
+        _LOG.warning("process pool died; respawned (generation %d)", generation)
         recorder = _flight.recorder(role="service")
-        recorder.record(
-            "broken_pool", generation=self._pool_generation
-        )
+        recorder.record("broken_pool", generation=generation)
         recorder.dump(
             "broken_pool",
             extra={
-                "generation": self._pool_generation,
+                "generation": generation,
                 "heartbeat_lags": {
                     str(pid): age
                     for pid, age in self.heartbeat_lags().items()
                 },
             },
         )
-
-    # -- logging handshake ---------------------------------------------------
-    def enable_verbose(self) -> None:
-        from repro.telemetry.log import ensure_level
-
-        ensure_level(logging.INFO)

@@ -772,6 +772,31 @@ class TestServiceEndpoints:
             "queue_age_p95", "shed_rate", "throughput",
         }
 
+    def test_disabled_watchdog_keeps_the_default_heartbeat_budget(
+        self, tmp_path, monkeypatch
+    ):
+        """``REPRO_WATCHDOG_SECONDS=0`` means no watchdog, as it does for
+        the runner, so readiness keeps its 60s staleness budget: a live
+        worker's 5-second-old heartbeat is not stale."""
+        service = CampaignService(
+            workers=1, rate=1000.0, burst=1000.0
+        ).start()
+        try:
+            hb_dir = tmp_path / "hb"
+            hb_dir.mkdir()
+            beat = hb_dir / f"hb_{os.getpid()}.json"
+            beat.write_text(json.dumps({"pid": os.getpid(), "cycle": 1}))
+            old = time.time() - 5.0
+            os.utime(beat, (old, old))
+            monkeypatch.setenv("REPRO_HEARTBEAT_DIR", str(hb_dir))
+            monkeypatch.setenv("REPRO_WATCHDOG_SECONDS", "0")
+            ok, detail = service.ready()
+            assert ok, detail["reasons"]
+            assert detail["heartbeats"]["workers"] == 1
+            assert runner.watchdog_seconds() is None
+        finally:
+            service.shutdown(drain=False, timeout=10.0)
+
     def test_burning_slo_publishes_stream_events(self):
         slo = SLOSpec(
             name="shed_rate", metric="shed", objective=0.001,

@@ -538,7 +538,7 @@ class TestCampaignService:
             assert summary["packets_sent"] > 0
 
     def test_malformed_campaign_payload_fails_the_unit(self):
-        with running_service(workers=1, error_retries=0) as service:
+        with running_service(workers=1) as service:
             job = service.submit(
                 campaigns=[{"plan": {"seed": 1, "bogus_knob": 3}}],
                 client="faults",
