@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cmp.bank import HomeBank
 from repro.cmp.config import SystemConfig
-from repro.cmp.core_model import CoreModel
+from repro.cmp.core_model import CoreModel, CoreProgress, tally
 from repro.cmp.messages import Message, MessageKind
 from repro.cmp.schemes import SchemePolicy
 from repro.cmp.tile import Tile
@@ -298,6 +298,11 @@ class CmpSystem:
                     CoreModel(node, trace, config.core_window, warmup=warmup),
                 )
             )
+        #: Replay progress of every core, kept current by the cores
+        #: themselves: what :meth:`run` reads each cycle.
+        self.progress = CoreProgress(tile.core for tile in self.tiles)
+        for tile in self.tiles:
+            tile.core.progress = self.progress
         self.banks: List[HomeBank] = [
             HomeBank(node, self) for node in range(config.n_banks)
         ]
@@ -416,9 +421,7 @@ class CmpSystem:
         return self.kernel.stats.snapshot().flat()
 
     def _maybe_snapshot(self) -> None:
-        if self._snapshot is not None:
-            return
-        if all(not t.core.in_warmup() for t in self.tiles):
+        if self._snapshot is None and not self.progress.warming:
             self._snapshot = self.kernel.stats.snapshot()
             self._measure_start_cycle = self.cycle
 
@@ -580,6 +583,7 @@ class CmpSystem:
         self.network.load_state(state["network"])
         for tile, saved in zip(self.tiles, state["tiles"]):
             tile.load_state(saved)
+        self.progress.recount(tile.core for tile in self.tiles)
         for bank, saved in zip(self.banks, state["banks"]):
             bank.load_state(saved)
         self.memory.load_state(state["memory"])
@@ -648,25 +652,23 @@ class CmpSystem:
         ``time.monotonic()`` budget checked every ~256 steps (raises
         ``TimeoutError``); ``progress_fn`` is a ~256-step heartbeat hook.
         """
-        tiles = self.tiles
-        cores = [tile.core for tile in tiles]
         kernel = self.kernel
+        progress = self.progress
         last_progress_cycle = 0
         last_outstanding = -1
         steps = 0
-        # Every core's position is capped at its trace length, so the
-        # position sum hits this target exactly when every trace has
-        # drained — one pass over the cores covers the done check, the
-        # watchdog signature, and the fast-forward in-flight guard.
-        trace_target = sum(len(core.trace) for core in cores)
+        # Positions are capped at the trace lengths, so the issued count
+        # reaches this target exactly when every trace has drained.  The
+        # loop reads the cores' shared progress aggregate, never a core, so
+        # its per-cycle cost does not grow with the core count; one
+        # recount confirms the drain before the run may end.
+        trace_target = sum(len(tile.core.trace) for tile in self.tiles)
         while True:
-            positions = 0
-            outstanding = 0
-            for core in cores:
-                positions += core.position
-                outstanding += core.outstanding
+            positions = progress.positions
+            outstanding = progress.outstanding
             if outstanding == 0:
-                if positions == trace_target:
+                if positions >= trace_target:
+                    self._check_drained()
                     break
                 self._maybe_fast_forward()
             kernel.step()
@@ -703,9 +705,22 @@ class CmpSystem:
                 raise RuntimeError("simulation exceeded max_cycles")
         return self._collect()
 
+    def _check_drained(self) -> None:
+        """Confirm the aggregate's drain with one pass over the cores, so
+        a stale aggregate fails the run instead of ending it early."""
+        aggregate = self.progress.counts()[:2]
+        recount = tally(tile.core for tile in self.tiles)[:2]
+        if recount != aggregate:
+            raise RuntimeError(
+                f"core progress aggregate {aggregate} disagrees with the "
+                f"per-core recount {recount} (positions, outstanding) at "
+                f"cycle {self.cycle}"
+            )
+
     def _wedge_report(self) -> str:
         """CMP-side companion to the network wedge snapshot."""
-        outstanding = sum(t.core.outstanding for t in self.tiles)
+        recount = tally(t.core for t in self.tiles)
+        outstanding = recount[1]
         stalled = [
             t.node for t in self.tiles if not t.core.done()
         ]
@@ -717,6 +732,8 @@ class CmpSystem:
         )
         return (
             f"cores unfinished: {stalled} ({outstanding} misses in flight); "
+            f"core progress (positions, outstanding, warming): aggregate "
+            f"{self.progress.counts()}, recount {recount}; "
             f"bank transactions pending: {pending_trans}; "
             f"events scheduled: {self.events.has_work()}\n"
             f"busy cmp components: {busy or 'none'}"

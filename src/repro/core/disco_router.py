@@ -3,10 +3,11 @@
 Two components are added to the conventional 3-stage router: the *DISCO
 compressor* attached to the input buffers, and the *DISCO arbitrator*
 cooperating with RC/VA/SA.  The arbitrator sees the allocation losers the
-moment they lose (the hook runs inside the SA stage) plus the packets still
-waiting for a downstream VC, computes their confidence and, when it clears
-the threshold, hands the packet to the engine while the shadow copy stays
-schedulable in the VC.
+moment they lose (the SA hook runs inside the SA stage) plus the packets
+still waiting for a downstream VC (the VA hook, after RC), computes their
+confidence and, when it clears the threshold, hands the packet to the
+engine while the shadow copy stays schedulable in the VC.  The pipeline
+itself is the base router's: its switch allocator applies the engine lock.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.core.arbitrator import DiscoArbitrator
 from repro.core.config import DiscoConfig
 from repro.core.engine import DiscoCompressorEngine
 from repro.noc.config import NocConfig
-from repro.noc.router import VC_VA, InputVC, Router
+from repro.noc.router import InputVC, Router
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
@@ -37,23 +38,14 @@ class DiscoRouter(Router):
         algorithm: CompressionAlgorithm,
     ):
         super().__init__(node, config, network)
-        self.disco = disco
         self.engine = DiscoCompressorEngine(self, disco, algorithm)
         self.arbitrator = DiscoArbitrator(self, disco, self.engine)
+        self._jobs_block = not disco.non_blocking
 
     def tick(self, cycle: Optional[int] = None) -> None:
         super().tick(cycle)
-        # Packets stuck in VC allocation are idle candidates too: they have
-        # a routed direction but no downstream VC (step-1 counts both VA
-        # and SA losers).
-        va_blocked = [
-            vc
-            for vc in self._bound
-            if vc.state == VC_VA and vc.wait_cycles > 0
-        ]
-        if va_blocked:
-            self.arbitrator.consider(va_blocked, self.network.cycle)
-        self.engine.tick(self.network.cycle)
+        if self.engine.jobs:
+            self.engine.tick(self.network.cycle)
 
     def has_work(self) -> bool:
         return super().has_work() or self.engine.busy()
@@ -77,15 +69,10 @@ class DiscoRouter(Router):
         if losers:
             self.arbitrator.consider(losers, self.network.cycle)
 
-    def _can_send(self, vc: InputVC) -> bool:
-        job = vc.engine_job
-        if job is not None:
-            # A streaming job whose flits entered the compressor is
-            # committed; without non-blocking support every job locks its
-            # shadow (the shadow-invalid bit of §3.2) until completion.
-            if job.committed or not self.disco.non_blocking:
-                return False
-        return super()._can_send(vc)
+    def _post_vc_allocation(self, waiting: List[InputVC]) -> None:
+        # Packets stuck in VC allocation are idle candidates too: they
+        # have a routed direction but no downstream VC.
+        self.arbitrator.consider(waiting, self.network.cycle)
 
     def _on_first_flit_sent(self, vc: InputVC) -> None:
         if vc.engine_job is not None:

@@ -18,10 +18,14 @@ packet-holding VCs per stage.  (A struct-of-arrays "fabric plane" with
 VCs as property views over shared arrays was tried and removed: it made
 the per-cycle pipeline about a fifth slower in CPython.)
 
-:class:`Router` exposes the hook points the DISCO router overrides:
-``_post_switch_allocation`` (receives this cycle's SA losers — the
-compression candidates of §3.2 step-1) and ``_on_flit_sent`` (shadow-packet
-abort, step-3).
+Every router, DISCO or not, runs the same inlined switch allocator; it
+also applies the DISCO engine lock (a VC whose packet the engine holds
+may not send).  :class:`Router` exposes the hook points the DISCO router
+overrides: ``_post_switch_allocation`` (this cycle's SA losers — the
+compression candidates of §3.2 step-1), ``_post_vc_allocation`` (the VCs
+that found no downstream VC, called after RC, which resolves the output
+ports the arbitrator's contention count reads) and
+``_on_first_flit_sent`` (shadow-packet abort, step-3).
 """
 
 from __future__ import annotations
@@ -301,10 +305,17 @@ class Router:
             FlowControl.STORE_AND_FORWARD,
         )
         self._link_latency = config.link_latency
-        self._plain_can_send = type(self)._can_send is Router._can_send
+        #: Whether every engine job holds its VC, not only a committed
+        #: streaming one: set by a DISCO router without non-blocking
+        #: compression (the shadow-invalid bit of §3.2).
+        self._jobs_block = False
         self._sa_hook = (
             type(self)._post_switch_allocation
             is not Router._post_switch_allocation
+        )
+        self._va_hook = (
+            type(self)._post_vc_allocation
+            is not Router._post_vc_allocation
         )
         self._ff_hook = (
             type(self)._on_first_flit_sent is not Router._on_first_flit_sent
@@ -391,55 +402,54 @@ class Router:
                     rc.append(vc)
         if sa is not None:
             self._switch_allocation(sa)
+        waiting = None
         if va is not None:
-            self._vc_allocation(va)
+            waiting = self._vc_allocation(va)
         if rc is not None:
             self._route_computation(rc)
+        if waiting is not None and self._va_hook:
+            self._post_vc_allocation(waiting)
 
     # .. stage 3+2b: switch allocation and traversal ..........................
     def _switch_allocation(self, active: List[InputVC]) -> None:
+        """Partition the requesters, arbitrate, send the winners.
+
+        The per-VC send test is :meth:`_can_send` inlined — keep the two
+        in step."""
         network = self.network
         now = network.kernel.cycle
         saf = self._saf
-        plain = self._plain_can_send
+        jobs_block = self._jobs_block
         # The eject-token pool only changes when a flit is actually sent,
         # and at most one local-port winner sends per cycle, so the check
         # hoists out of the partition loop — but only for the stock
         # ejection policy: a replaced ``can_eject`` (subclass or
         # test/fault monkey-patch) must be consulted per VC.
         eject_call = None
-        if plain:
-            eject_fn = network.can_eject
-            if getattr(eject_fn, "__func__", None) is _base_can_eject():
-                eject_ok = network._eject_tokens[self.node] > 0
-            else:
-                eject_call = eject_fn
+        eject_fn = network.can_eject
+        if getattr(eject_fn, "__func__", None) is _base_can_eject():
+            eject_ok = network._eject_tokens[self.node] > 0
         else:
-            eject_ok = False
+            eject_call = eject_fn
         single: Optional[List[InputVC]] = None  # all requesters, one port
         requests: Optional[Dict[int, List[InputVC]]] = None
         blocked: Optional[List[InputVC]] = None
         for vc in active:
-            if plain:
-                out_port = vc.out_port
-                if vc.wedged_until > now:
-                    ok = False  # fault-injected wedge (repro.faults)
-                elif saf and vc.flits_received < vc.packet.size_flits:
-                    ok = False
-                elif out_port == PORT_LOCAL:
-                    ok = (
-                        eject_ok
-                        if eject_call is None
-                        else eject_call(self.node)
-                    )
-                else:
-                    t = vc.out_vc
-                    ok = (
-                        t.depth - t.flits_present - t.incoming - t.credit_debt
-                    ) > 0
+            out_port = vc.out_port
+            job = vc.engine_job
+            if job is not None and (jobs_block or job.committed):
+                ok = False  # the DISCO engine holds the packet
+            elif vc.wedged_until > now:
+                ok = False  # fault-injected wedge (repro.faults)
+            elif saf and vc.flits_received < vc.packet.size_flits:
+                ok = False
+            elif out_port == PORT_LOCAL:
+                ok = eject_ok if eject_call is None else eject_call(self.node)
             else:
-                ok = self._can_send(vc)
-                out_port = vc.out_port
+                t = vc.out_vc
+                ok = (
+                    t.depth - t.flits_present - t.incoming - t.credit_debt
+                ) > 0
             if not ok:
                 vc.wait_cycles += 1
                 if blocked is None:
@@ -496,8 +506,15 @@ class Router:
             self._post_switch_allocation((losers or []) + (blocked or []))
 
     def _can_send(self, vc: InputVC) -> bool:
+        """Whether ``vc`` may send a flit this cycle (SA's request test)."""
         packet = vc.packet
         assert packet is not None
+        job = vc.engine_job
+        if job is not None and (self._jobs_block or job.committed):
+            # A streaming job whose flits entered the compressor is
+            # committed; without non-blocking support every job locks
+            # its shadow until completion.
+            return False
         if vc.wedged_until > self.network.cycle:
             return False  # fault-injected wedge (repro.faults)
         if self.config.flow_control is FlowControl.STORE_AND_FORWARD:
@@ -576,10 +593,12 @@ class Router:
             vc.release()
 
     # .. stage 2a: VC allocation ..............................................
-    def _vc_allocation(self, vcs: List[InputVC]) -> None:
+    def _vc_allocation(self, vcs: List[InputVC]) -> Optional[List[InputVC]]:
+        """Grant downstream VCs; returns the VCs still waiting (or None)."""
         network = self.network
         tracer = network.tracer
         stats = network.stats
+        waiting: Optional[List[InputVC]] = None
         for vc in vcs:
             packet = vc.packet
             if vc.out_port == PORT_LOCAL:
@@ -593,6 +612,10 @@ class Router:
             target = self._allocate_downstream_vc(vc, packet)
             if target is None:
                 vc.wait_cycles += 1
+                if waiting is None:
+                    waiting = [vc]
+                else:
+                    waiting.append(vc)
                 continue
             target.reserved = True
             vc.out_vc = target
@@ -602,6 +625,7 @@ class Router:
                 tracer.on_vc_allocated(
                     network.kernel.cycle, packet, self.node, vc.out_port
                 )
+        return waiting
 
     def _allocate_downstream_vc(
         self, vc: InputVC, packet: Packet
@@ -702,6 +726,16 @@ class Router:
 
         The baseline router ignores them; the DISCO router feeds them to
         the arbitrator as compression candidates (§3.2 step-1).
+        """
+
+    def _post_vc_allocation(self, waiting: List[InputVC]) -> None:
+        """Called each cycle, after route computation, with the VCs that
+        found no free downstream VC.
+
+        The baseline router ignores them; the DISCO router feeds them to
+        the arbitrator too (step-1 counts VA and SA losers alike).  It
+        runs after RC because the arbitrator's local contention reads the
+        output ports RC resolved this cycle.
         """
 
     def _on_first_flit_sent(self, vc: InputVC) -> None:

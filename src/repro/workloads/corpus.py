@@ -40,14 +40,22 @@ class ValuePool:
         self._mix = profile.normalized_mix()
         self._versions: Dict[int, int] = {}
         self._current: Dict[int, bytes] = {}
+        #: Pattern per address: a pure function of (seed, addr), drawn
+        #: once instead of on every store (a cache, never serialized).
+        self._patterns: Dict[int, str] = {}
 
     def _pattern_for(self, addr: int) -> str:
-        rng = random.Random((self.seed * 1_000_003) ^ (addr * _MIX))
-        pick = rng.random()
-        for name, cumulative in self._mix:
-            if pick <= cumulative:
-                return name
-        return self._mix[-1][0]
+        pattern = self._patterns.get(addr)
+        if pattern is None:
+            rng = random.Random((self.seed * 1_000_003) ^ (addr * _MIX))
+            pick = rng.random()
+            pattern = self._mix[-1][0]
+            for name, cumulative in self._mix:
+                if pick <= cumulative:
+                    pattern = name
+                    break
+            self._patterns[addr] = pattern
+        return pattern
 
     def _generate(self, addr: int, version: int) -> bytes:
         pattern = self._pattern_for(addr)

@@ -38,12 +38,12 @@ def test_compressed_schemes_store_small(scheme):
     system.run()
     lines = stored_lines(system)
     assert lines
-    compressed = [l for l in lines if l.compressed_payload is not None]
+    compressed = [ln for ln in lines if ln.compressed_payload is not None]
     assert compressed, "no line stored in compressed form"
     for line in compressed:
         assert line.stored_bytes == line.compressed_payload.size_bytes
         assert line.stored_bytes < 64
-    avg = sum(l.stored_bytes for l in lines) / len(lines)
+    avg = sum(ln.stored_bytes for ln in lines) / len(lines)
     assert avg < 56  # real capacity benefit
 
 
@@ -59,10 +59,10 @@ def test_stored_sizes_identical_across_compressed_schemes():
     disco = build("disco")
     disco.run()
     cc_sizes = {
-        l.addr: l.stored_bytes for l in stored_lines(cc)
+        ln.addr: ln.stored_bytes for ln in stored_lines(cc)
     }
     disco_sizes = {
-        l.addr: l.stored_bytes for l in stored_lines(disco)
+        ln.addr: ln.stored_bytes for ln in stored_lines(disco)
     }
     common = set(cc_sizes) & set(disco_sizes)
     assert common

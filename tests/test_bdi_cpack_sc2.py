@@ -102,9 +102,9 @@ class TestSC2:
             for _ in range(200)
         ]
         algo = SC2Compressor()
-        before = sum(algo.compress(l).size_bits for l in lines[:50])
+        before = sum(algo.compress(ln).size_bits for ln in lines[:50])
         algo.train(lines[50:])
-        after = sum(algo.compress(l).size_bits for l in lines[:50])
+        after = sum(algo.compress(ln).size_bits for ln in lines[:50])
         assert after < before
 
     def test_generation_mismatch_rejected(self):

@@ -121,7 +121,7 @@ class TestCompressedBank:
         for addr, stored in footprints:
             bank.insert(addr, b"\x00" * 64, stored_bytes=stored)
         for cache_set in bank._sets:
-            used = sum(l.segments(8) for l in cache_set.lines.values())
+            used = sum(ln.segments(8) for ln in cache_set.lines.values())
             assert used <= bank.segment_budget
             assert len(cache_set.lines) <= bank.max_tags
 

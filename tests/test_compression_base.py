@@ -52,7 +52,6 @@ def test_line_size_validation():
 
 def test_incompressible_fallback_keeps_raw():
     algo = DeltaCompressor()
-    line = bytes(range(64))  # stride of 1-byte values: compressible actually
     import random
 
     rng = random.Random(1)

@@ -56,7 +56,6 @@ def test_zero_line_is_tiny_everywhere(algorithm):
 
 
 def test_sizes_are_deterministic(algorithm):
-    rng = random.Random(3)
     for pattern in sorted(PATTERN_GENERATORS):
         line = generate_line(pattern, random.Random(17), LINE)
         first = algorithm.compress(line)

@@ -77,8 +77,8 @@ class TestSpecKey:
         spec = RunSpec(scheme="disco", **QUICK)
         code = (
             "from repro.experiments.runner import RunSpec, spec_key;"
-            f"print(spec_key(RunSpec(scheme='disco', workload='x264',"
-            f" accesses_per_core=40)))"
+            "print(spec_key(RunSpec(scheme='disco', workload='x264',"
+            " accesses_per_core=40)))"
         )
         env = dict(os.environ, PYTHONHASHSEED="12345")
         env["PYTHONPATH"] = os.pathsep.join(sys.path)

@@ -3,7 +3,6 @@
 import random
 
 import pytest
-from hypothesis import strategies as st
 
 from repro.workloads import (
     PARSEC_BENCHMARKS,
@@ -107,7 +106,7 @@ class TestValuePool:
 
     def test_write_advances_version(self):
         pool = ValuePool(get_profile("dedup"), seed=3)
-        original = pool.line(5)
+        pool.line(5)
         updated = pool.fresh_write_value(5)
         assert pool.line(5) == updated
         again = pool.fresh_write_value(5)
