@@ -37,15 +37,18 @@ from repro.experiments.report import render_heatmap, render_histogram
 from repro.faults import FaultController, FaultPlan
 from repro.noc import Network, NocConfig
 from repro.noc.flit import Packet, PacketType
-from repro.telemetry import (
-    profile_from_kernel,
-    render_profile,
+from repro.telemetry.export import (
+    latency_histogram,
+    node_hop_counts,
     summarize_trace,
     write_chrome_trace,
     write_jsonl,
+)
+from repro.telemetry.profiler import (
+    profile_from_kernel,
+    render_profile,
     write_profile,
 )
-from repro.telemetry.export import latency_histogram, node_hop_counts
 
 WIDTH = HEIGHT = 4
 PACKETS = 48

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.cmp.system import CmpSystem
+from repro.telemetry.events import emit
 
 #: Checkpoint envelope format version ("RDK" = repro disco kernel state).
 CHECKPOINT_MAGIC = b"RDK1"
@@ -102,14 +103,7 @@ def _quarantine(path: Path) -> None:
     # A quarantined checkpoint is postmortem-worthy: dump the flight ring
     # (no-op with the plane off) so the corrupt-envelope event joins the
     # service log and journal on the correlation id.
-    from repro.telemetry import flight as _flight
-
-    if _flight.enabled():
-        recorder = _flight.recorder(role="worker")
-        recorder.record("checkpoint_quarantine", path=str(path))
-        recorder.dump(
-            "checkpoint_quarantine", extra={"path": str(path)}
-        )
+    emit("checkpoint_quarantine", path=str(path))
 
 
 def save_checkpoint(key: str, cycle: int, state: Dict) -> Path:

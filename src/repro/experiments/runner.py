@@ -67,6 +67,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.cmp.config import SystemConfig
 from repro.cmp.schemes import make_scheme
 from repro.cmp.system import CmpSystem, SimulationResult
+from repro.noc.reliability import InvariantViolation
+from repro.telemetry import flight
+from repro.telemetry.events import emit
 from repro.telemetry.log import (
     correlation_scope,
     current_correlation,
@@ -535,12 +538,10 @@ def _simulate(
     if correlation is None:
         correlation = current_correlation()
     with correlation_scope(correlation):
-        return _simulate_in_scope(spec, verbose, correlation)
+        return _simulate_in_scope(spec, verbose)
 
 
-def _simulate_in_scope(
-    spec: RunSpec, verbose: bool, correlation: Optional[str]
-) -> SimulationResult:
+def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
     _maybe_inject_runner_fault(spec)
     _log_simulation(spec)
     config = spec.config()
@@ -558,6 +559,7 @@ def _simulate_in_scope(
     _train_if_needed(system, spec)
     if spec.profile_run:
         system.kernel.enable_timing()
+    correlation = current_correlation()
     if correlation:
         system.kernel.annotations["correlation_id"] = correlation
     if verbose:
@@ -588,7 +590,7 @@ def _simulate_in_scope(
             )
     timeout = _spec_timeout()
     deadline = time.monotonic() + timeout if timeout is not None else None
-    progress = _progress_hook(spec, correlation)
+    progress = _progress_hook(spec)
     start = time.perf_counter()
     try:
         result = system.run(
@@ -597,7 +599,19 @@ def _simulate_in_scope(
             progress_fn=progress,
         )
     except BaseException as exc:
-        _flight_dump_failure(spec, correlation, system, exc)
+        # A violated conservation invariant is a simulator bug, and its
+        # postmortem says so; anything else dumps as ``exception``.
+        emit(
+            "invariant_violation"
+            if isinstance(exc, (InvariantViolation, AssertionError))
+            else "exception",
+            key=spec_key(spec),
+            scheme=spec.scheme,
+            workload=spec.workload,
+            cycle=system.cycle,
+            error=repr(exc),
+            phase_seconds=system.kernel.phase_seconds,
+        )
         raise
     finally:
         if session is not None:
@@ -609,47 +623,6 @@ def _simulate_in_scope(
         # campaign aggregate can report cycles/second throughput.
         result.profile.wall_seconds = time.perf_counter() - start
     return result
-
-
-def _flight_dump_failure(
-    spec: RunSpec,
-    correlation: Optional[str],
-    system: CmpSystem,
-    exc: BaseException,
-) -> None:
-    """Dump the flight ring on a failed run (no-op with the plane off).
-
-    Classifies the fabric's :class:`~repro.noc.reliability.
-    InvariantViolation` separately — a violated conservation invariant
-    is a simulator bug, and its postmortem should say so."""
-    from repro.noc.reliability import InvariantViolation
-    from repro.telemetry import flight as _flight
-
-    if not _flight.enabled():
-        return
-    reason = (
-        "invariant_violation"
-        if isinstance(exc, (InvariantViolation, AssertionError))
-        else "exception"
-    )
-    recorder = _flight.recorder(role="worker")
-    recorder.record(
-        "failure", key=spec_key(spec)[:12], error=repr(exc), reason=reason
-    )
-    recorder.dump(
-        reason,
-        corr=correlation,
-        extra={
-            "key": spec_key(spec),
-            "scheme": spec.scheme,
-            "workload": spec.workload,
-            "cycle": system.cycle,
-            "error": repr(exc),
-            "phase_seconds": dict(
-                getattr(system.kernel, "phase_seconds", {}) or {}
-            ),
-        },
-    )
 
 
 def _train_if_needed(system: CmpSystem, spec: RunSpec) -> None:
@@ -886,88 +859,62 @@ def heartbeat_dir() -> Optional[Path]:
     return Path(directory) if directory else None
 
 
-def _heartbeat_writer(spec: RunSpec):
-    """Progress hook writing this process's heartbeat file, or ``None``
-    when supervision is off (``REPRO_HEARTBEAT_DIR`` unset).
+def _progress_hook(spec: RunSpec):
+    """The run's progress callback, throttled to about one call a
+    second, or ``None`` when supervision and the flight recorder are
+    both off.
 
-    The heartbeat carries the last simulated cycle: the watchdog
-    distinguishes *wedged* (cycle frozen) from merely *slow* (cycle still
-    advancing), so a loaded machine is never punished.  Writes are atomic
-    (tmp + ``os.replace``) and throttled to roughly one per second.
+    It writes this process's heartbeat file (``REPRO_HEARTBEAT_DIR``)
+    with the last simulated cycle: the watchdog distinguishes *wedged*
+    (cycle frozen) from merely *slow* (cycle still advancing), so a
+    loaded machine is never punished.  Writes are atomic (tmp +
+    ``os.replace``).  SIGKILL (the watchdog's verdict for a wedged
+    worker) gives no chance to dump after the fact, so the worker also
+    persists its flight ring *ahead* of death, with ``reason="inflight"``,
+    the bound correlation id and the last sampled simulated cycle.  The
+    file surviving the kill is the postmortem artifact the chaos drill
+    asserts on.
     """
     directory = heartbeat_dir()
-    if directory is None:
+    inflight = flight.enabled()
+    if directory is None and not inflight:
         return None
-    path = directory / f"hb_{os.getpid()}.json"
-    key = spec_key(spec)
-    state = {"last": 0.0}
-
-    def _beat(system: CmpSystem) -> None:
-        now = time.monotonic()
-        if now - state["last"] < 1.0:
-            return
-        state["last"] = now
-        record = {
-            "pid": os.getpid(),
-            "key": key,
-            "cycle": system.cycle,
-            "ts": time.time(),
-        }
-        corr = current_correlation()
-        if corr:
-            record["corr"] = corr
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(record))
-            os.replace(tmp_name, path)
-        except OSError:
-            pass
-
-    return _beat
-
-
-def _progress_hook(spec: RunSpec, correlation: Optional[str] = None):
-    """Compose the heartbeat writer with the flight recorder's periodic
-    inflight dump, or ``None`` when both knobs are off.
-
-    SIGKILL (the watchdog's verdict for a wedged worker) gives no chance
-    to dump after the fact, so the worker persists its ring *ahead* of
-    death: roughly once a second the progress callback dumps the flight
-    ring with ``reason="inflight"``, carrying the correlation id and the
-    last sampled simulated cycle.  The file surviving the kill is the
-    postmortem artifact the chaos drill asserts on.
-    """
-    beat = _heartbeat_writer(spec)
-    from repro.telemetry import flight as _flight
-
-    if not _flight.enabled():
-        return beat
-    recorder = _flight.recorder(role="worker")
     key = spec_key(spec)
     state = {"last": 0.0}
 
     def _progress(system: CmpSystem) -> None:
-        if beat is not None:
-            beat(system)
         now = time.monotonic()
         if now - state["last"] < 1.0:
             return
         state["last"] = now
-        recorder.record("progress", key=key[:12], cycle=system.cycle)
-        recorder.dump(
-            "inflight",
-            corr=correlation,
-            extra={
+        if directory is not None:
+            record = {
+                "pid": os.getpid(),
                 "key": key,
-                "scheme": spec.scheme,
-                "workload": spec.workload,
                 "cycle": system.cycle,
-            },
-        )
+                "ts": time.time(),
+            }
+            corr = current_correlation()
+            if corr:
+                record["corr"] = corr
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+                fd, tmp_name = tempfile.mkstemp(
+                    dir=str(directory), suffix=".tmp"
+                )
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(json.dumps(record))
+                os.replace(tmp_name, directory / f"hb_{os.getpid()}.json")
+            except OSError:
+                pass
+        if inflight:
+            emit(
+                "inflight",
+                key=key,
+                scheme=spec.scheme,
+                workload=spec.workload,
+                cycle=system.cycle,
+            )
 
     return _progress
 
@@ -1093,41 +1040,22 @@ class _Watchdog:
                 pass
             if pid == os.getpid():
                 continue  # a stale file must never self-terminate
-            _LOG.warning(
-                "watchdog: worker %d stalled at cycle %d for %.1fs; killing",
-                pid,
-                cycle,
-                now - last[1],
-            )
             try:
                 os.kill(pid, getattr(signal, "SIGKILL", signal.SIGTERM))
-                self.killed.append(pid)
             except OSError:
                 continue
+            self.killed.append(pid)
             # The victim's last inflight flight dump survives the kill;
             # record the supervisor's side of the story next to it (the
             # worker's corr rides in the heartbeat record).
-            from repro.telemetry import flight as _flight
-
-            if _flight.enabled():
-                recorder = _flight.recorder(role="service")
-                recorder.record(
-                    "watchdog_kill",
-                    pid=pid,
-                    cycle=cycle,
-                    stalled_seconds=round(now - last[1], 3),
-                    corr=record.get("corr"),
-                )
-                recorder.dump(
-                    "watchdog_kill",
-                    corr=record.get("corr"),
-                    extra={
-                        "victim_pid": pid,
-                        "cycle": cycle,
-                        "key": record.get("key"),
-                        "stalled_seconds": round(now - last[1], 3),
-                    },
-                )
+            emit(
+                "watchdog_kill",
+                victim_pid=pid,
+                cycle=cycle,
+                key=record.get("key"),
+                stalled_seconds=now - last[1],
+                corr=record.get("corr"),
+            )
 
 
 def _start_watchdog() -> Tuple[Optional[_Watchdog], bool]:

@@ -26,7 +26,7 @@ an injected clock, so the tests pin exact boundary behaviour.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Optional
 
 
@@ -73,16 +73,8 @@ class AdmissionStats:
     shed_too_large: int = 0
 
     def counters(self) -> Dict[str, int]:
-        """Registry-provider view of the group."""
-        return {
-            "jobs_admitted": self.jobs_admitted,
-            "jobs_shed": self.jobs_shed,
-            "units_admitted": self.units_admitted,
-            "units_shed": self.units_shed,
-            "shed_rate_limited": self.shed_rate_limited,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_too_large": self.shed_too_large,
-        }
+        """Registry-provider view of the group (every field, in order)."""
+        return asdict(self)
 
 
 class TokenBucket:
@@ -168,10 +160,11 @@ class AdmissionController:
             self._buckets[client] = bucket
         return bucket
 
-    def _shed(
+    def shed(
         self, reason: str, retry_after: float, client: str, units: int,
         detail: str,
     ) -> Overloaded:
+        """Count one refusal and build its response (the one shed rule)."""
         self.stats.jobs_shed += 1
         self.stats.units_shed += units
         field = f"shed_{reason}"
@@ -201,7 +194,7 @@ class AdmissionController:
         if units <= 0:
             raise ValueError("a submission must carry at least one unit")
         if units > self.max_queue_depth:
-            return self._shed(
+            return self.shed(
                 "too_large",
                 self.MAX_RETRY_AFTER,
                 client,
@@ -214,7 +207,7 @@ class AdmissionController:
             retry_after = (
                 overflow / drain_rate if drain_rate > 0 else 1.0
             )
-            return self._shed(
+            return self.shed(
                 "queue_full",
                 max(0.1, retry_after),
                 client,
@@ -224,7 +217,7 @@ class AdmissionController:
             )
         bucket = self.bucket(client)
         if not bucket.take(float(units)):
-            return self._shed(
+            return self.shed(
                 "rate_limited",
                 max(0.05, bucket.refill_delay(float(units))),
                 client,

@@ -21,7 +21,7 @@ over five routes:
                             the body's ``reasons`` list names every
                             failing condition
 ``GET /stats``              counter snapshot (service + admission stat
-                            groups) plus the wall-clock series
+                            groups) plus per-second event counts
 ``GET /metrics``            OpenMetrics/Prometheus text exposition
                             (:mod:`repro.telemetry.metrics`) — counters
                             reconcile with ``/stats`` by construction
@@ -186,11 +186,11 @@ class _Handler(BaseHTTPRequestHandler):
             "counters": service.snapshot().to_dict(),
             "queue_depth": service.queue_depth(),
             "drain_rate_per_s": round(service.drain_rate(), 4),
-            "shed_rate_per_s": round(service.series.rate("shed", 60.0), 4),
+            "shed_rate_per_s": round(service.events.rate("shed", 60.0), 4),
             "queue_age_ms_mean_60s": round(
-                service.series.mean("queue_age_ms", 60.0), 3
+                service.events.mean("queue_age_ms", 60.0), 3
             ),
-            "series": service.series.points(limit=256),
+            "series": service.events.series(),
         }
 
     def _job_route(self, job_id: str, stream: bool) -> None:

@@ -33,11 +33,10 @@ Stale heartbeat files are swept at startup, and results publish through
 the content-addressed caches, so many service processes — on many hosts
 — can share one cache directory without corrupting an entry.
 
-Every decision is counted (:class:`ServiceStats` +
-:class:`~repro.service.admission.AdmissionStats`, both registered in a
-:class:`~repro.sim.stats.StatsRegistry`) and sampled into a
-:class:`~repro.telemetry.sampler.WallClockSeries` (queue depth, queue
-age, shed markers) for the ``/stats`` endpoint.
+Every occurrence goes through one :class:`~repro.telemetry.events.Emitter`
+whose ``KINDS`` table declares its sinks — the :class:`ServiceStats`
+counters, windowed rates, queue-age samples, flight records and logs —
+so ``/stats``, ``/metrics``, the ``queue_full`` hint and the SLOs agree.
 """
 
 from __future__ import annotations
@@ -75,10 +74,9 @@ from repro.service.jobs import (
     spec_from_payload,
 )
 from repro.sim.stats import StatsRegistry
-from repro.telemetry import flight as _flight
+from repro.telemetry.events import Emitter
 from repro.telemetry.log import correlation_scope, get_logger
-from repro.telemetry.sampler import WallClockSeries
-from repro.telemetry.slo import SLOSpec, SLOStatus, default_slos, evaluate_all
+from repro.telemetry.slo import SLOSpec, SLOStatus, default_slos, evaluate
 
 _LOG = get_logger("repro.service")
 
@@ -138,10 +136,12 @@ class CampaignService:
         self.registry = registry if registry is not None else StatsRegistry()
         self.registry.register("service", self.stats.counters)
         self.registry.register("admission", self.admission.stats.counters)
-        self.series = WallClockSeries()
+        #: Every occurrence's one emit path (counters, rates, samples,
+        #: flight records, logs).
+        self.events = Emitter(self.stats)
         self.jobs: Dict[str, Job] = {}
         self.started_mono: Optional[float] = None
-        #: Declarative objectives evaluated over ``series`` (read-only —
+        #: Declarative objectives evaluated over ``events`` (read-only —
         #: SLO state never feeds back into scheduling decisions).
         self.slos: List[SLOSpec] = list(
             slos if slos is not None else default_slos()
@@ -149,11 +149,6 @@ class CampaignService:
         self._slo_lock = threading.Lock()
         self._slo_last = 0.0
         self._slo_burning: Dict[str, float] = {}
-        #: Completed spec units per compression scheme (the ``/metrics``
-        #: per-scheme rate labels).
-        self._scheme_completed: Dict[str, int] = {}
-        #: Recent queue-age observations (ms) for the exposition histogram.
-        self._queue_ages: List[int] = []
 
         self._cond = threading.Condition()
         self._heaps: List[List[Tuple[Tuple[int, int], WorkUnit]]] = [
@@ -238,7 +233,7 @@ class CampaignService:
 
     def drain_rate(self, seconds: float = 30.0) -> float:
         """Recent completion throughput (units/second)."""
-        return self.series.rate("completed", seconds)
+        return self.events.rate("completed", seconds)
 
     def snapshot(self):
         """One immutable sample of every service counter group."""
@@ -253,16 +248,6 @@ class CampaignService:
     @property
     def accepting(self) -> bool:
         return self._accepting
-
-    def scheme_completed(self) -> Dict[str, int]:
-        """Completed spec units per scheme (for labelled exposition)."""
-        with self._cond:
-            return dict(self._scheme_completed)
-
-    def queue_age_observations(self) -> List[int]:
-        """Recent per-unit queue ages at dispatch (milliseconds)."""
-        with self._cond:
-            return list(self._queue_ages)
 
     def heartbeat_lags(self) -> Dict[int, float]:
         """Seconds since each worker's heartbeat file was refreshed."""
@@ -355,21 +340,23 @@ class CampaignService:
 
     # -- SLO evaluation ------------------------------------------------------
     def evaluate_slos(self, publish: bool = False) -> List[SLOStatus]:
-        """Evaluate every objective over the wall-clock rings.
+        """Evaluate every objective over the service's emitter.
 
         With ``publish=True`` (the dispatch-path throttle calls it this
-        way) a *newly burning* objective records a ``slo_burn`` marker
-        into the series and publishes an ``{"type": "slo_burn"}`` event
-        on every unfinished job's stream, so a client watching
-        ``/stream`` sees the fleet degrade in-band; recoveries publish
-        ``slo_recovered``.  Read-only with respect to scheduling.
+        way) a *newly burning* objective emits ``slo_burn`` and
+        publishes an ``{"type": "slo_burn"}`` event on every unfinished
+        job's stream, so a client watching ``/stream`` sees the fleet
+        degrade in-band; recoveries publish ``slo_recovered``.
+        Read-only with respect to scheduling.
         """
         elapsed = (
             time.monotonic() - self.started_mono
             if self.started_mono is not None
             else 0.0
         )
-        statuses = evaluate_all(self.slos, self.series, elapsed=elapsed)
+        statuses = [
+            evaluate(slo, self.events, elapsed=elapsed) for slo in self.slos
+        ]
         if not publish:
             return statuses
         with self._slo_lock:
@@ -377,20 +364,18 @@ class CampaignService:
                 was_burning = status.name in self._slo_burning
                 if not status.ok and not was_burning:
                     self._slo_burning[status.name] = status.burn_rate
-                    self.series.record(slo_burn=1)
-                    _LOG.warning(
-                        "SLO %s burning: %s=%.4g vs objective %.4g "
-                        "(burn %.2fx)",
-                        status.name,
-                        status.metric,
-                        status.value if status.value is not None else -1.0,
-                        status.objective,
-                        status.burn_rate,
+                    self.events.emit(
+                        "slo_burn",
+                        name=status.name,
+                        metric=status.metric,
+                        value=status.value if status.value is not None else -1.0,
+                        objective=status.objective,
+                        burn_rate=status.burn_rate,
                     )
                     self._publish_slo_event("slo_burn", status)
                 elif status.ok and was_burning:
                     del self._slo_burning[status.name]
-                    _LOG.info("SLO %s recovered", status.name)
+                    self.events.emit("slo_recovered", name=status.name)
                     self._publish_slo_event("slo_recovered", status)
         return statuses
 
@@ -438,15 +423,13 @@ class CampaignService:
         if not units_payload:
             raise ValueError("a submission must carry specs or campaigns")
         if not self._accepting:
-            decision = Overloaded(
-                reason="queue_full",
-                retry_after=self.admission.MAX_RETRY_AFTER,
-                client=client,
-                detail="service is shutting down",
+            decision = self.admission.shed(
+                "queue_full",
+                self.admission.MAX_RETRY_AFTER,
+                client,
+                len(units_payload),
+                "service is shutting down",
             )
-            self.admission.stats.jobs_shed += 1
-            self.admission.stats.units_shed += len(units_payload)
-            self.admission.stats.shed_queue_full += 1
             self._record_shed(decision, len(units_payload))
             return decision
         with self._cond:
@@ -467,38 +450,23 @@ class CampaignService:
                     self.executor.admit(unit.key, corr=job.correlation)
                 self._enqueue_locked(unit)
             self._cond.notify_all()
-        self.series.record(queue_depth=depth + len(job.units), admitted=1)
-        _flight.recorder(role="service").record(
-            "admit",
+        self.events.emit(
+            "admitted",
             job=job.job_id,
             corr=job.correlation,
             client=client,
+            priority=priority,
             units=job.total,
-        )
-        _LOG.info(
-            "admitted job %s: client=%s priority=%d units=%d corr=%s",
-            job.job_id,
-            client,
-            priority,
-            job.total,
-            job.correlation,
         )
         return job
 
     def _record_shed(self, decision: Overloaded, units: int) -> None:
-        self.series.record(shed=1, shed_units=units)
-        _flight.recorder(role="service").record(
+        self.events.emit(
             "shed",
             client=decision.client,
             reason=decision.reason,
             units=units,
-        )
-        _LOG.warning(
-            "shed %d units from client %s: %s (retry_after %.2fs)",
-            units,
-            decision.client,
-            decision.reason,
-            decision.retry_after,
+            retry_after=decision.retry_after,
         )
 
     def _enqueue_locked(self, unit: WorkUnit) -> None:
@@ -546,7 +514,9 @@ class CampaignService:
                     if victim is not None and self._heaps[victim]:
                         unit = self._pop_locked(victim)
                         if unit is not None:
-                            self.stats.steals += 1
+                            self.events.emit(
+                                "steal", worker=index, victim=victim
+                            )
                 if unit is not None:
                     self._inflight += 1
                     return unit
@@ -584,19 +554,11 @@ class CampaignService:
         processes).  Campaign units skip the cache and the journal.
         """
         with correlation_scope(unit.job.correlation):
-            age_ms = int((time.monotonic() - unit.enqueued) * 1000)
-            self.stats.queue_age_ms_total += age_ms
-            self.stats.queue_age_samples += 1
-            self.series.record(queue_age_ms=age_ms)
-            with self._cond:
-                self._queue_ages.append(age_ms)
-                if len(self._queue_ages) > 4096:
-                    del self._queue_ages[:2048]
-            _flight.recorder(role="service").record(
+            self.events.emit(
                 "dispatch",
                 unit=unit.describe(),
                 job=unit.job.job_id,
-                queue_age_ms=age_ms,
+                queue_age_ms=int((time.monotonic() - unit.enqueued) * 1000),
             )
             unit.job.mark_started()
             self._maybe_evaluate_slos()
@@ -608,12 +570,11 @@ class CampaignService:
             else:
                 cached = self.executor.lookup(spec, unit.key)
                 if cached is not None:
-                    self.stats.cache_hits += 1
-                    self._resolve_result(unit, self._summary(unit, cached, True))
+                    self._resolve_result(unit, cached, True)
                     return
                 kind, value = self.executor.attempt(spec, key=unit.key)
             if kind == DONE:
-                self._resolve_result(unit, self._summary(unit, value, False))
+                self._resolve_result(unit, value, False)
                 return
             if kind == INTERRUPTED:
                 unit.interruptions += 1
@@ -640,58 +601,48 @@ class CampaignService:
             **fields,
         }
 
-    def _summary(self, unit: WorkUnit, value, cached: bool) -> Dict:
-        """A unit's ``result`` event: a spec's digest, a campaign's
-        summary."""
-        if unit.spec is None:
-            return self._event(unit, "result", campaign=value)
-        return self._event(
-            unit,
-            "result",
-            digest=result_digest(value),
-            cached=cached,
-            scheme=unit.spec.scheme,
-            workload=unit.spec.workload,
-            cycles=value.cycles,
-            avg_miss_latency=value.avg_miss_latency,
-        )
-
     # -- failure/retry plumbing ----------------------------------------------
     def _requeue(
         self, unit: WorkUnit, attempt: int, delay: float, message: str
     ) -> None:
         """Park a retried unit in the delayed set for ``delay`` seconds."""
         unit.ready_at = time.monotonic() + delay
-        self.stats.retries += 1
-        self.series.record(retry=1)
-        _flight.recorder(role="service").record(
+        self.events.emit(
             "retry",
             unit=unit.describe(),
             job=unit.job.job_id,
             attempt=attempt,
-            delay=round(delay, 3),
+            delay=delay,
             error=message,
-        )
-        _LOG.info(
-            "retrying %s in %.2fs (attempt %d): %s",
-            unit.describe(),
-            delay,
-            attempt,
-            message,
         )
         with self._cond:
             self._delayed.append(unit)
             self._cond.notify_all()
 
     # -- resolution ----------------------------------------------------------
-    def _resolve_result(self, unit: WorkUnit, event: Dict) -> None:
-        self.stats.units_completed += 1
-        self.series.record(completed=1)
-        if unit.spec is not None:
-            with self._cond:
-                self._scheme_completed[unit.spec.scheme] = (
-                    self._scheme_completed.get(unit.spec.scheme, 0) + 1
-                )
+    def _resolve_result(self, unit: WorkUnit, value, cached: bool) -> None:
+        """Count a success and publish its ``result`` event."""
+        spec = unit.spec
+        self.events.emit(
+            "completed",
+            unit=unit.describe(),
+            job=unit.job.job_id,
+            cached=cached,
+            scheme=spec.scheme if spec is not None else None,
+        )
+        if spec is None:
+            event = self._event(unit, "result", campaign=value)
+        else:
+            event = self._event(
+                unit,
+                "result",
+                digest=result_digest(value),
+                cached=cached,
+                scheme=spec.scheme,
+                workload=spec.workload,
+                cycles=value.cycles,
+                avg_miss_latency=value.avg_miss_latency,
+            )
         unit.job.publish(event)
         self._maybe_finish(unit.job)
 
@@ -699,35 +650,22 @@ class CampaignService:
         self, unit: WorkUnit, message: str, quarantined: bool = False
     ) -> None:
         if quarantined:
-            self.stats.units_quarantined += 1
-            _LOG.warning(
-                "quarantined %s after %d interruptions",
-                unit.describe(),
-                unit.interruptions,
-            )
-            recorder = _flight.recorder(role="service")
-            recorder.record(
+            self.events.emit(
                 "quarantine",
                 unit=unit.describe(),
                 job=unit.job.job_id,
+                corr=unit.job.correlation,
+                key=unit.key,
                 attempts=unit.interruptions,
                 error=message,
-            )
-            recorder.dump(
-                "quarantine",
-                corr=unit.job.correlation,
-                extra={
-                    "key": unit.key,
-                    "attempts": unit.interruptions,
-                    "error": message,
-                },
             )
             message = (
                 f"quarantined after {unit.interruptions} interrupted "
                 f"attempts: {message}"
             )
-        self.stats.units_failed += 1
-        self.series.record(failed=1)
+        self.events.emit(
+            "failed", unit=unit.describe(), job=unit.job.job_id, error=message
+        )
         unit.job.publish(
             self._event(unit, "failed", error=message, quarantined=quarantined)
         )
@@ -737,10 +675,12 @@ class CampaignService:
         if not job.claim_done():
             return
         failed = len(job.failures)
-        if failed:
-            self.stats.jobs_failed += 1
-        else:
-            self.stats.jobs_completed += 1
+        self.events.emit(
+            "job_failed" if failed else "job_completed",
+            job=job.job_id,
+            completed=len(job.results),
+            failed=failed,
+        )
         job.publish(
             {
                 "type": "done",
@@ -750,29 +690,15 @@ class CampaignService:
                 "elapsed": round(time.monotonic() - job.submitted_mono, 3),
             }
         )
-        _LOG.info(
-            "job %s finished: %d completed, %d failed",
-            job.job_id,
-            len(job.results),
-            failed,
-        )
 
     # -- the process pool ----------------------------------------------------
     def _respawned(self, generation: int) -> None:
         """Executor hook: a broken pool was torn down (once per
         generation; the next dispatch spawns a fresh one)."""
-        self.stats.worker_respawns += 1
-        self.series.record(respawn=1)
-        _LOG.warning("process pool died; respawned (generation %d)", generation)
-        recorder = _flight.recorder(role="service")
-        recorder.record("broken_pool", generation=generation)
-        recorder.dump(
+        self.events.emit(
             "broken_pool",
-            extra={
-                "generation": generation,
-                "heartbeat_lags": {
-                    str(pid): age
-                    for pid, age in self.heartbeat_lags().items()
-                },
+            generation=generation,
+            heartbeat_lags={
+                str(pid): age for pid, age in self.heartbeat_lags().items()
             },
         )

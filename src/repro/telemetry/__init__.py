@@ -1,99 +1,31 @@
 """repro.telemetry — the zero-cost-when-off observability layer.
 
-Seven parts, all defaulting off and digest-invariant when on:
+Eight parts, all defaulting off and digest-invariant when on; import
+each from its submodule:
 
 - :mod:`repro.telemetry.sampler` — windowed time-series snapshots of the
-  stats registry (:class:`TimeSeriesSampler`), ring-buffered, plus the
-  wall-clock :class:`WallClockSeries` rings the service samples into;
+  stats registry (:class:`~repro.telemetry.sampler.TimeSeriesSampler`);
 - :mod:`repro.telemetry.tracer` — sampled per-packet lifecycle events
-  (:class:`PacketTracer`) recorded at fault-hook-style sites in the NoC;
+  recorded at fault-hook-style sites in the NoC;
 - :mod:`repro.telemetry.export` — Chrome trace-event JSON (Perfetto),
-  JSONL, report-table summaries, and quantile math
-  (:func:`percentile`);
+  JSONL, report-table summaries and quantile math;
 - :mod:`repro.telemetry.profiler` — per-component wall-clock attribution
-  of the simulator itself (:class:`RunProfile`);
+  of the simulator itself;
 - :mod:`repro.telemetry.metrics` — OpenMetrics/Prometheus text
   exposition over the stats layer (``GET /metrics`` and the offline
   ``--dump``), with its own syntax validator;
+- :mod:`repro.telemetry.events` — the one emit path: the ``KINDS`` table
+  declares each service, runner and watchdog occurrence's sinks, and
+  the service's ``Emitter`` holds its counters, windowed rates and
+  queue-age samples;
 - :mod:`repro.telemetry.slo` — declarative objectives with burn rates,
-  evaluated over the wall-clock rings;
+  evaluated over that emitter;
 - :mod:`repro.telemetry.flight` — the crash flight recorder (bounded
   event ring dumped atomically next to the heartbeat files; enabled by
   ``REPRO_FLIGHT_DIR``).
 
-:mod:`repro.telemetry.log` carries the structured logger the experiment
-runner uses in place of ad-hoc prints — including the correlation-id
-context (:func:`correlation_scope`) that joins service, runner, journal
-and flight records on one token; :mod:`repro.telemetry.check` validates
-exported traces and scraped expositions (CI smoke entry points).
+:mod:`repro.telemetry.log` carries the structured logger and the
+correlation-id context that joins service, runner, journal and flight
+records on one token; :mod:`repro.telemetry.check` validates exported
+traces and scraped expositions (CI smoke entry points).
 """
-
-from repro.telemetry.export import (
-    latency_percentiles,
-    percentile,
-    summarize_trace,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.log import (
-    correlation_scope,
-    current_correlation,
-    get_logger,
-    set_correlation,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    validate_openmetrics,
-)
-from repro.telemetry.profiler import (
-    RunProfile,
-    merge_profiles,
-    profile_from_kernel,
-    render_profile,
-    write_profile,
-)
-from repro.telemetry.sampler import (
-    SampleWindow,
-    TimeSeriesSampler,
-    WallClockSeries,
-)
-from repro.telemetry.slo import SLOSpec, SLOStatus, default_slos, evaluate_all
-from repro.telemetry.tracer import PacketTracer, TraceEvent
-
-__all__ = [
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PacketTracer",
-    "RunProfile",
-    "SLOSpec",
-    "SLOStatus",
-    "SampleWindow",
-    "TimeSeriesSampler",
-    "TraceEvent",
-    "WallClockSeries",
-    "correlation_scope",
-    "current_correlation",
-    "default_slos",
-    "evaluate_all",
-    "get_logger",
-    "latency_percentiles",
-    "merge_profiles",
-    "percentile",
-    "profile_from_kernel",
-    "render_profile",
-    "set_correlation",
-    "summarize_trace",
-    "to_chrome_trace",
-    "validate_openmetrics",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_profile",
-]

@@ -10,7 +10,7 @@ this module pairs them into **spans** and renders three views:
   from head-flit arrival to tail-flit departure), *engines* (one track
   per (de)compressor, a span per job).  Simulated cycles are rendered as
   microseconds, so the Perfetto timeline reads directly in cycles.
-- :func:`to_jsonl_lines` — one JSON object per raw event, for ad-hoc
+- :func:`write_jsonl` — one JSON object per raw event, for ad-hoc
   ``jq``/pandas analysis.
 - :func:`summarize_trace` — per-node hop counts (heatmap input) and an
   end-to-end latency histogram, consumed by
@@ -24,7 +24,7 @@ that travelled through the disk cache.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.telemetry.tracer import (
     EV_CRC_REJECT,
@@ -348,18 +348,14 @@ def write_chrome_trace(
 
 
 # -- JSONL --------------------------------------------------------------------
-def to_jsonl_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
-    """One compact JSON object per raw event (``jq``/pandas-friendly)."""
-    for event in events:
-        yield json.dumps(event.to_dict(), separators=(",", ":"))
-
-
 def write_jsonl(path: str, events: Iterable[TraceEvent]) -> int:
-    """Write raw events as JSONL; returns the number of lines written."""
+    """Write raw events as JSONL, one compact object per line
+    (``jq``/pandas-friendly); returns the number of lines written."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for line in to_jsonl_lines(events):
-            fh.write(line + "\n")
+        for event in events:
+            fh.write(json.dumps(event.to_dict(), separators=(",", ":")))
+            fh.write("\n")
             count += 1
     return count
 

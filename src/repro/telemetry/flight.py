@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 import os
 import tempfile
 import threading
@@ -79,12 +80,11 @@ class FlightRecorder:
         self,
         role: str = "worker",
         capacity: int = EVENT_CAPACITY,
-        log_capacity: int = LOG_CAPACITY,
     ):
         self.role = role
         self._lock = threading.Lock()
         self._events: deque = deque(maxlen=capacity)
-        self._logs: deque = deque(maxlen=log_capacity)
+        self._logs: deque = deque(maxlen=LOG_CAPACITY)
         self._seq = 0
 
     def record(self, kind: str, **data) -> None:
@@ -126,7 +126,6 @@ class FlightRecorder:
         reason: str,
         corr: Optional[str] = None,
         extra: Optional[Dict] = None,
-        pid: Optional[int] = None,
     ) -> Optional[Path]:
         """Atomically write the ring as ``flight_<pid>.json``.
 
@@ -139,7 +138,7 @@ class FlightRecorder:
         directory = flight_dir()
         if directory is None:
             return None
-        pid = pid if pid is not None else os.getpid()
+        pid = os.getpid()
         payload = {
             "pid": pid,
             "role": self.role,
@@ -188,7 +187,7 @@ _handler: Optional[FlightLogHandler] = None
 _lock = threading.Lock()
 
 
-def recorder(role: str = "worker") -> FlightRecorder:
+def recorder() -> FlightRecorder:
     """The process-wide recorder (per-pid: fork children get their own).
 
     Lazily installs the log tee on the ``repro`` logger the first time a
@@ -199,7 +198,10 @@ def recorder(role: str = "worker") -> FlightRecorder:
     with _lock:
         pid = os.getpid()
         if _recorder is None or _recorder_pid != pid:
-            _recorder = FlightRecorder(role=role)
+            # The one role rule: ``worker`` in a pool worker (a
+            # multiprocessing child), ``service`` anywhere else.
+            child = multiprocessing.parent_process() is not None
+            _recorder = FlightRecorder(role="worker" if child else "service")
             _recorder_pid = pid
             _handler = None
         if enabled() and _handler is None:

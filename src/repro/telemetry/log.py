@@ -58,11 +58,6 @@ def current_correlation():
     return _correlation.get()
 
 
-def set_correlation(corr):
-    """Bind ``corr`` (or clear with ``None``); returns the reset token."""
-    return _correlation.set(corr)
-
-
 @contextlib.contextmanager
 def correlation_scope(corr):
     """Bind a correlation id for the duration of a ``with`` block."""

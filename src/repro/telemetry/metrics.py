@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import re
 import threading
+import time
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.stats import CounterSnapshot
@@ -130,23 +131,12 @@ class Counter(_Family):
 
     kind = "counter"
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        key = self._label_key(labels)
-        with self._lock:
-            self._samples[key] = self._samples.get(key, 0.0) + amount
-
     def set_total(self, value: float, **labels: str) -> None:
         """Pin the total outright — the bridge path, where the source of
         truth is an external monotonic counter being mirrored."""
         key = self._label_key(labels)
         with self._lock:
             self._samples[key] = float(value)
-
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return self._samples.get(self._label_key(labels), 0.0)
 
     def render(self):
         yield f"# TYPE {self.name} counter"
@@ -170,10 +160,6 @@ class Gauge(_Family):
         key = self._label_key(labels)
         with self._lock:
             self._samples[key] = float(value)
-
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return self._samples.get(self._label_key(labels), 0.0)
 
     def render(self):
         yield f"# TYPE {self.name} gauge"
@@ -226,12 +212,10 @@ class Histogram:
         yield f"# TYPE {self.name} histogram"
         if self.help:
             yield f"# HELP {self.name} {self.help}"
-        cumulative = 0
         for index, bound in enumerate(self.buckets):
-            cumulative = counts[index]
             yield (
                 f'{self.name}_bucket{{le="{_format_value(bound)}"}} '
-                f"{cumulative}"
+                f"{counts[index]}"
             )
         yield f'{self.name}_bucket{{le="+Inf"}} {counts[-1]}'
         yield f"{self.name}_sum {_format_value(total)}"
@@ -245,7 +229,8 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: Dict[str, object] = {}
 
-    def _add(self, family):
+    def add(self, family):
+        """Register a family (fresh, or long-lived like an emitter's)."""
         with self._lock:
             if family.name in self._families:
                 raise ValueError(f"metric {family.name!r} already registered")
@@ -253,15 +238,15 @@ class MetricsRegistry:
         return family
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._add(Counter(name, help))
+        return self.add(Counter(name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._add(Gauge(name, help))
+        return self.add(Gauge(name, help))
 
     def histogram(
         self, name: str, help: str = "", buckets: Sequence[float] = (1.0,)
     ) -> Histogram:
-        return self._add(Histogram(name, help, buckets))
+        return self.add(Histogram(name, help, buckets))
 
     def get(self, name: str):
         with self._lock:
@@ -292,9 +277,7 @@ class MetricsRegistry:
 
 
 def snapshot_families(
-    snapshot: CounterSnapshot,
-    registry: Optional[MetricsRegistry] = None,
-    prefix: str = PREFIX,
+    snapshot: CounterSnapshot, registry: Optional[MetricsRegistry] = None
 ) -> MetricsRegistry:
     """Mirror every registry group onto ``<prefix>_<group>_<counter>``
     counters.
@@ -307,7 +290,7 @@ def snapshot_families(
     registry = registry if registry is not None else MetricsRegistry()
     for group in snapshot:
         for key, value in snapshot[group].items():
-            name = f"{prefix}_{_sanitize(group)}_{_sanitize(key)}"
+            name = f"{PREFIX}_{_sanitize(group)}_{_sanitize(key)}"
             family = registry.get(name)
             if family is None:
                 family = registry.counter(
@@ -322,8 +305,9 @@ def build_service_registry(service) -> MetricsRegistry:
 
     Counters come from the service's own :class:`StatsRegistry` snapshot
     (the same numbers ``/stats`` serves, so the two endpoints reconcile
-    by construction); gauges and the per-scheme/queue-age views read the
-    scheduler's live structures.
+    by construction); the rates, the per-scheme counts and the cumulative
+    queue-age histogram come from its one
+    :class:`~repro.telemetry.events.Emitter`.
     """
     registry = MetricsRegistry()
     snapshot_families(service.snapshot(), registry)
@@ -342,25 +326,24 @@ def build_service_registry(service) -> MetricsRegistry:
     )
     accepting.set(1.0 if service.accepting else 0.0)
     if service.started_mono is not None:
-        import time as _time
-
         uptime = registry.gauge(
             "repro_service_uptime_seconds", "seconds since service start"
         )
-        uptime.set(_time.monotonic() - service.started_mono)
+        uptime.set(time.monotonic() - service.started_mono)
 
+    events = service.events
     rates = registry.gauge(
         "repro_service_rate_per_second",
-        "trailing 60s wall-clock rates from the service series",
+        "trailing 60s wall-clock rates from the service events",
     )
-    for key in ("completed", "failed", "shed", "retry", "admitted"):
-        rates.set(service.series.rate(key, 60.0), kind=key)
+    for kind in ("completed", "failed", "shed", "retry", "admitted"):
+        rates.set(events.rate(kind, 60.0), kind=kind)
 
     by_scheme = registry.counter(
         "repro_service_units_completed_by_scheme",
         "completed spec units, labelled by compression scheme",
     )
-    for scheme, count in sorted(service.scheme_completed().items()):
+    for scheme, count in sorted(events.labelled("completed").items()):
         by_scheme.set_total(float(count), scheme=scheme)
 
     cache = registry.counter(
@@ -374,13 +357,8 @@ def build_service_registry(service) -> MetricsRegistry:
         outcome="miss",
     )
 
-    ages = registry.histogram(
-        "repro_service_queue_age_ms",
-        "unit queue age at dispatch (milliseconds)",
-        buckets=QUEUE_AGE_BUCKETS_MS,
-    )
-    for age in service.queue_age_observations():
-        ages.observe(age)
+    for histogram in events.histograms.values():
+        registry.add(histogram)
 
     lag = registry.gauge(
         "repro_worker_heartbeat_lag_seconds",

@@ -19,14 +19,16 @@ sampled at each boundary through registered callables.
 The sampler only *reads* simulation state; attaching it never changes a
 digest.  Window boundaries are stamped with start/end cycles rather than
 assumed equidistant, because the CMP fast-forward can jump the shared
-clock over idle regions.
+clock over idle regions.  :meth:`TimeSeriesSampler.to_dicts` is the
+plain-data view the simulation result carries.  (The service's
+wall-clock rates live in :mod:`repro.telemetry.events`.)
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.sim.kernel import SimKernel
 from repro.sim.stats import CounterSnapshot, TelemetryStats
@@ -47,14 +49,6 @@ class SampleWindow:
     delta: CounterSnapshot
     #: Instantaneous gauge values at the window's end boundary.
     gauges: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def span(self) -> int:
-        return max(1, self.end_cycle - self.start_cycle)
-
-    def rate(self, counter: str) -> float:
-        """Per-cycle rate of a flat counter within this window."""
-        return self.delta.get_counter(counter, 0) / self.span
 
 
 class TimeSeriesSampler:
@@ -87,12 +81,6 @@ class TimeSeriesSampler:
         if name in self._gauges:
             raise ValueError(f"gauge {name!r} already registered")
         self._gauges[name] = fn
-
-    def describe(self) -> str:
-        return (
-            f"every {self.interval} cycles, ring of {self.capacity} "
-            f"windows, {len(self._gauges)} gauges"
-        )
 
     # -- kernel component protocol -------------------------------------------
     def has_work(self) -> bool:
@@ -159,28 +147,6 @@ class TimeSeriesSampler:
     def windows(self) -> List[SampleWindow]:
         return list(self._windows)
 
-    def series(
-        self, counter: str, per_cycle: bool = False
-    ) -> List[Tuple[int, float]]:
-        """``(end_cycle, value)`` curve of one flat counter across the
-        retained windows; ``per_cycle=True`` divides by the window span
-        (e.g. injection *rate* instead of injected count)."""
-        out: List[Tuple[int, float]] = []
-        for window in self._windows:
-            value = window.delta.get_counter(counter, 0)
-            if per_cycle:
-                value /= window.span
-            out.append((window.end_cycle, value))
-        return out
-
-    def gauge_series(self, name: str) -> List[Tuple[int, float]]:
-        """``(end_cycle, reading)`` curve of one registered gauge."""
-        return [
-            (window.end_cycle, window.gauges[name])
-            for window in self._windows
-            if name in window.gauges
-        ]
-
     def to_dicts(self) -> List[Dict]:
         """Plain-data view of the retained windows (picklable/JSON-able)."""
         return [
@@ -200,78 +166,3 @@ class TimeSeriesSampler:
             f"{len(self._windows)}/{self.capacity} windows)"
         )
 
-
-class WallClockSeries:
-    """Bounded wall-clock time series for *service-side* gauges.
-
-    The kernel-cycle sampler above cannot observe the campaign service —
-    queue depth, per-job queue age and shed decisions happen between
-    simulations, on the wall clock.  This is the same ring-buffer design
-    re-keyed on ``time.time()``: every :meth:`record` call appends one
-    point (a dict of numeric gauges), the ring bounds memory, evictions
-    are counted, and :meth:`rate` folds any key into an events-per-second
-    figure over a trailing window — the shed-rate and queue-age curves
-    the service's ``/stats`` endpoint exposes.
-
-    Thread-safe: the service records from its admission path and from
-    every worker thread concurrently.
-    """
-
-    def __init__(self, capacity: int = 1024):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        import threading
-        import time as _time
-
-        self.capacity = capacity
-        self.evicted = 0
-        self._clock = _time.time
-        self._lock = threading.Lock()
-        self._points: Deque[Dict[str, float]] = deque(maxlen=capacity)
-
-    def record(self, **gauges: float) -> None:
-        """Append one point stamped with the current wall-clock time."""
-        point = {"ts": self._clock()}
-        for key, value in gauges.items():
-            point[key] = float(value)
-        with self._lock:
-            if len(self._points) == self.capacity:
-                self.evicted += 1
-            self._points.append(point)
-
-    def points(self, limit: Optional[int] = None) -> List[Dict[str, float]]:
-        """The retained points, oldest first (optionally the last N)."""
-        with self._lock:
-            points = list(self._points)
-        if limit is not None:
-            points = points[-limit:]
-        return points
-
-    def window(self, seconds: float) -> List[Dict[str, float]]:
-        """Points recorded within the trailing ``seconds`` window."""
-        horizon = self._clock() - seconds
-        return [p for p in self.points() if p["ts"] >= horizon]
-
-    def rate(self, key: str, seconds: float = 60.0) -> float:
-        """Sum of ``key`` over the trailing window, per second."""
-        if seconds <= 0:
-            raise ValueError("window must be positive")
-        total = sum(p.get(key, 0.0) for p in self.window(seconds))
-        return total / seconds
-
-    def mean(self, key: str, seconds: float = 60.0) -> float:
-        """Mean of ``key`` over the trailing window (0.0 when empty)."""
-        points = [p[key] for p in self.window(seconds) if key in p]
-        if not points:
-            return 0.0
-        return sum(points) / len(points)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._points)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"WallClockSeries({len(self)}/{self.capacity} points, "
-            f"{self.evicted} evicted)"
-        )

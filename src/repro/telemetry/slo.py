@@ -1,51 +1,49 @@
-"""Declarative SLOs evaluated over wall-clock telemetry rings.
+"""Declarative SLOs evaluated over the service's emitter.
 
-An :class:`SLOSpec` states an objective over a
-:class:`~repro.telemetry.sampler.WallClockSeries` metric — "p95 queue
-age under 5 seconds", "shed rate under 0.5/s", "completion throughput at
-least 0.05 units/s while work is admitted" — and :func:`evaluate` turns
-the ring's recent window into an :class:`SLOStatus` with an explicit
-**burn rate**: how many times over (or under) the objective the fleet is
-running.  ``burn_rate <= 1`` means the objective holds; ``2.0`` means
-the error budget is burning at twice the sustainable pace.
+An :class:`SLOSpec` states an objective over an occurrence kind or a
+sampled field of the service's :class:`~repro.telemetry.events.Emitter`
+— "p95 queue age under 30 seconds", "shed rate under 0.5/s",
+"completion throughput at least 0.02 units/s while work is admitted" —
+and :func:`evaluate` turns the emitter's trailing window into an
+:class:`SLOStatus` with an explicit **burn rate**: how many times over
+(or under) the objective the fleet is running.  ``burn_rate <= 1``
+means the objective holds; ``2.0`` means the error budget is burning at
+twice the sustainable pace.
 
-Four objective kinds cover the service's signals:
+Three objective kinds cover the service's signals:
 
 ``quantile_max``
-    The ``quantile`` (default p95) of the metric's samples in the window
-    must not exceed ``objective`` (unit-latency style objectives).
-``mean_max``
-    The windowed mean must not exceed ``objective``.
+    The ``quantile`` (default p95) of a sampled field's values in the
+    window must not exceed ``objective`` (unit-latency style objectives).
 ``rate_max``
     The windowed occurrence rate (events/second) must not exceed
     ``objective`` (shed/failure style objectives).
 ``rate_min``
     The windowed rate must be at least ``objective`` (throughput).  A
     throughput objective over an *idle* service would burn forever, so
-    ``demand_metric`` names the companion signal (e.g. ``admitted``)
-    that must have fired in the window for the objective to apply.
+    ``demand_metric`` names the companion kind (e.g. ``admitted``) that
+    must have fired in the window for the objective to apply.
 
-The specs are plain data: :func:`parse_slos` builds them from JSON-style
-dicts, so a deployment can ship its own objectives, and
-:func:`default_slos` pins the repo's out-of-the-box set.  Evaluation is
-read-only over the ring — the observability plane never feeds back into
-scheduling or simulation.
+Windows are at most :data:`~repro.telemetry.events.HORIZON_S` seconds,
+the span the emitter retains.  :func:`default_slos` pins the repo's
+out-of-the-box set.  Evaluation is read-only — the observability plane
+never feeds back into scheduling or simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional
 
+from repro.telemetry.events import HORIZON_S, Emitter
 from repro.telemetry.export import percentile
-from repro.telemetry.sampler import WallClockSeries
 
-_KINDS = ("quantile_max", "mean_max", "rate_max", "rate_min")
+_KINDS = ("quantile_max", "rate_max", "rate_min")
 
 
 @dataclass(frozen=True)
 class SLOSpec:
-    """One declarative objective over a series metric."""
+    """One declarative objective over an emitter kind or sampled field."""
 
     name: str
     metric: str
@@ -64,17 +62,8 @@ class SLOSpec:
             )
         if self.objective <= 0:
             raise ValueError("SLO objectives must be positive")
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "objective": self.objective,
-            "kind": self.kind,
-            "window": self.window,
-            "quantile": self.quantile,
-            "demand_metric": self.demand_metric,
-        }
+        if not 0 < self.window <= HORIZON_S:
+            raise ValueError(f"SLO windows must be in (0, {HORIZON_S}] s")
 
 
 @dataclass(frozen=True)
@@ -91,56 +80,40 @@ class SLOStatus:
     window: float
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "kind": self.kind,
-            "objective": self.objective,
-            "value": self.value,
-            "burn_rate": round(self.burn_rate, 4),
-            "ok": self.ok,
-            "window": self.window,
-        }
+        return {**asdict(self), "burn_rate": round(self.burn_rate, 4)}
 
 
 def evaluate(
     slo: SLOSpec,
-    series: WallClockSeries,
+    events: Emitter,
     elapsed: Optional[float] = None,
 ) -> SLOStatus:
-    """Evaluate one objective over the ring's trailing window.
+    """Evaluate one objective over the emitter's trailing window.
 
-    ``elapsed`` is how long the series has been collecting (service
-    uptime).  A ring younger than a ``rate_min`` objective's window
+    ``elapsed`` is how long the emitter has been collecting (service
+    uptime).  An emitter younger than a ``rate_min`` objective's window
     under-reports the rate — the divisor is the full window — so the
     objective is held in abeyance (burn 0) until a whole window has
     elapsed; ``rate_max`` keeps the biased-low estimate, which can only
     under-alarm, never false-alarm.
     """
-    window = series.window(slo.window)
-    samples = [
-        float(point[slo.metric]) for point in window if slo.metric in point
-    ]
     value: Optional[float] = None
     burn = 0.0
     if slo.kind == "quantile_max":
+        samples = events.samples(slo.metric, slo.window)
         if samples:
             value = percentile(samples, slo.quantile)
             burn = value / slo.objective
-    elif slo.kind == "mean_max":
-        if samples:
-            value = sum(samples) / len(samples)
-            burn = value / slo.objective
     elif slo.kind == "rate_max":
-        value = series.rate(slo.metric, slo.window)
+        value = events.rate(slo.metric, slo.window)
         burn = value / slo.objective
     else:  # rate_min
         demanded = True
         if slo.demand_metric is not None:
-            demanded = any(slo.demand_metric in point for point in window)
+            demanded = events.count(slo.demand_metric, slo.window) > 0
         if elapsed is not None and elapsed < slo.window:
             demanded = False
-        value = series.rate(slo.metric, slo.window)
+        value = events.rate(slo.metric, slo.window)
         if demanded:
             # Guard the div: a zero rate against a positive floor burns
             # "infinitely" — cap at a large finite burn so JSON stays
@@ -158,14 +131,6 @@ def evaluate(
         ok=burn <= 1.0,
         window=slo.window,
     )
-
-
-def evaluate_all(
-    slos: Sequence[SLOSpec],
-    series: WallClockSeries,
-    elapsed: Optional[float] = None,
-) -> List[SLOStatus]:
-    return [evaluate(slo, series, elapsed=elapsed) for slo in slos]
 
 
 def default_slos() -> List[SLOSpec]:
@@ -200,25 +165,3 @@ def default_slos() -> List[SLOSpec]:
             demand_metric="admitted",
         ),
     ]
-
-
-def parse_slos(payload: Sequence[Dict]) -> List[SLOSpec]:
-    """Build specs from JSON-style dicts (unknown keys rejected, so a
-    typoed ``quantile`` cannot silently fall back to a default)."""
-    allowed = {
-        "name", "metric", "objective", "kind", "window", "quantile",
-        "demand_metric",
-    }
-    specs = []
-    for entry in payload:
-        if not isinstance(entry, dict):
-            raise ValueError("each SLO must be an object")
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ValueError(f"unknown SLO fields: {sorted(unknown)}")
-        if "name" not in entry or "metric" not in entry:
-            raise ValueError("SLOs need at least 'name' and 'metric'")
-        if "objective" not in entry:
-            raise ValueError(f"SLO {entry['name']!r} needs an 'objective'")
-        specs.append(SLOSpec(**entry))
-    return specs

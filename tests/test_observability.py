@@ -17,13 +17,19 @@ Four properties matter, in order of importance:
    the SLO math is pinned on fabricated inputs.
 """
 
+import ast
 import json
 import logging
 import os
+import re
 import signal
+import sys
 import threading
 import time
 import urllib.request
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +45,7 @@ from repro.experiments.runner import (
 )
 from repro.service import CampaignService, serve
 from repro.service.jobs import Job
+from repro.service.scheduler import ServiceStats
 from repro.telemetry import flight
 from repro.telemetry.export import latency_percentiles, percentile
 from repro.telemetry.log import (
@@ -57,14 +64,8 @@ from repro.telemetry.metrics import (
     snapshot_families,
     validate_openmetrics,
 )
-from repro.telemetry.sampler import WallClockSeries
-from repro.telemetry.slo import (
-    SLOSpec,
-    default_slos,
-    evaluate,
-    evaluate_all,
-    parse_slos,
-)
+from repro.telemetry.events import KINDS, SAMPLED, Emitter
+from repro.telemetry.slo import SLOSpec, default_slos, evaluate
 from repro.telemetry.tracer import EV_EJECT, EV_INJECT, TraceEvent
 from tests.test_golden_mesh import GOLDEN_DIGESTS, result_digest
 
@@ -105,8 +106,8 @@ class TestMetricFamilies:
     def test_registry_renders_a_valid_exposition(self):
         registry = MetricsRegistry()
         completed = registry.counter("repro_units_completed", "done units")
-        completed.inc(3, scheme="disco")
-        completed.inc(2, scheme="baseline")
+        completed.set_total(3, scheme="disco")
+        completed.set_total(2, scheme="baseline")
         depth = registry.gauge("repro_queue_depth", "queued units")
         depth.set(7)
         ages = registry.histogram(
@@ -128,11 +129,6 @@ class TestMetricFamilies:
         assert samples["repro_queue_age_ms_count"][()] == 3
         assert text.endswith("# EOF\n")
 
-    def test_counters_only_go_up(self):
-        counter = Counter("repro_events", "")
-        with pytest.raises(ValueError, match="only go up"):
-            counter.inc(-1)
-
     def test_duplicate_family_names_are_rejected(self):
         registry = MetricsRegistry()
         registry.gauge("repro_x", "")
@@ -146,7 +142,7 @@ class TestMetricFamilies:
             Histogram("repro_h", "", buckets=(2.0, 1.0))
         counter = Counter("repro_ok", "")
         with pytest.raises(ValueError, match="invalid label name"):
-            counter.inc(1, **{"bad-label": "x"})
+            counter.set_total(1, **{"bad-label": "x"})
 
     def test_validator_rejects_malformed_documents(self):
         # Missing EOF.
@@ -189,7 +185,7 @@ class TestMetricFamilies:
         from repro.telemetry.check import main as check_main
 
         registry = MetricsRegistry()
-        registry.counter("repro_events", "test").inc(3)
+        registry.counter("repro_events", "test").set_total(3)
         good = tmp_path / "good.txt"
         good.write_text(registry.render())
         assert check_main(["--metrics", str(good)]) == 0
@@ -253,97 +249,299 @@ class TestPercentiles:
 
 
 # --------------------------------------------------------------------------
-# SLO evaluation on fabricated series
+# SLO evaluation on fabricated occurrences
 # --------------------------------------------------------------------------
 
 
-class TestSLO:
-    def _series(self, now=1000.0):
-        series = WallClockSeries(capacity=256)
-        state = {"now": now}
-        series._clock = lambda: state["now"]
-        return series, state
+def _emitter(now=1000.0):
+    """An emitter whose clock the test moves by hand."""
+    state = {"now": now}
+    return Emitter(clock=lambda: state["now"]), state
 
+
+def _shed(events):
+    events.emit(
+        "shed", client="t", reason="queue_full", units=1, retry_after=1.0
+    )
+
+
+class TestSLO:
     def test_quantile_objective_burns_proportionally(self):
-        series, _ = self._series()
+        events, _ = _emitter()
         for age in range(1, 101):
-            series.record(queue_age_ms=age)
+            events.emit("dispatch", queue_age_ms=age)
         slo = SLOSpec(
             name="age", metric="queue_age_ms", objective=50.0,
             kind="quantile_max", quantile=0.95, window=60.0,
         )
-        status = evaluate(slo, series)
+        status = evaluate(slo, events)
         assert status.value == pytest.approx(95.05)
         assert status.burn_rate == pytest.approx(95.05 / 50.0)
         assert not status.ok
 
     def test_rate_objective_counts_events_per_second(self):
-        series, _ = self._series()
+        events, _ = _emitter()
         for _ in range(30):
-            series.record(shed=1)
+            _shed(events)
         slo = SLOSpec(
             name="shed", metric="shed", objective=0.25,
             kind="rate_max", window=60.0,
         )
-        status = evaluate(slo, series)
+        status = evaluate(slo, events)
         assert status.value == pytest.approx(0.5)  # 30 sheds / 60s
         assert status.burn_rate == pytest.approx(2.0)
         assert not status.ok
 
     def test_throughput_objective_gated_by_demand_and_uptime(self):
-        series, _ = self._series()
+        events, _ = _emitter()
         slo = SLOSpec(
             name="tput", metric="completed", objective=0.1,
             kind="rate_min", window=60.0, demand_metric="admitted",
         )
         # Idle (no admitted work in the window): not burning.
-        status = evaluate(slo, series, elapsed=600.0)
+        status = evaluate(slo, events, elapsed=600.0)
         assert status.ok and status.burn_rate == 0.0
         # Demand with zero completions: burning at the cap.
-        series.record(admitted=1)
-        status = evaluate(slo, series, elapsed=600.0)
+        events.emit(
+            "admitted", job="j", corr="c", client="t", priority=5, units=1
+        )
+        status = evaluate(slo, events, elapsed=600.0)
         assert not status.ok and status.burn_rate == 1000.0
         # Same state on a fresh ring (uptime < window): held in abeyance.
-        status = evaluate(slo, series, elapsed=5.0)
+        status = evaluate(slo, events, elapsed=5.0)
         assert status.ok and status.burn_rate == 0.0
         # Enough completions: objective met.
         for _ in range(12):
-            series.record(completed=1)
-        status = evaluate(slo, series, elapsed=600.0)
+            events.emit("completed", cached=False, scheme="disco")
+        status = evaluate(slo, events, elapsed=600.0)
         assert status.value == pytest.approx(0.2)
         assert status.ok
 
-    def test_mean_objective_and_evaluate_all(self):
-        series, _ = self._series()
-        for value in (10.0, 20.0, 30.0):
-            series.record(queue_age_ms=value)
-        slo = SLOSpec(
-            name="mean_age", metric="queue_age_ms", objective=40.0,
-            kind="mean_max", window=60.0,
-        )
-        statuses = evaluate_all([slo], series)
-        assert statuses[0].value == pytest.approx(20.0)
-        assert statuses[0].ok
-
-    def test_spec_validation_and_parsing(self):
+    def test_spec_validation_and_default_set(self):
         with pytest.raises(ValueError, match="unknown SLO kind"):
-            SLOSpec(name="x", metric="m", objective=1.0, kind="bogus")
+            SLOSpec(name="x", metric="m", objective=1.0, kind="mean_max")
         with pytest.raises(ValueError, match="positive"):
             SLOSpec(name="x", metric="m", objective=0.0)
-        with pytest.raises(ValueError, match="quantle"):
-            parse_slos(
-                [{"name": "x", "metric": "m", "objective": 1, "quantle": 9}]
-            )
-        with pytest.raises(ValueError, match="objective"):
-            parse_slos([{"name": "x", "metric": "m"}])
-        parsed = parse_slos(
-            [{"name": "x", "metric": "m", "objective": 2.5,
-              "kind": "rate_max"}]
-        )
-        assert parsed[0].objective == 2.5
+        # The emitter retains 120 s, so no objective may look further back.
+        with pytest.raises(ValueError, match="windows"):
+            SLOSpec(name="x", metric="m", objective=1.0, window=300.0)
         assert {slo.name for slo in default_slos()} == {
             "queue_age_p95", "shed_rate", "throughput",
         }
+
+
+# --------------------------------------------------------------------------
+# the one emit path: the KINDS table, windowed rates, the cumulative
+# histogram, log lines and the flight role rule
+# --------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _emit_calls():
+    """Every ``emit(...)`` call in ``src/`` outside ``events.py`` (whose
+    ``Emitter.emit`` forwards to ``emit``): its location, the kind
+    literals of its first argument, and its keyword names (``None`` when
+    it forwards ``**fields``)."""
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "telemetry" / "events.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name != "emit":
+                continue
+            kinds = [
+                const.value
+                for const in ast.walk(node.args[0])
+                if isinstance(const, ast.Constant)
+                and isinstance(const.value, str)
+            ]
+            keywords = {kw.arg for kw in node.keywords}
+            yield (
+                f"{path.relative_to(SRC)}:{node.lineno}",
+                kinds,
+                None if None in keywords else keywords,
+            )
+
+
+def _recorder_role():
+    return flight.recorder().role
+
+
+def _finish(job):
+    for event in job.stream(timeout=120.0):
+        if event["type"] in ("done", "timeout"):
+            assert event["type"] == "done"
+            return
+
+
+class TestEmitPath:
+    def test_every_emitted_kind_is_declared_with_its_fields(self):
+        calls = list(_emit_calls())
+        assert len(calls) >= 15
+        emitted = set()
+        for where, kinds, keywords in calls:
+            assert kinds, f"{where}: emit without a kind literal"
+            for kind in kinds:
+                assert kind in KINDS, f"{where}: undeclared kind {kind!r}"
+                emitted.add(kind)
+                if keywords is None:
+                    continue
+                spec = KINDS[kind]
+                needed = set(re.findall(r"%\((\w+)\)", spec.message or ""))
+                needed |= {by for by in spec.counters.values() if by}
+                needed |= {spec.sample, spec.label} - {None}
+                assert needed <= keywords, (
+                    f"{where}: {kind!r} needs fields {needed - keywords}"
+                )
+        assert emitted == set(KINDS), "declared kinds nobody emits"
+        stats_fields = {f.name for f in fields(ServiceStats)}
+        for kind, spec in KINDS.items():
+            assert set(spec.counters) <= stats_fields, kind
+            assert spec.sample is None or spec.sample in SAMPLED, kind
+
+    def test_windowed_rates_count_every_occurrence(self):
+        """The ledger's service-closed median, 12.85 units/s, each unit
+        emitting admitted, dispatch and completed, replayed for 150 s:
+        every window reads the true rate (a 1,024-point ring read 11.40,
+        5.70 and 2.85 for 30, 60 and 120 s)."""
+        start, rate = 1_000_000.0, 12.85
+        events, clock = _emitter(now=start)
+        for index in range(int(150 * rate)):
+            clock["now"] = start + index / rate
+            events.emit(
+                "admitted", job="j", corr="c", client="t", priority=5,
+                units=1,
+            )
+            events.emit("dispatch", queue_age_ms=3)
+            events.emit("completed", cached=False, scheme="disco")
+        for window in (30.0, 60.0, 120.0):
+            assert events.rate("completed", window) == pytest.approx(
+                rate, rel=0.01
+            )
+            assert events.rate("admitted", window) == pytest.approx(
+                rate, rel=0.01
+            )
+
+    def test_concurrent_emits_lose_no_update(self):
+        """More emitting threads than cores, switching every microsecond:
+        the counters, the histogram, the labels and the window each see
+        every emit."""
+        stats = ServiceStats()
+        events = Emitter(stats)
+        threads, per_thread = 8, 500
+
+        def dispatcher():
+            for _ in range(per_thread):
+                events.emit("dispatch", unit="u", job="j", queue_age_ms=2)
+                events.emit(
+                    "completed", unit="u", job="j", cached=True,
+                    scheme="disco",
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=dispatcher) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * per_thread
+        assert stats.queue_age_samples == total
+        assert stats.queue_age_ms_total == 2 * total
+        assert stats.units_completed == stats.cache_hits == total
+        counts, _ = events.histograms["queue_age_ms"].snapshot()
+        assert counts[-1] == total
+        assert events.labelled("completed") == {"disco": total}
+        assert events.count("completed", 120.0) == total
+
+    def test_queue_age_histogram_never_goes_backwards(self):
+        """4,097 memo-hit dispatches: the histogram is cumulative, so its
+        ``_count`` and ``_sum`` equal the ``/stats`` counters (a list cut
+        from 4,096 to 2,048 entries read 2,049)."""
+        spec = RunSpec(scheme="baseline", **QUICK)
+        run_spec(spec)  # memoized: every unit below is a cache hit
+        service = CampaignService(
+            workers=1, rate=1e6, burst=1e6, max_queue_depth=8192
+        ).start()
+        try:
+            job = service.submit(specs=[spec] * 4097, client="hist")
+            assert isinstance(job, Job)
+            _finish(job)
+            samples = parse_samples(build_service_registry(service).render())
+            counters = service.snapshot().to_dict()["service"]
+        finally:
+            service.shutdown(drain=False, timeout=10.0)
+        assert counters["queue_age_samples"] == 4097
+        assert samples["repro_service_queue_age_ms_count"][()] == 4097
+        assert samples["repro_service_queue_age_ms_sum"][()] == (
+            counters["queue_age_ms_total"]
+        )
+
+    def test_debug_session_logs_the_admit_retry_and_finish_lines(
+        self, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "fault.marker"
+        monkeypatch.setenv(
+            "REPRO_RUNNER_FAULT", f"crash-once:baseline:x264:{marker}"
+        )
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        messages = []
+
+        class Capture(logging.Handler):
+            def emit(self, record):
+                messages.append(record.getMessage())
+
+        root, capture = get_logger(), Capture(level=logging.DEBUG)
+        level = root.level
+        root.addHandler(capture)
+        root.setLevel(logging.DEBUG)
+        spec = RunSpec(scheme="baseline", **QUICK)
+        service = CampaignService(
+            workers=1, rate=1000.0, burst=1000.0
+        ).start()
+        try:
+            crashing = service.submit(specs=[spec], client="log")
+            _finish(crashing)
+            cached = service.submit(specs=[spec], client="log")
+            _finish(cached)
+            assert service.stats.cache_hits == 1
+        finally:
+            service.shutdown(drain=False, timeout=10.0)
+            root.removeHandler(capture)
+            root.setLevel(level)
+        for job in (crashing, cached):
+            assert (
+                f"admitted job {job.job_id}: client=log priority=5 units=1 "
+                f"corr={job.correlation}"
+            ) in messages
+            assert (
+                f"job {job.job_id} finished: 1 completed, 0 failed"
+            ) in messages
+        assert [m for m in messages if m.startswith("retrying ")] == [
+            f"retrying baseline/{spec.algorithm}:x264(seed {spec.seed}) "
+            "in 0.00s (attempt 1): "
+            "RuntimeError('injected one-shot fault for x264')"
+        ]
+
+    def test_flight_role_is_derived_per_process(self):
+        """``service`` in this process and ``worker`` in a pool worker,
+        whichever asks first (the first caller used to set it)."""
+        assert flight.recorder().role == "service"
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(_recorder_role).result(timeout=60) == "worker"
+        flight.reset_for_tests()
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(_recorder_role).result(timeout=60) == "worker"
+        assert flight.recorder().role == "service"
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +654,7 @@ class TestFlightRecorder:
     def test_log_tail_is_teed_when_enabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path / "flight"))
         flight.reset_for_tests()
-        recorder = flight.recorder(role="worker")
+        recorder = flight.recorder()
         logger = get_logger("repro.tests.flightlog")
         with correlation_scope("c-logtee"):
             logger.warning("something notable")
@@ -808,7 +1006,7 @@ class TestServiceEndpoints:
             specs=[RunSpec(scheme="baseline", **QUICK)], client="slo"
         )
         assert isinstance(job, Job)
-        service.series.record(shed=1)  # 1/60s >> 0.001/s objective
+        _shed(service.events)  # 1/60s >> 0.001/s objective
         statuses = service.evaluate_slos(publish=True)
         assert [s.name for s in statuses] == ["shed_rate"]
         assert not statuses[0].ok

@@ -500,11 +500,15 @@ class TestCampaignService:
             )
             assert service.shutdown(drain=True, timeout=30.0)
             assert job.finished()
+            before = service.admission.stats.counters()
             shed = service.submit(
                 specs=[RunSpec(scheme="disco", **QUICK)], client="c"
             )
             assert isinstance(shed, Overloaded)
             assert "shutting down" in shed.detail
+            after = service.admission.stats.counters()
+            for name in ("jobs_shed", "units_shed", "shed_queue_full"):
+                assert after[name] == before[name] + 1, name
 
     def test_counters_flow_through_the_registry(self):
         with running_service(workers=1) as service:
@@ -516,7 +520,7 @@ class TestCampaignService:
             assert snapshot["service"]["units_completed"] == 1
             assert snapshot["service"]["queue_age_samples"] == 1
             assert snapshot["admission"]["jobs_admitted"] == 1
-            assert service.series.mean("queue_age_ms", 60.0) >= 0.0
+            assert service.events.mean("queue_age_ms", 60.0) >= 0.0
 
     def test_campaign_units_run_through_the_pool(self):
         payload = {

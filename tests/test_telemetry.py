@@ -22,18 +22,6 @@ from repro.experiments.runner import QUICK_ACCESSES, RunSpec, run_spec, run_spec
 from repro.noc import Network, NocConfig
 from repro.noc.flit import Packet, PacketType
 from repro.sim.kernel import SimKernel
-from repro.telemetry import (
-    PacketTracer,
-    TimeSeriesSampler,
-    profile_from_kernel,
-    merge_profiles,
-    render_profile,
-    summarize_trace,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_profile,
-)
 from repro.telemetry.check import main as check_main
 from repro.telemetry.check import summarize, validate_chrome_trace
 from repro.telemetry.export import (
@@ -41,6 +29,10 @@ from repro.telemetry.export import (
     lost_packets,
     node_hop_counts,
     packet_spans,
+    summarize_trace,
+    to_chrome_trace,
+    write_chrome_trace,
+    write_jsonl,
 )
 from repro.telemetry.log import (
     ensure_level,
@@ -48,6 +40,14 @@ from repro.telemetry.log import (
     level_from_env,
     reset_for_tests,
 )
+from repro.telemetry.profiler import (
+    merge_profiles,
+    profile_from_kernel,
+    render_profile,
+    write_profile,
+)
+from repro.telemetry.sampler import TimeSeriesSampler
+from repro.telemetry.tracer import PacketTracer
 
 LINE = bytes(range(64))
 
@@ -160,10 +160,14 @@ class TestTimeSeriesSampler:
         windows = sampler.windows()
         assert [w.end_cycle for w in windows] == [4, 8, 12]
         assert all(w.delta["fake"]["ticks"] == 8 for w in windows)
-        assert sampler.series("ticks") == [(4, 8), (8, 8), (12, 8)]
-        assert sampler.series("ticks", per_cycle=True) == [
-            (4, 2.0), (8, 2.0), (12, 2.0),
-        ]
+        assert [
+            (row["end_cycle"], row["counters"]["fake"]["ticks"])
+            for row in sampler.to_dicts()
+        ] == [(4, 8), (8, 8), (12, 8)]
+        assert [
+            (w.end_cycle, w.delta["fake"]["ticks"] / (w.end_cycle - w.start_cycle))
+            for w in windows
+        ] == [(4, 2.0), (8, 2.0), (12, 2.0)]
 
     def test_ring_buffer_evicts_oldest_and_counts(self):
         kernel, counters, sampler = self.make(interval=1, capacity=3)
@@ -184,9 +188,10 @@ class TestTimeSeriesSampler:
         for cycle in range(1, 7):
             reading["value"] = float(cycle)
             sampler.tick(cycle)
-        assert sampler.gauge_series("occupancy") == [
-            (2, 2.0), (4, 4.0), (6, 6.0),
-        ]
+        assert [
+            (row["end_cycle"], row["gauges"]["occupancy"])
+            for row in sampler.to_dicts()
+        ] == [(2, 2.0), (4, 4.0), (6, 6.0)]
 
     def test_validation(self):
         kernel = SimKernel()
