@@ -210,25 +210,3 @@ class CompressedBankArray:
         if line is None:
             raise KeyError(f"line {addr:#x} not resident")
         line.dirty = True
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "version": 1,
-            "sets": [
-                (dict(cache_set.lines), cache_set.lru.state_dict())
-                for cache_set in self._sets
-            ],
-            "stats": dict(self.stats.__dict__),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported CompressedBankArray state version "
-                f"{state.get('version')!r}"
-            )
-        for cache_set, (lines, lru_order) in zip(self._sets, state["sets"]):
-            cache_set.lines = dict(lines)
-            cache_set.lru.load_state(lru_order)
-        self.stats.__dict__.update(state["stats"])

@@ -142,27 +142,3 @@ class L1Cache:
 
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Lines, per-set LRU order, stats fields, and the MSHR file."""
-        return {
-            "version": 1,
-            "sets": [dict(cache_set) for cache_set in self._sets],
-            "lru": [lru.state_dict() for lru in self._lru],
-            "stats": dict(self.stats.__dict__),
-            "mshr": self.mshr.state_dict(),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported L1Cache state version {state.get('version')!r}"
-            )
-        self._sets = [dict(cache_set) for cache_set in state["sets"]]
-        for lru, saved in zip(self._lru, state["lru"]):
-            lru.load_state(saved)
-        # The stats object is shared with registered providers: copy the
-        # fields into it rather than replacing the instance.
-        self.stats.__dict__.update(state["stats"])
-        self.mshr.load_state(state["mshr"])

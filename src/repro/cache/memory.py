@@ -84,25 +84,3 @@ class MemoryController:
         self.stats.writes += 1
         self._store[addr] = data
         return self._schedule(addr, cycle)
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Fields only — never the ``_line_source`` callable (it is a bound
-        method of the workload's value pool; pickling it would clone the
-        pool)."""
-        return {
-            "version": 1,
-            "store": dict(self._store),
-            "bank_free": list(self._bank_free),
-            "stats": dict(self.stats.__dict__),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported MemoryController state version "
-                f"{state.get('version')!r}"
-            )
-        self._store = dict(state["store"])
-        self._bank_free = list(state["bank_free"])
-        self.stats.__dict__.update(state["stats"])

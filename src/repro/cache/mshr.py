@@ -74,19 +74,3 @@ class MSHRFile:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "version": 1,
-            "entries": dict(self.entries),
-            "allocation_failures": self.allocation_failures,
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported MSHRFile state version {state.get('version')!r}"
-            )
-        self.entries = dict(state["entries"])
-        self.allocation_failures = state["allocation_failures"]

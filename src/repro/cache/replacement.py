@@ -43,10 +43,3 @@ class LRUPolicy:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._order
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> List[Hashable]:
-        return list(self._order)
-
-    def load_state(self, state: List[Hashable]) -> None:
-        self._order = list(state)

@@ -101,33 +101,6 @@ class HomeBank:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"HomeBank(node={self.node}, {len(self.pending)} pending)"
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Directory, open transactions, side stats, and the data array.
-
-        Transactions are captured live: a restored event-queue entry
-        scheduled with ``self._respond, trans, ...`` must resolve to the
-        *same* Transaction object as ``self.pending[addr]``, which the
-        system's single-pickle envelope guarantees.
-        """
-        return {
-            "version": 1,
-            "array": self.array.state_dict(),
-            "directory": dict(self.directory),
-            "pending": dict(self.pending),
-            "side_stats": dict(self.side_stats.__dict__),
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported HomeBank state version {state.get('version')!r}"
-            )
-        self.array.load_state(state["array"])
-        self.directory = dict(state["directory"])
-        self.pending = dict(state["pending"])
-        self.side_stats.__dict__.update(state["side_stats"])
-
     # -- message dispatch -----------------------------------------------------
     def handle(self, msg: Message, packet: Optional["Packet"] = None) -> None:
         kind = msg.kind

@@ -64,16 +64,14 @@ class CoreProgress:
 
     ``positions`` counts accesses issued, ``outstanding`` misses in
     flight and ``warming`` cores still inside their warmup region.  The
-    cores update it where their own fields change; it is derived state,
-    rebuilt by :meth:`recount` after a restore and never serialized.
+    cores update it where their own fields change, and a checkpoint
+    pickles it with them; the run loop's drain recount
+    (:meth:`CmpSystem._check_drained`) is the safety net.
     """
 
     __slots__ = ("positions", "outstanding", "warming")
 
     def __init__(self, cores: Iterable["CoreModel"]) -> None:
-        self.recount(cores)
-
-    def recount(self, cores: Iterable["CoreModel"]) -> None:
         self.positions, self.outstanding, self.warming = tally(cores)
 
     def counts(self) -> Tuple[int, int, int]:
@@ -163,27 +161,3 @@ class CoreModel:
     def finished(self, cycle: int) -> None:
         if self.stats.finished_cycle < 0:
             self.stats.finished_cycle = cycle
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Replay position + stats; the trace itself is rebuilt from the
-        workload seed, never serialized."""
-        return {
-            "version": 1,
-            "position": self.position,
-            "outstanding": self.outstanding,
-            "next_issue_cycle": self.next_issue_cycle,
-            "stats": dict(self.stats.__dict__),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore the replay fields; the owner of :attr:`progress`
-        recounts it afterwards (:meth:`CmpSystem.load_state`)."""
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported CoreModel state version {state.get('version')!r}"
-            )
-        self.position = state["position"]
-        self.outstanding = state["outstanding"]
-        self.next_issue_cycle = state["next_issue_cycle"]
-        self.stats.__dict__.update(state["stats"])

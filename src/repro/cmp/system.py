@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.cmp.bank import HomeBank
 from repro.cmp.config import SystemConfig
@@ -181,9 +181,9 @@ class EventQueue:
     """Scheduled callbacks (bank latencies, DRAM completions) — a kernel
     component ticked right after the network phases.
 
-    Entries are ``(due, seq, fn, args)`` with ``fn`` a bound method and
-    ``args`` plain data — never closures — so the queue is serializable by
-    the snapshot protocol (the system path-encodes the bound methods)."""
+    Entries are ``(due, seq, fn, args)`` and must be picklable, because a
+    checkpoint pickles the whole system: ``fn`` a bound method, ``args``
+    plain data, never closures."""
 
     __slots__ = ("_events", "_seq")
 
@@ -433,8 +433,8 @@ class CmpSystem:
     def schedule(self, delay: int, fn: Callable[..., None], *args) -> None:
         """Run ``fn(*args)`` after ``delay`` cycles (bank latencies, DRAM).
 
-        ``fn`` must be a bound method of the system or a bank so scheduled
-        work survives a checkpoint (see :meth:`state_dict`)."""
+        ``fn`` and ``args`` must be picklable so scheduled work survives a
+        checkpoint: bound methods and plain data, never closures."""
         due = self.cycle + max(0, delay)
         self.events.schedule(due, fn, *args)
         # The event queue may be asleep; wake it for the new deadline.
@@ -537,95 +537,6 @@ class CmpSystem:
             self.network.stats.ni_decompressions += 1
             return self.scheme.decompression_cycles
         return 0
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict:
-        """Complete mutable state of the system for the snapshot protocol.
-
-        The returned dict must be pickled as ONE object: packets, messages
-        and transactions appear in several sub-states (a VC, the replay
-        buffer, the event queue) and pickle's memoization is what keeps
-        those references aliased after a restore.  Static structure —
-        configs, traces, topology, the compression algorithm — is rebuilt
-        from the spec, never serialized.
-        """
-        from repro.noc.flit import pid_watermark
-
-        return {
-            "version": 1,
-            "kernel": self.kernel.snapshot(),
-            "pid_watermark": pid_watermark(),
-            "events": self._export_events(),
-            "network": self.network.state_dict(),
-            "tiles": [tile.state_dict() for tile in self.tiles],
-            "banks": [bank.state_dict() for bank in self.banks],
-            "memory": self.memory.state_dict(),
-            "pool": self.pool.state_dict(),
-            "snapshot": self._snapshot,
-            "measure_start_cycle": self._measure_start_cycle,
-        }
-
-    def load_state(self, state: Dict) -> None:
-        """Restore into a freshly-constructed system (``prefill=False``).
-
-        The pid floor is raised past the checkpoint's watermark so packets
-        created after the restore can never collide with restored pids in
-        the tracer/integrity/reliability ledgers.
-        """
-        from repro.noc.flit import ensure_pid_floor
-
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported CmpSystem state version {state.get('version')!r}"
-            )
-        self.kernel.restore(state["kernel"])
-        ensure_pid_floor(state["pid_watermark"])
-        self.network.load_state(state["network"])
-        for tile, saved in zip(self.tiles, state["tiles"]):
-            tile.load_state(saved)
-        self.progress.recount(tile.core for tile in self.tiles)
-        for bank, saved in zip(self.banks, state["banks"]):
-            bank.load_state(saved)
-        self.memory.load_state(state["memory"])
-        self.pool.load_state(state["pool"])
-        self._import_events(state["events"])
-        self._snapshot = state["snapshot"]
-        self._measure_start_cycle = state["measure_start_cycle"]
-
-    def _export_events(self) -> Dict:
-        """Event-queue entries with bound methods replaced by paths.
-
-        Only system- and bank-owned methods are ever scheduled (the
-        :meth:`schedule` contract); anything else is a programming error
-        surfaced here rather than as an unpicklable checkpoint.
-        """
-        entries = []
-        for due, seq, fn, args in self.events._events:
-            owner = getattr(fn, "__self__", None)
-            if owner is self:
-                path: Tuple = ("system", fn.__name__)
-            elif isinstance(owner, HomeBank):
-                path = ("bank", owner.node, fn.__name__)
-            else:
-                raise TypeError(
-                    f"cannot checkpoint scheduled callback {fn!r}: only "
-                    "bound methods of the system or a home bank survive "
-                    "a snapshot"
-                )
-            entries.append((due, seq, path, args))
-        return {"seq": self.events._seq, "entries": entries}
-
-    def _import_events(self, state: Dict) -> None:
-        events: List = []
-        for due, seq, path, args in state["entries"]:
-            if path[0] == "system":
-                fn = getattr(self, path[1])
-            else:
-                fn = getattr(self.banks[path[1]], path[2])
-            events.append((due, seq, fn, args))
-        heapq.heapify(events)
-        self.events._events = events
-        self.events._seq = state["seq"]
 
     # -- the simulation loop ---------------------------------------------------------
     def run(

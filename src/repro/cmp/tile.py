@@ -72,24 +72,6 @@ class Tile:
             return nxt if nxt > cycle else cycle + 1
         return None
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "version": 1,
-            "l1": self.l1.state_dict(),
-            "wb_in_flight": set(self._wb_in_flight),
-            "core": self.core.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported Tile state version {state.get('version')!r}"
-            )
-        self.l1.load_state(state["l1"])
-        self._wb_in_flight = set(state["wb_in_flight"])
-        self.core.load_state(state["core"])
-
     def _issue_one(self, cycle: int) -> bool:
         """Issue the core's next access; False when structurally stalled."""
         access = self.core.peek()

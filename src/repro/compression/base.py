@@ -153,6 +153,16 @@ class CompressionAlgorithm(ABC):
 _SHARED_CACHES: dict = {}
 
 
+def _memo_for(shared_key) -> "OrderedDict[bytes, CompressedLine]":
+    """The process-wide memo for ``shared_key``, or a private one."""
+    if shared_key is None:
+        return OrderedDict()
+    cache = _SHARED_CACHES.get(shared_key)
+    if cache is None:
+        cache = _SHARED_CACHES[shared_key] = OrderedDict()
+    return cache
+
+
 class CachedCompressor(CompressionAlgorithm):
     """Memoizing wrapper around another algorithm.
 
@@ -178,16 +188,23 @@ class CachedCompressor(CompressionAlgorithm):
         self.inner = inner
         self.name = inner.name
         self.capacity = capacity
-        if shared_key is not None:
-            cache = _SHARED_CACHES.get(shared_key)
-            if cache is None:
-                cache = OrderedDict()
-                _SHARED_CACHES[shared_key] = cache
-            self._cache: "OrderedDict[bytes, CompressedLine]" = cache
-        else:
-            self._cache = OrderedDict()
+        self.shared_key = shared_key
+        self._cache = _memo_for(shared_key)
         self.hits = 0
         self.misses = 0
+
+    def __getstate__(self) -> dict:
+        # A shared memo belongs to the process, not to this wrapper: pickle
+        # its key, never its entries (up to ``capacity`` encoded lines).
+        state = self.__dict__.copy()
+        del state["_cache"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Re-attach the process's shared memo for the key; a private memo
+        # (a trained algorithm's) restarts empty, which changes only speed.
+        self.__dict__.update(state)
+        self._cache = _memo_for(self.shared_key)
 
     def _encode(self, line: bytes) -> Tuple[int, Any]:  # pragma: no cover
         raise NotImplementedError("CachedCompressor delegates compress()")

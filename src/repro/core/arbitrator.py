@@ -103,25 +103,6 @@ class DiscoArbitrator:
         rate = self.config.adaptation_rate
         self._congestion_ema += rate * (sample - self._congestion_ema)
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "version": 1,
-            "considered": self.considered,
-            "dispatched": self.dispatched,
-            "congestion_ema": self._congestion_ema,
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported DiscoArbitrator state version "
-                f"{state.get('version')!r}"
-            )
-        self.considered = state["considered"]
-        self.dispatched = state["dispatched"]
-        self._congestion_ema = state["congestion_ema"]
-
     # -- steps 1+2+3 glue --------------------------------------------------------
     def consider(self, candidates: Iterable["InputVC"], cycle: int) -> int:
         """Evaluate this cycle's idle candidates; dispatch the best.

@@ -50,20 +50,6 @@ class DiscoRouter(Router):
     def has_work(self) -> bool:
         return super().has_work() or self.engine.busy()
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["engine"] = self.engine.state_dict()
-        state["arbitrator"] = self.arbitrator.state_dict()
-        return state
-
-    def load_state(self, state: dict) -> None:
-        # Base restore clears every VC's engine_job; the engine restore
-        # re-links its live jobs afterwards.
-        super().load_state(state)
-        self.engine.load_state(state["engine"])
-        self.arbitrator.load_state(state["arbitrator"])
-
     # -- DISCO hook implementations ------------------------------------------
     def _post_switch_allocation(self, losers: List[InputVC]) -> None:
         if losers:

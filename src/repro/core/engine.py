@@ -170,59 +170,6 @@ class DiscoCompressorEngine:
                 "abort",
             )
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        """In-flight jobs, VCs path-encoded relative to this router.
-
-        Aborted-but-unswept jobs (``valid == False``) are captured too so a
-        restored ``tick`` drops them exactly like the original would have.
-        """
-        jobs = []
-        for job in self.jobs:
-            jobs.append(
-                {
-                    "vc": (job.vc.port, job.vc.vc_index),
-                    "packet": job.packet,
-                    "mode": job.mode,
-                    "started": job.started,
-                    "ready": job.ready,
-                    "separate": job.separate,
-                    "valid": job.valid,
-                    "session": job.session,
-                    "consumed": job.consumed,
-                    "emitted": job.emitted,
-                    "fault_checked": job.fault_checked,
-                    "linked": job.vc.engine_job is job,
-                }
-            )
-        return {"version": 1, "jobs": jobs}
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported DiscoCompressorEngine state version "
-                f"{state.get('version')!r}"
-            )
-        self.jobs = []
-        for saved in state["jobs"]:
-            port, vc_index = saved["vc"]
-            vc = self.router.inputs[port][vc_index]
-            job = EngineJob.__new__(EngineJob)
-            job.vc = vc
-            job.packet = saved["packet"]
-            job.mode = saved["mode"]
-            job.started = saved["started"]
-            job.ready = saved["ready"]
-            job.separate = saved["separate"]
-            job.valid = saved["valid"]
-            job.session = saved["session"]
-            job.consumed = saved["consumed"]
-            job.emitted = saved["emitted"]
-            job.fault_checked = saved["fault_checked"]
-            self.jobs.append(job)
-            if saved["linked"]:
-                vc.engine_job = job
-
     # -- per-cycle progress -------------------------------------------------------
     def tick(self, cycle: int) -> None:
         if not self.jobs:

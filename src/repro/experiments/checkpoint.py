@@ -1,9 +1,14 @@
 """Crash-safe checkpointing of in-flight simulations.
 
-A checkpoint is the pickled :meth:`CmpSystem.state_dict` wrapped in an
-``RDK1`` envelope (magic + SHA-256 of the payload, the disk-cache format
-of :mod:`repro.experiments.runner` with its own magic so the two file
-kinds can never be confused).  Envelopes are published atomically
+A checkpoint is the live :class:`~repro.cmp.system.CmpSystem`, pickled
+whole, stored with the pid watermark (the next packet id, which a
+restore raises this process's counter past) in an ``RDK1`` envelope
+(magic + SHA-256 of the payload, the disk-cache format of
+:mod:`repro.experiments.runner` with its own magic so the two file kinds
+can never be confused).  Restoring is unpickling it: nothing is rebuilt
+from the spec.  The envelope carries no format version: it is filed
+under the spec key, which hashes every ``repro`` source file, so changed
+code never looks an old checkpoint up.  Envelopes are published atomically
 (``mkstemp`` + ``os.replace``) and the last two generations are retained
 (``<key>.ckpt`` / ``<key>.ckpt.1``), so a crash *during* a checkpoint
 write still leaves a valid older envelope behind.  A corrupt envelope is
@@ -38,6 +43,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.cmp.system import CmpSystem
+from repro.noc.flit import ensure_pid_floor, pid_watermark
 from repro.telemetry.events import emit
 
 #: Checkpoint envelope format version ("RDK" = repro disco kernel state).
@@ -61,14 +67,9 @@ def restores() -> int:
 
 def checkpoint_interval() -> int:
     """Cycles between periodic checkpoints; 0 (the default) disables."""
-    env = os.environ.get("REPRO_CHECKPOINT_INTERVAL", "").strip()
-    if not env:
-        return 0
-    try:
-        value = int(env)
-    except ValueError:
-        return 0
-    return max(0, value)
+    from repro.experiments.runner import _env_number
+
+    return max(0, _env_number("REPRO_CHECKPOINT_INTERVAL", int, 0))
 
 
 def checkpoint_dir() -> Path:
@@ -106,8 +107,9 @@ def _quarantine(path: Path) -> None:
     emit("checkpoint_quarantine", path=str(path))
 
 
-def save_checkpoint(key: str, cycle: int, state: Dict) -> Path:
-    """Atomically publish a checkpoint, rotating the previous one.
+def save_checkpoint(key: str, cycle: int, state) -> Path:
+    """Atomically publish a checkpoint of ``state`` (normally the live
+    system), rotating the previous one.
 
     Safe under concurrent writers of the same key (two hosts sharing the
     cache directory can legitimately both run one spec): the rotation's
@@ -119,7 +121,12 @@ def save_checkpoint(key: str, cycle: int, state: Dict) -> Path:
     """
     current, previous = checkpoint_paths(key)
     payload = pickle.dumps(
-        {"spec_key": key, "cycle": cycle, "state": state},
+        {
+            "spec_key": key,
+            "cycle": cycle,
+            "pid_watermark": pid_watermark(),
+            "state": state,
+        },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     blob = CHECKPOINT_MAGIC + hashlib.sha256(payload).digest() + payload
@@ -185,42 +192,6 @@ def discard_checkpoints(key: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# system reconstruction
-# --------------------------------------------------------------------------
-
-
-def build_system(spec) -> CmpSystem:
-    """A fresh, un-run system for ``spec``, ready for :meth:`load_state`.
-
-    Mirrors the runner's ``_simulate`` construction — same config, scheme,
-    traces and algorithm training — with ``prefill=False``: the restored
-    state carries the LLC contents, so prefilling would only burn time.
-    """
-    from repro.cmp.schemes import make_scheme
-    from repro.experiments.runner import _train_if_needed
-    from repro.workloads.trace import generate_traces
-
-    config = spec.config()
-    scheme = make_scheme(spec.scheme, algorithm=spec.algorithm)
-    traces = generate_traces(
-        spec.profile(),
-        config.n_cores,
-        spec.accesses_per_core,
-        seed=spec.seed,
-        line_size=config.line_size,
-    )
-    system = CmpSystem(
-        config,
-        scheme,
-        traces,
-        warmup_fraction=spec.warmup_fraction,
-        prefill=False,
-    )
-    _train_if_needed(system, spec)
-    return system
-
-
-# --------------------------------------------------------------------------
 # cooperative termination latch
 # --------------------------------------------------------------------------
 
@@ -262,8 +233,7 @@ class CheckpointSession:
     """Checkpoint lifecycle of one simulation: restore, periodic saves,
     signal flush, and cleanup on success."""
 
-    def __init__(self, spec, key: str, interval: int):
-        self.spec = spec
+    def __init__(self, key: str, interval: int):
         self.key = key
         self.interval = interval
         self._latch = _SignalLatch()
@@ -272,18 +242,19 @@ class CheckpointSession:
             self._latch.install()
 
     # -- restore -------------------------------------------------------------
-    def maybe_restore(self, system: CmpSystem) -> Optional[int]:
-        """Load the latest valid checkpoint into ``system``; returns the
-        restored cycle, or ``None`` when starting cold."""
+    def restore(self) -> Optional[CmpSystem]:
+        """The system of the latest valid checkpoint, or ``None`` when
+        starting cold.  Packets created after the restore get pids past
+        the checkpoint's watermark, so they never collide with restored
+        ones in the tracer/integrity/reliability ledgers."""
         global _RESTORES
         envelope = load_checkpoint(self.key)
         if envelope is None:
             return None
-        system.load_state(envelope["state"])
-        cycle = envelope["cycle"]
-        self._last_cycle = cycle
+        ensure_pid_floor(envelope["pid_watermark"])
+        self._last_cycle = envelope["cycle"]
         _RESTORES += 1
-        return cycle
+        return envelope["state"]
 
     # -- the run-loop hook ----------------------------------------------------
     def step(self, system: CmpSystem) -> None:
@@ -298,7 +269,7 @@ class CheckpointSession:
 
     def save(self, system: CmpSystem) -> Path:
         cycle = system.cycle
-        path = save_checkpoint(self.key, cycle, system.state_dict())
+        path = save_checkpoint(self.key, cycle, system)
         self._last_cycle = cycle
         return path
 
@@ -318,4 +289,4 @@ def session_for(spec) -> Optional[CheckpointSession]:
         return None
     from repro.experiments.runner import spec_key
 
-    return CheckpointSession(spec, spec_key(spec), interval)
+    return CheckpointSession(spec_key(spec), interval)

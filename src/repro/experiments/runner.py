@@ -541,11 +541,10 @@ def _simulate(
         return _simulate_in_scope(spec, verbose)
 
 
-def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
-    _maybe_inject_runner_fault(spec)
-    _log_simulation(spec)
+def build_system(spec: RunSpec) -> CmpSystem:
+    """A fresh, un-run system for ``spec``: the one place a spec becomes a
+    system (config, scheme, traces, algorithm training, profiling)."""
     config = spec.config()
-    scheme = make_scheme(spec.scheme, algorithm=spec.algorithm)
     traces = generate_traces(
         spec.profile(),
         config.n_cores,
@@ -554,16 +553,43 @@ def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
         line_size=config.line_size,
     )
     system = CmpSystem(
-        config, scheme, traces, warmup_fraction=spec.warmup_fraction
+        config,
+        make_scheme(spec.scheme, algorithm=spec.algorithm),
+        traces,
+        warmup_fraction=spec.warmup_fraction,
     )
-    _train_if_needed(system, spec)
+    # SC²'s and FVC's offline sampling phase: train the statistical
+    # algorithm on a workload sample (the same training in every scheme).
+    train = getattr(system.algorithm, "train", None)
+    if train is not None and spec.algorithm in ("sc2", "fvc"):
+        train(system.pool.sample(TRAIN_LINES, seed=spec.seed + 1))
     if spec.profile_run:
         system.kernel.enable_timing()
+    return system
+
+
+def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
+    _maybe_inject_runner_fault(spec)
+    _log_simulation(spec)
+    if verbose:
+        ensure_level(logging.INFO)
+    # Crash-safe plumbing — all of it collapses to None/no-op under the
+    # default environment, keeping the hot path byte-identical.
+    from repro.experiments import checkpoint as _checkpoint
+
+    session = _checkpoint.session_for(spec)
+    system = session.restore() if session is not None else None
+    if system is None:
+        system = build_system(spec)
+    else:
+        _LOG.info(
+            "[%s] restored checkpoint at cycle %d",
+            spec_key(spec)[:12],
+            system.cycle,
+        )
     correlation = current_correlation()
     if correlation:
         system.kernel.annotations["correlation_id"] = correlation
-    if verbose:
-        ensure_level(logging.INFO)
     _LOG.info(
         "[%s] running %s/%s on %s (%s %dx%d, seed %d)",
         spec_key(spec)[:12],
@@ -575,19 +601,6 @@ def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
         spec.height,
         spec.seed,
     )
-    # Crash-safe plumbing — all of it collapses to None/no-op under the
-    # default environment, keeping the hot path byte-identical.
-    from repro.experiments import checkpoint as _checkpoint
-
-    session = _checkpoint.session_for(spec)
-    if session is not None:
-        restored = session.maybe_restore(system)
-        if restored is not None:
-            _LOG.info(
-                "[%s] restored checkpoint at cycle %d",
-                spec_key(spec)[:12],
-                restored,
-            )
     timeout = _spec_timeout()
     deadline = time.monotonic() + timeout if timeout is not None else None
     progress = _progress_hook(spec)
@@ -625,18 +638,6 @@ def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
     return result
 
 
-def _train_if_needed(system: CmpSystem, spec: RunSpec) -> None:
-    """Train statistical algorithms on a workload sample (SC²'s offline
-    sampling phase; the same training is applied in every scheme)."""
-    train = getattr(system.algorithm, "train", None)
-    if train is None:
-        return
-    if spec.algorithm not in ("sc2", "fvc"):
-        return
-    sample = system.pool.sample(TRAIN_LINES, seed=spec.seed + 1)
-    train(sample)
-
-
 def run_spec(spec: RunSpec, verbose: bool = False) -> SimulationResult:
     """Run (or recall) one simulation: memo -> disk -> simulate."""
     result = Executor.lookup(spec)
@@ -648,31 +649,40 @@ def run_spec(spec: RunSpec, verbose: bool = False) -> SimulationResult:
     return result
 
 
-_JOBS_WARNED = False
+#: Variables whose unparseable value has already been warned about.
+_ENV_WARNED: set = set()
+
+
+def _env_number(name: str, parse, default):
+    """``parse`` of the environment variable ``name``; ``default`` when it
+    is unset or blank.
+
+    The one reader of every numeric setting.  An unparseable value also
+    reads as ``default``, with a :class:`RuntimeWarning` naming the
+    variable and the value, once per variable per process: a typo'd
+    ``REPRO_WATCHDOG_SECONDS=30s`` should not silently switch the
+    watchdog off.
+    """
+    env = os.environ.get(name, "").strip()
+    if not env:
+        return default
+    try:
+        return parse(env)
+    except ValueError:
+        if name not in _ENV_WARNED:
+            _ENV_WARNED.add(name)
+            warnings.warn(
+                f"ignoring invalid {name}={env!r} (not a number); "
+                f"using the default",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return default
 
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set (min 1), else the CPU count.
-
-    An unparseable ``REPRO_JOBS`` falls back to the CPU count with a
-    one-time :class:`RuntimeWarning` naming the bad value — a typo'd pin
-    should not silently fan out across every core.
-    """
-    global _JOBS_WARNED
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            if not _JOBS_WARNED:
-                _JOBS_WARNED = True
-                warnings.warn(
-                    f"ignoring invalid REPRO_JOBS={env!r} "
-                    f"(not an integer); using the CPU count",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return os.cpu_count() or 1
+    """Worker count: ``REPRO_JOBS`` if set (min 1), else the CPU count."""
+    return max(1, _env_number("REPRO_JOBS", int, os.cpu_count() or 1))
 
 
 def _retry_backoff(spec: Optional[RunSpec] = None) -> float:
@@ -689,13 +699,7 @@ def _retry_backoff(spec: Optional[RunSpec] = None) -> float:
     the process-global RNG (whose draws would otherwise depend on
     everything else that consumed randomness first).
     """
-    env = os.environ.get("REPRO_RETRY_BACKOFF", "").strip()
-    base = 0.1
-    if env:
-        try:
-            base = float(env)
-        except ValueError:
-            base = 0.1
+    base = _env_number("REPRO_RETRY_BACKOFF", float, 0.1)
     if base <= 0:
         return 0.0
     rng = random.Random(spec_key(spec)) if spec is not None else random
@@ -705,14 +709,8 @@ def _retry_backoff(spec: Optional[RunSpec] = None) -> float:
 def _spec_timeout() -> Optional[float]:
     """Per-spec future timeout in seconds (``REPRO_SPEC_TIMEOUT``; ``0``
     or negative disables, unparseable values use the default)."""
-    env = os.environ.get("REPRO_SPEC_TIMEOUT", "").strip()
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            return _DEFAULT_SPEC_TIMEOUT
-        return value if value > 0 else None
-    return _DEFAULT_SPEC_TIMEOUT
+    value = _env_number("REPRO_SPEC_TIMEOUT", float, _DEFAULT_SPEC_TIMEOUT)
+    return value if value > 0 else None
 
 
 # --------------------------------------------------------------------------
@@ -735,16 +733,11 @@ def _journal_lock() -> "FileLock":
     ``REPRO_LOCK_STALE_SECONDS``, default 30)."""
     from repro.experiments.lockfile import FileLock
 
-    stale = 30.0
-    env = os.environ.get("REPRO_LOCK_STALE_SECONDS", "").strip()
-    if env:
-        try:
-            stale = max(1.0, float(env))
-        except ValueError:
-            pass
     return FileLock(
         cache_dir() / "campaign.journal.lock",
-        stale_seconds=stale,
+        stale_seconds=max(
+            1.0, _env_number("REPRO_LOCK_STALE_SECONDS", float, 30.0)
+        ),
         timeout=5.0,
     )
 
@@ -838,13 +831,7 @@ def _quarantine_after() -> int:
     """Crash-loop bound: a spec interrupted mid-run this many consecutive
     times is quarantined on resume instead of retried forever
     (``REPRO_QUARANTINE_AFTER``, default 3, minimum 1)."""
-    env = os.environ.get("REPRO_QUARANTINE_AFTER", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 3
+    return max(1, _env_number("REPRO_QUARANTINE_AFTER", int, 3))
 
 
 # --------------------------------------------------------------------------
@@ -970,13 +957,7 @@ def clean_stale_heartbeats(directory: Optional[Path] = None) -> int:
 def watchdog_seconds() -> Optional[float]:
     """Stall threshold for the pool watchdog (``REPRO_WATCHDOG_SECONDS``;
     unset, 0 or negative disables) — the one reader of that variable."""
-    env = os.environ.get("REPRO_WATCHDOG_SECONDS", "").strip()
-    if not env:
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        return None
+    value = _env_number("REPRO_WATCHDOG_SECONDS", float, 0.0)
     return value if value > 0 else None
 
 

@@ -358,89 +358,6 @@ class FaultController:
         )
         return flavor
 
-    # -- checkpointing ------------------------------------------------------------
-    def _vc_path(self, vc: "InputVC") -> Tuple[int, int, int]:
-        return (vc.router.node, vc.port, vc.vc_index)
-
-    def _vc_at(self, path: Tuple[int, int, int]) -> "InputVC":
-        network = self.network
-        assert network is not None
-        node, port, vc_index = path
-        return network.routers[node].inputs[port][vc_index]
-
-    def state_dict(self) -> Dict[str, object]:
-        """Injection RNG stream, event ledger, and armed/recovery queues.
-
-        Live component references (the wedged/credit-starved VCs) are
-        path-encoded as ``(node, port, vc)``; :class:`FaultEvent` records
-        travel live, and permanent wedges are stored as indexes into the
-        event list so :meth:`reconcile`'s identity matching survives the
-        round trip.
-        """
-        event_index = {id(event): i for i, event in enumerate(self.events)}
-        return {
-            "version": 1,
-            "rng": self.rng.getstate(),
-            "checker": self.checker.state_dict(),
-            "events": list(self.events),
-            "by_kind": dict(self.by_kind),
-            "scheduled_at": {
-                cycle: list(faults)
-                for cycle, faults in self._scheduled_at.items()
-            },
-            "armed_engine": list(self._armed_engine),
-            "armed_drops": list(self._armed_drops),
-            "armed_payload": list(self._armed_payload),
-            "credit_restores": {
-                cycle: [(self._vc_path(vc), amount) for vc, amount in entries]
-                for cycle, entries in self._credit_restores.items()
-            },
-            "wedge_releases": {
-                cycle: [self._vc_path(vc) for vc in vcs]
-                for cycle, vcs in self._wedge_releases.items()
-            },
-            "permanent_wedges": [
-                (event_index[id(event)], self._vc_path(vc))
-                for event, vc in self._permanent_wedges
-            ],
-            "reconciled": self._reconciled,
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported FaultController state version "
-                f"{state.get('version')!r}"
-            )
-        if self.network is None:
-            raise RuntimeError(
-                "bind the controller to a network before loading state"
-            )
-        self.rng.setstate(state["rng"])
-        self.checker.load_state(state["checker"])
-        self.events = list(state["events"])
-        self.by_kind = dict(state["by_kind"])
-        self._scheduled_at = {
-            cycle: list(faults)
-            for cycle, faults in state["scheduled_at"].items()
-        }
-        self._armed_engine = list(state["armed_engine"])
-        self._armed_drops = list(state["armed_drops"])
-        self._armed_payload = list(state["armed_payload"])
-        self._credit_restores = {
-            cycle: [(self._vc_at(path), amount) for path, amount in entries]
-            for cycle, entries in state["credit_restores"].items()
-        }
-        self._wedge_releases = {
-            cycle: [self._vc_at(path) for path in paths]
-            for cycle, paths in state["wedge_releases"].items()
-        }
-        self._permanent_wedges = [
-            (self.events[index], self._vc_at(path))
-            for index, path in state["permanent_wedges"]
-        ]
-        self._reconciled = state["reconciled"]
-
     # -- end-of-run outcome assignment -------------------------------------------
     def reconcile(
         self, final_cycle: int, watchdog_fired: bool = False

@@ -189,30 +189,6 @@ class IntegrityChecker:
         self.violations.extend(new)
         return new
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """The full ledger: counters, violations, and in-flight tracking."""
-        return {
-            "version": 1,
-            "verified": self.verified,
-            "mismatches": self.mismatches,
-            "lost": self.lost,
-            "violations": list(self.violations),
-            "tracked": dict(self._tracked),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported IntegrityChecker state version "
-                f"{state.get('version')!r}"
-            )
-        self.verified = state["verified"]
-        self.mismatches = state["mismatches"]
-        self.lost = state["lost"]
-        self.violations = list(state["violations"])
-        self._tracked = dict(state["tracked"])
-
     # -- helpers -------------------------------------------------------------
     def _capsule(self, cycle: int, packet: Packet) -> ReplayCapsule:
         return ReplayCapsule(

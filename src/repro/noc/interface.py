@@ -146,49 +146,6 @@ class NetworkInterface:
             f"{len(self._pending_delivery)} ejections pending"
         )
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Per-vnet injection queues, open streams, and pending ejections.
-
-        Open streams path-encode their target VC; the packets themselves
-        travel live through the system's single-pickle envelope.
-        """
-        return {
-            "version": 1,
-            "queues": [list(queue) for queue in self._queues],
-            "streaming": [
-                (
-                    None
-                    if stream is None
-                    else (
-                        stream[0],
-                        (stream[1].port, stream[1].vc_index),
-                        stream[2],
-                    )
-                )
-                for stream in self._streaming
-            ],
-            "pending_delivery": list(self._pending_delivery),
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported NetworkInterface state version "
-                f"{state.get('version')!r}"
-            )
-        self._queues = [deque(queue) for queue in state["queues"]]
-        router = self.network.routers[self.node]
-        streaming: List[Optional[Tuple[Packet, InputVC, int]]] = []
-        for stream in state["streaming"]:
-            if stream is None:
-                streaming.append(None)
-            else:
-                packet, (port, vc_index), sent = stream
-                streaming.append((packet, router.inputs[port][vc_index], sent))
-        self._streaming = streaming
-        self._pending_delivery = list(state["pending_delivery"])
-
     def _advance_stream(self, vnet: int) -> None:
         stream = self._streaming[vnet]
         if stream is None:

@@ -71,15 +71,6 @@ def _default_priority(packet: Packet) -> int:
     return 1
 
 
-def _copy_fields(obj) -> dict:
-    """Shallow field copy of a stats object, dict-valued fields included,
-    so an in-process snapshot never aliases the live accumulators."""
-    return {
-        key: dict(value) if isinstance(value, dict) else value
-        for key, value in obj.__dict__.items()
-    }
-
-
 class ArrivalQueue:
     """Link arrivals scheduled for future cycles (a kernel component).
 
@@ -159,43 +150,6 @@ class ArrivalQueue:
             heapq.heappop(heap)  # batch already delivered (or purged empty)
         return heap[0] if heap else None
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        """In-flight link flits, target VCs path-encoded.  The heap is
-        captured verbatim (stale entries included) so a restored
-        ``next_wake`` pops exactly what the original would have."""
-        return {
-            "version": 1,
-            "due": {
-                cycle: [
-                    (
-                        (vc.router.node, vc.port, vc.vc_index),
-                        packet,
-                        is_head,
-                        is_tail,
-                    )
-                    for vc, packet, is_head, is_tail in batch
-                ]
-                for cycle, batch in self._due.items()
-            },
-            "due_heap": list(self._due_heap),
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported ArrivalQueue state version {state.get('version')!r}"
-            )
-        routers = self.network.routers
-        self._due = {
-            cycle: [
-                (routers[node].inputs[port][vc_index], packet, is_head, is_tail)
-                for (node, port, vc_index), packet, is_head, is_tail in batch
-            ]
-            for cycle, batch in state["due"].items()
-        }
-        self._due_heap = list(state["due_heap"])
-
     def tick(self, cycle: int) -> None:
         arrivals = self._due.pop(cycle, None)
         if not arrivals:
@@ -272,18 +226,6 @@ class LocalDeliveryQueue:
                 remaining.append((ready, packet))
         self._pending = remaining
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {"version": 1, "pending": list(self._pending)}
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported LocalDeliveryQueue state version "
-                f"{state.get('version')!r}"
-            )
-        self._pending = list(state["pending"])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LocalDeliveryQueue({len(self._pending)} pending)"
 
@@ -316,7 +258,8 @@ class Network:
         # construction and the cache never grows; large fabrics keep a
         # bounded demand-filled cache with FIFO eviction (the counter is a
         # plain attribute, deliberately outside every stat group).  Either
-        # way the cache is pure derived state — excluded from checkpoints.
+        # way the cache is pure derived state: a checkpoint carries it as
+        # it stands, and every entry is what a recompute would return.
         self._route_cache: Dict[Tuple[int, int], Tuple[int, Optional[int]]] = {}
         self._route_cache_cap = 0  # 0 = fully precomputed, never evicts
         self._route_cache_evictions = 0
@@ -598,80 +541,24 @@ class Network:
         if self._delivery_handler is not None:
             self._delivery_handler(node, packet)
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Full fabric state for the snapshot protocol.
+    # -- pickling ---------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # Routers reach each other through their VCs, so a router pickled
+        # where it is first met recurses across the whole fabric (deeper
+        # than the default recursion limit on a 16x16 mesh).  Each router
+        # pickles as a bare instance (``Router.__reduce_ex__``) and its
+        # state travels here, in one flat list.
+        state = self.__dict__.copy()
+        state["_router_states"] = [router.__dict__ for router in self.routers]
+        return state
 
-        Optional layers (reliability, monitor, faults, tracer, sampler) are
-        captured only when attached; a restore under a different
-        configuration raises instead of silently dropping state.  Shared
-        stats objects (``stats``/``degraded``/``recovered``/``telemetry``)
-        are saved as field dicts and copied back into the existing
-        instances, which registered providers hold by reference.
-
-        Version 3 carries the ejection tokens as a plain ``eject_tokens``
-        list (version 2 held them in a since-removed ``fabric`` block).
-        The route cache is pure derived state (decisions are
-        deterministic functions of the static topology) and is
-        deliberately absent.
-        """
-        return {
-            "version": 3,
-            "routers": [router.state_dict() for router in self.routers],
-            "nis": [ni.state_dict() for ni in self.nis],
-            "arrivals": self.arrival_queue.state_dict(),
-            "local_deliveries": self.local_deliveries.state_dict(),
-            "eject_tokens": list(self._eject_tokens),
-            "eject_spent": list(self._eject_spent),
-            "stats": _copy_fields(self.stats),
-            "degraded": _copy_fields(self.degraded),
-            "recovered": _copy_fields(self.recovered),
-            "telemetry": _copy_fields(self.telemetry),
-            "reliability": (
-                None if self.reliability is None else self.reliability.state_dict()
-            ),
-            "monitor": None if self.monitor is None else self.monitor.state_dict(),
-            "faults": None if self.faults is None else self.faults.state_dict(),
-            "tracer": None if self.tracer is None else self.tracer.state_dict(),
-            "sampler": None if self.sampler is None else self.sampler.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 3:
-            raise ValueError(
-                f"unsupported Network state version {state.get('version')!r}"
-            )
-        for layer in ("reliability", "monitor", "faults", "tracer", "sampler"):
-            saved = state[layer] is not None
-            attached = getattr(self, layer) is not None
-            if saved != attached:
-                raise ValueError(
-                    f"checkpoint {'has' if saved else 'lacks'} {layer} state "
-                    "but the restored network "
-                    f"{'lacks' if saved else 'has'} that layer attached"
-                )
-        for router, saved in zip(self.routers, state["routers"]):
-            router.load_state(saved)
-        for ni, saved in zip(self.nis, state["nis"]):
-            ni.load_state(saved)
-        self.arrival_queue.load_state(state["arrivals"])
-        self.local_deliveries.load_state(state["local_deliveries"])
-        self._eject_tokens = list(state["eject_tokens"])
-        self._eject_spent = list(state["eject_spent"])
-        self.stats.__dict__.update(state["stats"])
-        self.degraded.__dict__.update(state["degraded"])
-        self.recovered.__dict__.update(state["recovered"])
-        self.telemetry.__dict__.update(state["telemetry"])
-        if self.reliability is not None:
-            self.reliability.load_state(state["reliability"])
-        if self.monitor is not None:
-            self.monitor.load_state(state["monitor"])
-        if self.faults is not None:
-            self.faults.load_state(state["faults"])
-        if self.tracer is not None:
-            self.tracer.load_state(state["tracer"])
-        if self.sampler is not None:
-            self.sampler.load_state(state["sampler"])
+    def __setstate__(self, state: dict) -> None:
+        # Fills in the bare routers from the flat list ``__getstate__``
+        # wrote; nothing else needs rebuilding.
+        router_states = state.pop("_router_states")
+        self.__dict__.update(state)
+        for router, router_state in zip(self.routers, router_states):
+            router.__dict__.update(router_state)
 
     # -- the cycle loop ----------------------------------------------------------
     def tick(self) -> None:

@@ -402,52 +402,6 @@ class ReliabilityLayer:
                 self._retransmit(entry, self.network.cycle)
             # else: the pending timeout deadline retries later.
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Both protocol ends: sequence counters, replay buffers + deadline
-        heap (source) and delivery watermarks (destination).
-
-        :class:`ReplayEntry` objects travel live — they are pure data, and
-        the system-level single-pickle envelope preserves any sharing with
-        in-flight packet ``msg`` payloads.
-        """
-        return {
-            "version": 1,
-            "next_seq": dict(self._next_seq),
-            "entries": {
-                flow: dict(entries) for flow, entries in self._entries.items()
-            },
-            "deadlines": list(self._deadlines),
-            "retx_outstanding": dict(self._retx_outstanding),
-            "delivered_upto": dict(self._delivered_upto),
-            "delivered_ahead": {
-                flow: set(ahead)
-                for flow, ahead in self._delivered_ahead.items()
-            },
-            "recovered_pids": set(self.recovered_pids),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported ReliabilityLayer state version "
-                f"{state.get('version')!r}"
-            )
-        self._next_seq = dict(state["next_seq"])
-        self._entries = {
-            flow: dict(entries)
-            for flow, entries in state["entries"].items()
-        }
-        self._deadlines = list(state["deadlines"])
-        heapq.heapify(self._deadlines)
-        self._retx_outstanding = dict(state["retx_outstanding"])
-        self._delivered_upto = dict(state["delivered_upto"])
-        self._delivered_ahead = {
-            flow: set(ahead)
-            for flow, ahead in state["delivered_ahead"].items()
-        }
-        self.recovered_pids = set(state["recovered_pids"])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         pending = sum(len(e) for e in self._entries.values())
         return f"ReliabilityLayer({pending} unacked entries)"
@@ -696,25 +650,6 @@ class InvariantMonitor:
     def _vc_at(self, key: Tuple[int, int, int]) -> "InputVC":
         node, port, vc_index = key
         return self.network.routers[node].inputs[port][vc_index]
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "version": 1,
-            "checks_run": self.checks_run,
-            "violations_raised": self.violations_raised,
-            "progress": dict(self._progress),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported InvariantMonitor state version "
-                f"{state.get('version')!r}"
-            )
-        self.checks_run = state["checks_run"]
-        self.violations_raised = state["violations_raised"]
-        self._progress = dict(state["progress"])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

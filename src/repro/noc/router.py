@@ -30,6 +30,7 @@ ports the arbitrator's contention count reads) and
 
 from __future__ import annotations
 
+import copyreg
 from bisect import insort
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -199,56 +200,6 @@ class InputVC:
         self.engine_job = None
         self.wait_cycles = 0
 
-    # -- checkpointing -------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Dynamic buffer state; structural fields (router/port/depth) are
-        reconstructed, and the downstream VC reference is path-encoded.
-
-        ``engine_job`` is deliberately absent: the DISCO engine owns the
-        job objects and re-links them when its own state loads.
-        """
-        out_vc = self.out_vc
-        return {
-            "packet": self.packet,
-            "state": self.state,
-            "flits_present": self.flits_present,
-            "flits_received": self.flits_received,
-            "flits_sent": self.flits_sent,
-            "incoming": self.incoming,
-            "reserved": self.reserved,
-            "out_port": self.out_port,
-            "out_vc_class": self.out_vc_class,
-            "out_vc": (
-                None
-                if out_vc is None
-                else (out_vc.router.node, out_vc.port, out_vc.vc_index)
-            ),
-            "wait_cycles": self.wait_cycles,
-            "credit_debt": self.credit_debt,
-            "wedged_until": self.wedged_until,
-        }
-
-    def load_state(self, state: dict, network: "Network") -> None:
-        self.packet = state["packet"]
-        self.state = state["state"]
-        self.flits_present = state["flits_present"]
-        self.flits_received = state["flits_received"]
-        self.flits_sent = state["flits_sent"]
-        self.incoming = state["incoming"]
-        self.reserved = state["reserved"]
-        self.out_port = state["out_port"]
-        self.out_vc_class = state["out_vc_class"]
-        path = state["out_vc"]
-        if path is None:
-            self.out_vc = None
-        else:
-            node, port, vc_index = path
-            self.out_vc = network.routers[node].inputs[port][vc_index]
-        self.engine_job = None
-        self.wait_cycles = state["wait_cycles"]
-        self.credit_debt = state["credit_debt"]
-        self.wedged_until = state["wedged_until"]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<VC r{self.router.node} p{self.port} v{self.vc_index} "
@@ -323,6 +274,13 @@ class Router:
         #: (out_port, vnet, vc_class) -> downstream candidate VCs in scan
         #: order; the topology is static so the lists never change.
         self._va_candidates: Dict[tuple, List[InputVC]] = {}
+
+    def __reduce_ex__(self, protocol):
+        # A bare instance: routers reach each other through their VCs, so
+        # pickling one's state where it is first met would recurse across
+        # the fabric.  The owning ``Network`` pickles every router's state
+        # from one flat list (``Network.__getstate__``).
+        return copyreg.__newobj__, (type(self),)
 
     # -- bound-VC bookkeeping -------------------------------------------------
     def _bind_vc(self, vc: InputVC) -> None:
@@ -691,34 +649,6 @@ class Router:
                 tracer.on_route_computed(
                     network.kernel.cycle, packet, node, vc.out_port
                 )
-
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Every VC's dynamic state plus the SA round-robin pointers.
-
-        Derived structures are skipped: ``_va_candidates`` is a pure cache
-        over the static topology and ``_bound`` is rebuilt from the VCs
-        that hold a packet (its sort key is the scan position, so the
-        rebuild is order-identical to the incremental maintenance).
-        """
-        return {
-            "version": 1,
-            "vcs": [vc.state_dict() for vc in self.all_vcs],
-            "sa_rr": list(self._sa_rr),
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported Router state version {state.get('version')!r}"
-            )
-        for vc, vc_state in zip(self.all_vcs, state["vcs"]):
-            vc.load_state(vc_state, self.network)
-        self._sa_rr = list(state["sa_rr"])
-        self._bound = sorted(
-            (vc for vc in self.all_vcs if vc.packet is not None),
-            key=_by_scan_key,
-        )
 
     # -- DISCO hook points ----------------------------------------------------
     def _post_switch_allocation(self, losers: List[InputVC]) -> None:

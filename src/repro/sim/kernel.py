@@ -94,6 +94,13 @@ class _Scheduled:
         #: bypass the heap entirely.
         self.queued_next = -1
 
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # ``tick`` may be a timing closure, which does not pickle; the
+        # kernel rebinds it on load (:meth:`SimKernel.__setstate__`).
+        return None, {
+            slot: getattr(self, slot) for slot in self.__slots__ if slot != "tick"
+        }
+
 
 def _reg_order(reg: _Scheduled) -> int:
     return reg.order
@@ -410,92 +417,29 @@ class SimKernel:
                 )
         return self.cycle - start
 
-    # -- checkpointing ------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Versioned scheduling state: clock, wakeup heap, active sets.
-
-        Components are identified positionally — ``(phase index,
-        registration order)`` — so a snapshot only restores onto a kernel
-        whose phases and components were registered in the identical
-        order (which deterministic construction guarantees).  Heap
-        entries are captured verbatim, stale ones included: a stale entry
-        firing late is part of the schedule's observable behaviour.
-
-        Version 2 drops version 1's scheduler-mode fields: there is only
-        one scheduler.
-        """
-        regs = []
-        for phase in self._phases:
-            for component in phase.components:
-                reg = self._reg_of[id(component)]
-                assert reg is not None
-                regs.append(
-                    (phase.index, reg.order, reg.heap_due,
-                     reg.queued_for, reg.queued_next)
-                )
-        return {
-            "version": 2,
-            "cycle": self.cycle,
-            "cycles_total": self.cycles_total,
-            "component_wakes": self.component_wakes,
-            "wakes_skipped": self.wakes_skipped,
-            "seq": self._seq,
-            "regs": regs,
-            "heap": [
-                (due, seq, reg.phase.index, reg.order)
-                for due, seq, reg in self._heap
-            ],
-            "pending": [
-                [reg.order for reg in phase.pending] for phase in self._phases
-            ],
-            "pending_next": [
-                [reg.order for reg in phase.pending_next]
-                for phase in self._phases
-            ],
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Load a :meth:`snapshot` onto an identically-constructed kernel."""
-        if state.get("version") != 2:
-            raise ValueError(
-                f"unsupported kernel snapshot version {state.get('version')!r}"
-            )
-        self.cycle = state["cycle"]
-        self.cycles_total = state["cycles_total"]
-        self.component_wakes = state["component_wakes"]
-        self.wakes_skipped = state["wakes_skipped"]
-        self._seq = state["seq"]
-        self._sweep_index = None
-        reg_at: Dict[Tuple[int, int], _Scheduled] = {}
-        for phase in self._phases:
-            for component in phase.components:
-                reg = self._reg_of[id(component)]
-                assert reg is not None
-                reg_at[(phase.index, reg.order)] = reg
-        saved_regs = state["regs"]
-        if len(saved_regs) != len(reg_at):
-            raise ValueError(
-                "kernel snapshot does not match this schedule: "
-                f"{len(saved_regs)} saved registrations, "
-                f"{len(reg_at)} present"
-            )
-        for pi, order, heap_due, queued_for, queued_next in saved_regs:
-            reg = reg_at[(pi, order)]
-            reg.heap_due = heap_due
-            reg.queued_for = queued_for
-            reg.queued_next = queued_next
-        heap = [
-            (due, seq, reg_at[(pi, order)])
-            for due, seq, pi, order in state["heap"]
+    # -- pickling -----------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        # Registrations are keyed by ``id(component)`` and ids do not
+        # survive a pickle: the records travel as a list and the map is
+        # rebuilt on load.
+        state = self.__dict__.copy()
+        state["_reg_of"] = [
+            reg for reg in self._reg_of.values() if reg is not None
         ]
-        # The captured list was already heap-ordered; heapify is a cheap
-        # belt-and-braces against hand-edited snapshots.
-        heapq.heapify(heap)
-        self._heap = heap
-        for phase, orders in zip(self._phases, state["pending"]):
-            phase.pending = [reg_at[(phase.index, o)] for o in orders]
-        for phase, orders in zip(self._phases, state["pending_next"]):
-            phase.pending_next = [reg_at[(phase.index, o)] for o in orders]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Rebuilds the id-keyed map, and every tick binding, which
+        # ``_Scheduled`` leaves out because a timing wrapper is a closure
+        # (closures do not pickle).
+        regs = state.pop("_reg_of")
+        self.__dict__.update(state)
+        self._reg_of = {id(component): None for _, component in self._passive}
+        for reg in regs:
+            self._reg_of[id(reg.component)] = reg
+            reg.tick = reg.component.tick
+            if self._timing:
+                reg.tick = self._timed(reg)
 
     # -- diagnostics --------------------------------------------------------
     def kernel_counters(self) -> Dict[str, int]:

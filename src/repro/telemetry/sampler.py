@@ -116,33 +116,6 @@ class TimeSeriesSampler:
         self.stats.windows_sampled += 1
         return window
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict:
-        """Retained windows + delta base (gauge callables re-register at
-        construction, like stats providers)."""
-        return {
-            "version": 1,
-            "windows": list(self._windows),
-            "base": self._base,
-            "base_cycle": self._base_cycle,
-            "next_index": self._next_index,
-            "windows_sampled": self.stats.windows_sampled,
-            "windows_evicted": self.stats.windows_evicted,
-        }
-
-    def load_state(self, state: Dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported TimeSeriesSampler state version "
-                f"{state.get('version')!r}"
-            )
-        self._windows = deque(state["windows"], maxlen=self.capacity)
-        self._base = state["base"]
-        self._base_cycle = state["base_cycle"]
-        self._next_index = state["next_index"]
-        self.stats.windows_sampled = state["windows_sampled"]
-        self.stats.windows_evicted = state["windows_evicted"]
-
     # -- views ----------------------------------------------------------------
     def windows(self) -> List[SampleWindow]:
         return list(self._windows)
@@ -165,4 +138,3 @@ class TimeSeriesSampler:
             f"TimeSeriesSampler(every {self.interval} cycles, "
             f"{len(self._windows)}/{self.capacity} windows)"
         )
-

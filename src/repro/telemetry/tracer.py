@@ -219,26 +219,5 @@ class PacketTracer:
         if self.wants(packet.pid):
             self._record(cycle, EV_DUP, packet.pid, node, (packet.seq,))
 
-    # -- checkpointing --------------------------------------------------------
-    def state_dict(self) -> Dict:
-        return {
-            "version": 1,
-            "events": list(self.events),
-            "dropped": self.dropped,
-            "decided": dict(self._decided),
-            "injections_seen": self._injections_seen,
-        }
-
-    def load_state(self, state: Dict) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported PacketTracer state version "
-                f"{state.get('version')!r}"
-            )
-        self.events = list(state["events"])
-        self.dropped = state["dropped"]
-        self._decided = dict(state["decided"])
-        self._injections_seen = state["injections_seen"]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PacketTracer({self.describe()})"

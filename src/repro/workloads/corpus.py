@@ -41,7 +41,7 @@ class ValuePool:
         self._versions: Dict[int, int] = {}
         self._current: Dict[int, bytes] = {}
         #: Pattern per address: a pure function of (seed, addr), drawn
-        #: once instead of on every store (a cache, never serialized).
+        #: once instead of on every store (a cache).
         self._patterns: Dict[int, str] = {}
 
     def _pattern_for(self, addr: int) -> str:
@@ -79,27 +79,6 @@ class ValuePool:
         value = self._generate(addr, version)
         self._current[addr] = value
         return value
-
-    # -- checkpointing -------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Mutable value-evolution state (write versions + current lines).
-
-        The profile/seed/mix are construction-time constants; only the
-        store-driven evolution needs capturing for a bit-identical resume.
-        """
-        return {
-            "version": 1,
-            "versions": dict(self._versions),
-            "current": dict(self._current),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported ValuePool state version {state.get('version')!r}"
-            )
-        self._versions = dict(state["versions"])
-        self._current = dict(state["current"])
 
     def sample(self, n: int, seed: int = 0) -> List[bytes]:
         """``n`` representative lines (for SC²/FVC training, Table 1)."""

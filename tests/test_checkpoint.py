@@ -1,9 +1,10 @@
 """Crash-safe checkpoint/restore: round-trip invariance and envelopes.
 
-The tentpole guarantee: a simulation snapshotted mid-run and restored
-into a *fresh process-equivalent* system finishes bit-identical to an
-uninterrupted run — pinned against the five golden fabric digests of
-``test_golden_mesh``, so checkpointing can never drift the physics.
+The tentpole guarantee: a simulation paused mid-run, pickled whole (a
+checkpoint is the live system) and loaded back finishes bit-identical
+to an uninterrupted run — pinned against the five golden fabric digests
+of ``test_golden_mesh`` and the 16x16 golden, and for every layer a
+``RunSpec`` can switch on, so checkpointing can never drift the physics.
 Around it: RDK1 envelope corruption handling (quarantine + generation
 fallback), the provably-inert default, and the SIGKILL/resume campaign
 path exercised with real processes.
@@ -12,6 +13,7 @@ path exercised with real processes.
 import hashlib
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -19,8 +21,12 @@ import time
 
 import pytest
 
+from repro.compression import base as compression_base
+from repro.compression.base import CachedCompressor
+from repro.compression.registry import get_algorithm
 from repro.experiments import checkpoint, runner
 from repro.experiments.runner import QUICK_ACCESSES, RunSpec, run_spec, spec_key
+from tests.test_golden_large_mesh import LARGE_MESH_DIGESTS
 from tests.test_golden_mesh import GOLDEN_DIGESTS, result_digest
 
 QUICK = dict(workload="blackscholes", accesses_per_core=QUICK_ACCESSES)
@@ -41,66 +47,98 @@ def _fresh_caches(tmp_path, monkeypatch):
     runner.clear_cache()
 
 
-def _build_cold(spec):
-    """Full cold-start construction, as ``runner._simulate`` does it."""
-    from repro.cmp.schemes import make_scheme
-    from repro.cmp.system import CmpSystem
-    from repro.workloads.trace import generate_traces
+def _round_trip(system):
+    """Pickle a paused system as a checkpoint does and load it back."""
+    restored = pickle.loads(pickle.dumps(system, pickle.HIGHEST_PROTOCOL))
+    assert restored is not system
+    return restored
 
-    config = spec.config()
-    traces = generate_traces(
-        spec.profile(),
-        config.n_cores,
-        spec.accesses_per_core,
-        seed=spec.seed,
-        line_size=config.line_size,
-    )
-    system = CmpSystem(
-        config,
-        make_scheme(spec.scheme, algorithm=spec.algorithm),
-        traces,
-        warmup_fraction=spec.warmup_fraction,
-    )
-    runner._train_if_needed(system, spec)
-    return system
+
+#: One spec per layer a ``RunSpec`` can switch on, paused at cycle 1,500.
+LAYERS = {
+    "sampler": dict(scheme="disco", stats_interval=100),
+    "tracer": dict(
+        scheme="disco",
+        trace_packets=True,
+        trace_sample_interval=3,
+        stats_interval=250,
+    ),
+    "profile": dict(scheme="disco", profile_run=True),
+    "sc2": dict(scheme="disco", algorithm="sc2"),
+    "cnc-fpc": dict(scheme="cnc", algorithm="fpc"),
+    "torus": dict(scheme="disco", topology="torus"),
+}
 
 
 class TestRoundTripInvariance:
     @pytest.mark.parametrize("scheme", sorted(GOLDEN_DIGESTS))
     def test_restore_reproduces_the_golden_digest(self, scheme):
-        """Pause mid-run, pickle the state (as a checkpoint would),
-        restore into a *fresh* system, finish: bit-identical to the
-        uninterrupted golden run — same full/measured snapshots, cycles
-        and latency, byte for byte."""
+        """Pause mid-run, pickle the live system (as a checkpoint does),
+        unpickle it, finish: bit-identical to the uninterrupted golden
+        run — same full/measured snapshots, cycles and latency, byte for
+        byte."""
         spec = RunSpec(scheme=scheme, **QUICK)
-        paused = _build_cold(spec)
+        paused = runner.build_system(spec)
         assert paused.run(pause_at=1500) is None
         assert paused.cycle >= 1500  # genuinely mid-run
-        state = pickle.loads(
-            pickle.dumps(paused.state_dict(), pickle.HIGHEST_PROTOCOL)
-        )
-        fresh = checkpoint.build_system(spec)
-        fresh.load_state(state)
-        result = fresh.run()
+        result = _round_trip(paused).run()
         assert result_digest(result) == GOLDEN_DIGESTS[scheme], (
             f"restored {scheme} run diverged from the golden digest — "
             f"checkpoint/restore is not state-complete"
         )
 
-    def test_kernel_rejects_version_mismatch(self):
-        spec = RunSpec(scheme="baseline", **QUICK)
-        system = _build_cold(spec)
-        assert system.run(pause_at=200) is None
-        state = system.state_dict()
-        bad_version = dict(state, version=99)
-        with pytest.raises(ValueError, match="version"):
-            checkpoint.build_system(spec).load_state(bad_version)
-        # Version 1 kernel snapshots carried a scheduler mode; refused.
-        old_kernel = dict(state["kernel"], version=1)
-        with pytest.raises(ValueError, match="kernel snapshot version 1"):
-            checkpoint.build_system(spec).load_state(
-                dict(state, kernel=old_kernel)
-            )
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_restore_reproduces_every_layer(self, layer):
+        """Telemetry, profiling, trained and NI-side algorithms and the
+        torus's escape VCs survive the round trip: the restored run
+        matches an uninterrupted one in digest and telemetry payload."""
+        spec = RunSpec(**LAYERS[layer], **QUICK)
+        expected = runner.build_system(spec).run()
+        paused = runner.build_system(spec)
+        assert paused.run(pause_at=1500) is None
+        result = _round_trip(paused).run()
+        assert result_digest(result) == result_digest(expected)
+        assert result.telemetry == expected.telemetry
+        if spec.profile_run:
+            assert result.profile is not None
+
+    def test_restore_reproduces_the_16x16_golden_digest(self):
+        """The sparse 16x16 mesh: routers reach each other through their
+        VCs, so only the network's flat router list keeps the pickle
+        within the default recursion limit."""
+        spec = RunSpec(
+            scheme="disco", workload="blackscholes", width=16, height=16,
+            accesses_per_core=40, seed=7,
+        )
+        paused = runner.build_system(spec)
+        assert paused.run(pause_at=800) is None
+        result = _round_trip(paused).run()
+        assert result_digest(result) == LARGE_MESH_DIGESTS["disco"]
+
+
+class TestSharedMemo:
+    def test_shared_memo_is_referenced_never_copied(self):
+        """A stateless algorithm's process-wide memo travels as its key:
+        growing the memo between two pickles leaves the blobs
+        byte-equal, and a loaded system re-attaches the process's memo."""
+        spec = RunSpec(scheme="disco", **QUICK)
+        paused = runner.build_system(spec)
+        assert paused.run(pause_at=1500) is None
+        algorithm = paused.algorithm
+        assert isinstance(algorithm, CachedCompressor)
+        key = algorithm.shared_key
+        assert key is not None
+        before = pickle.dumps(paused, pickle.HIGHEST_PROTOCOL)
+        other = get_algorithm(spec.algorithm)
+        assert other.shared_key == key
+        rng = random.Random(17)
+        lines = [rng.randbytes(64) for _ in range(64)]
+        for line in lines:
+            other.compress(line)
+        memo = compression_base._SHARED_CACHES[key]
+        assert all(line in memo for line in lines)
+        assert pickle.dumps(paused, pickle.HIGHEST_PROTOCOL) == before
+        assert pickle.loads(before).algorithm._cache is memo
 
 
 class TestInertDefault:

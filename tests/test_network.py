@@ -205,17 +205,3 @@ class TestRouteCache:
         # Evicted entries recompute to the same deterministic decision.
         for (src, dst), decision in list(decisions.items())[:32]:
             assert network.route(src, dst) == decision
-
-    def test_route_cache_not_checkpointed(self):
-        """The cache is pure derived state: it never appears in the
-        version-3 Network checkpoint, which carries the ejection tokens
-        as a plain list."""
-        network = make_network()
-        SyntheticTraffic(
-            network, TrafficConfig(injection_rate=0.05, seed=11)
-        ).run(700)
-        state = network.state_dict()
-        assert state["version"] == 3
-        assert state["eject_tokens"] == network._eject_tokens
-        for key in state:
-            assert "route_cache" not in key

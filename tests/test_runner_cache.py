@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import checkpoint, runner
 from repro.experiments.runner import (
     RunnerError,
     RunSpec,
@@ -54,7 +54,7 @@ def _fresh_caches(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_WATCHDOG_SECONDS", raising=False)
     monkeypatch.delenv("REPRO_HEARTBEAT_DIR", raising=False)
     monkeypatch.delenv("REPRO_SIM_LOG", raising=False)
-    monkeypatch.setattr(runner, "_JOBS_WARNED", False)
+    monkeypatch.setattr(runner, "_ENV_WARNED", set())
     clear_cache()
     yield
     clear_cache()
@@ -595,6 +595,38 @@ class TestCampaignJournal:
         out = run_specs([spec], jobs=1, resume=True)
         assert calls == []  # served from the disk cache, not re-run
         assert out[spec].cycles > 0
+
+
+#: Every numeric environment setting and a call that reads it.
+NUMERIC_SETTINGS = {
+    "REPRO_JOBS": default_jobs,
+    "REPRO_RETRY_BACKOFF": lambda: runner._retry_backoff(
+        RunSpec(scheme="baseline", **QUICK)
+    ),
+    "REPRO_SPEC_TIMEOUT": runner._spec_timeout,
+    "REPRO_LOCK_STALE_SECONDS": lambda: runner._journal_lock().stale_seconds,
+    "REPRO_QUARANTINE_AFTER": runner._quarantine_after,
+    "REPRO_WATCHDOG_SECONDS": runner.watchdog_seconds,
+    "REPRO_CHECKPOINT_INTERVAL": checkpoint.checkpoint_interval,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_SETTINGS))
+def test_unparseable_number_reads_as_default_and_warns_once(name, monkeypatch):
+    """``30s`` or ``10k`` must neither crash a campaign nor silently
+    switch a safeguard off: the default applies, with one warning."""
+    read = NUMERIC_SETTINGS[name]
+    monkeypatch.delenv(name, raising=False)
+    default = read()
+    monkeypatch.setenv(name, "10k")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert read() == default
+    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert len(messages) == 1 and f"{name}='10k'" in messages[0], messages
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read() == default
 
 
 def test_cache_dir_override(tmp_path, monkeypatch):
