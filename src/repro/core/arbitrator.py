@@ -123,8 +123,9 @@ class DiscoArbitrator:
             if self.config.adaptive_thresholds and mode == JOB_COMPRESS:
                 self._observe_congestion(conf)
             if conf > self._threshold(mode):
-                # Tie-break deterministically by (port, vc index).
-                scored.append((conf, -(vc.port * 8 + vc.vc_index), vc, mode))
+                # Tie-break deterministically by (port, vc index): the
+                # scan key is unique per VC, so the VC is never compared.
+                scored.append((conf, -vc.scan_key, vc, mode))
         dispatched = 0
         scored.sort(reverse=True)
         for _, _, vc, mode in scored:

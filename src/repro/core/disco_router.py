@@ -43,12 +43,14 @@ class DiscoRouter(Router):
         self._jobs_block = not disco.non_blocking
 
     def tick(self, cycle: Optional[int] = None) -> None:
-        super().tick(cycle)
+        Router.tick(self, cycle)
         if self.engine.jobs:
             self.engine.tick(self.network.cycle)
 
     def has_work(self) -> bool:
-        return super().has_work() or self.engine.busy()
+        if self._bound or self.engine.jobs:
+            return True
+        return Router.has_work(self)
 
     # -- DISCO hook implementations ------------------------------------------
     def _post_switch_allocation(self, losers: List[InputVC]) -> None:

@@ -101,9 +101,6 @@ class DiscoCompressorEngine:
     def has_capacity(self) -> bool:
         return len(self.jobs) < self.config.engines_per_router
 
-    def busy(self) -> bool:
-        return bool(self.jobs)
-
     # -- job admission ---------------------------------------------------------
     def can_accept(self, vc: "InputVC", mode: str) -> bool:
         """Structural admission test (the arbitrator filters semantics)."""

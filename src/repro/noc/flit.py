@@ -100,6 +100,7 @@ class Packet:
     __slots__ = (
         "pid",
         "ptype",
+        "vnet",
         "src",
         "dst",
         "line",
@@ -139,6 +140,8 @@ class Packet:
     ):
         self.pid = next(_packet_ids)
         self.ptype = ptype
+        #: ``ptype.vnet``, read on every VC allocation and injection.
+        self.vnet = ptype.vnet
         self.src = src
         self.dst = dst
         self.flit_bytes = flit_bytes

@@ -67,7 +67,7 @@ class NetworkInterface:
             return  # injected fault: the packet vanishes before queueing
         packet.injected_cycle = now
         extra = self.network.inject_transform(self.node, packet)
-        self._queues[packet.ptype.vnet].append((now + extra, packet))
+        self._queues[packet.vnet].append((now + extra, packet))
         # Idle->busy transition: the NI may be asleep; wake it for the
         # cycle the packet becomes streamable.
         self.network.kernel.wake(self, now + extra)
@@ -84,9 +84,13 @@ class NetworkInterface:
         return False
 
     def tick(self, cycle: Optional[int] = None) -> None:
-        self._deliver_pending()
-        for vnet in range(self.config.vnets):
-            self._advance_stream(vnet)
+        if self._pending_delivery:
+            self._deliver_pending()
+        streaming = self._streaming
+        queues = self._queues
+        for vnet in range(len(queues)):
+            if streaming[vnet] is not None or queues[vnet]:
+                self._advance_stream(vnet)
 
     def next_wake(self, cycle: int) -> Optional[int]:
         """Idleness contract: poll every cycle while a stream is open or a
@@ -155,18 +159,28 @@ class NetworkInterface:
         packet, vc, sent = stream
         if vc.depth - vc.flits_present <= 0:
             return  # no buffer space this cycle
-        is_head = sent == 0
-        vc.accept_flit(packet, is_head)
-        # The local router may be asleep; it has a flit to move now.
-        self.network.kernel.wake(vc.router)
-        self.network.stats.flits_injected += 1
-        self.network.stats.buffer_writes += 1
-        if is_head and self.network.tracer is not None:
-            # Lifecycle hook: head flit entered the source router's local
-            # input VC (the packet's first hop).
-            self.network.tracer.on_hop(
-                self.network.cycle, packet, self.node, PORT_LOCAL, vc.vc_index
-            )
+        stats = self.network.stats
+        stats.flits_injected += 1
+        stats.buffer_writes += 1
+        if sent == 0:
+            vc.accept_flit(packet, True)
+            # The local router may be asleep; it has a flit to move now.
+            self.network.kernel.wake(vc.router)
+            if self.network.tracer is not None:
+                # Lifecycle hook: head flit entered the source router's
+                # local input VC (the packet's first hop).
+                self.network.tracer.on_hop(
+                    self.network.cycle, packet, self.node, PORT_LOCAL,
+                    vc.vc_index,
+                )
+        else:
+            # ``accept_flit`` for a body flit.  Its packet holds the VC, so
+            # the router's visit this cycle re-armed it for the next: no
+            # wake needed.
+            if vc.incoming > 0:
+                vc.incoming -= 1
+            vc.flits_present += 1
+            vc.flits_received += 1
         sent += 1
         if sent == packet.size_flits:
             self._streaming[vnet] = None
@@ -194,12 +208,15 @@ class NetworkInterface:
         return stream
 
     def _allocate_local_vc(self, packet: Packet) -> Optional[InputVC]:
-        router = self.network.routers[self.node]
-        for vc in router.inputs[PORT_LOCAL]:
-            if vc.vc_index not in self.config.vnet_vcs(packet.ptype.vnet):
-                continue
-            if vc.is_free():
-                return vc
+        allowed = self.config.vnet_vcs(packet.vnet)
+        for vc in self.network.routers[self.node].inputs[PORT_LOCAL]:
+            if (
+                vc.vc_index in allowed
+                and vc.packet is None
+                and not vc.reserved
+                and vc.incoming == 0
+            ):
+                return vc  # ``InputVC.is_free``, inlined
         return None
 
     # -- ejection ------------------------------------------------------------
@@ -215,8 +232,6 @@ class NetworkInterface:
             self._deliver(packet)
 
     def _deliver_pending(self) -> None:
-        if not self._pending_delivery:
-            return
         now = self.network.cycle
         remaining = []
         for ready, packet in self._pending_delivery:

@@ -76,8 +76,11 @@ class ArrivalQueue:
 
     Idleness contract: a min-heap over the due cycles backs ``next_wake``,
     so the queue sleeps between batches; ``schedule`` wakes it for the new
-    due cycle.  When a batch lands, the target routers are woken in the
-    same cycle (``net.routers`` sweeps after ``net.arrivals``).
+    due cycle.  When a batch lands, the routers its head flits land in are
+    woken in the same cycle (``net.routers`` sweeps after
+    ``net.arrivals``).  A body flit lands in a VC its packet already
+    holds; a router with a bound VC is busy after every visit, so the
+    kernel has already queued it for this cycle.
     """
 
     __slots__ = ("network", "_due", "_due_heap")
@@ -154,15 +157,14 @@ class ArrivalQueue:
         arrivals = self._due.pop(cycle, None)
         if not arrivals:
             return
-        stats = self.network.stats
-        faults = self.network.faults
-        tracer = self.network.tracer
-        wake = self.network.kernel.wake
+        network = self.network
+        network.stats.buffer_writes += len(arrivals)
+        faults = network.faults
+        tracer = network.tracer
         for target_vc, packet, is_head, is_tail in arrivals:
-            target_vc.accept_flit(packet, is_head)
-            wake(target_vc.router)
-            stats.buffer_writes += 1
             if is_head:
+                target_vc.accept_flit(packet, True)
+                network.kernel.wake(target_vc.router)
                 packet.hops_traversed += 1
                 if tracer is not None:
                     # Lifecycle hook: head flit landed in a router VC.
@@ -173,6 +175,14 @@ class ArrivalQueue:
                         target_vc.port,
                         target_vc.vc_index,
                     )
+            else:
+                # ``accept_flit`` for a body flit.  Its packet holds the
+                # VC, so the router was re-armed for this cycle when its
+                # last visit found the VC bound: no wake needed.
+                if target_vc.incoming > 0:
+                    target_vc.incoming -= 1
+                target_vc.flits_present += 1
+                target_vc.flits_received += 1
             if faults is not None:
                 # Link-traversal fault hook: payload corruption strikes a
                 # flit as it lands in the downstream buffer.

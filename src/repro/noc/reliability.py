@@ -192,7 +192,7 @@ class ReliabilityLayer:
         traffic only; acks and same-tile transfers ride unprotected)."""
         if packet.ptype is PacketType.ACK or packet.src == packet.dst:
             return
-        flow = (packet.src, packet.dst, packet.ptype.vnet)
+        flow = (packet.src, packet.dst, packet.vnet)
         seq = self._next_seq.get(flow, 0)
         self._next_seq[flow] = seq + 1
         packet.seq = seq
@@ -279,7 +279,7 @@ class ReliabilityLayer:
         """
         if packet.seq < 0:
             return False
-        flow = (packet.src, packet.dst, packet.ptype.vnet)
+        flow = (packet.src, packet.dst, packet.vnet)
         entry = self._entries.get(flow, {}).get(packet.seq)
         if entry is None:
             return False
@@ -306,7 +306,7 @@ class ReliabilityLayer:
             return False
         if packet.seq < 0:
             return True  # unprotected (local or pre-attach) traffic
-        flow = (packet.src, packet.dst, packet.ptype.vnet)
+        flow = (packet.src, packet.dst, packet.vnet)
         if payload_crc(packet) != packet.crc:
             self.stats.crc_rejections += 1
             if self.network.tracer is not None:

@@ -13,7 +13,15 @@ from typing import Dict
 
 @dataclass
 class NetworkStats:
-    """Aggregate NoC event counts for one simulation."""
+    """Aggregate NoC event counts for one simulation.
+
+    Two of the energy model's counters are derived, not counted: a switch
+    grant reads one flit out of an input buffer and moves it across the
+    crossbar, so ``buffer_reads`` and ``crossbar_flits`` are read-only
+    views of ``sa_grants``.  Being properties, they are not dataclass
+    fields (``dataclasses.asdict`` omits them); the ``network`` counter
+    group and the energy model read all three names.
+    """
 
     cycles: int = 0
     packets_injected: int = 0
@@ -22,8 +30,6 @@ class NetworkStats:
     flits_ejected: int = 0
     link_flits: int = 0
     buffer_writes: int = 0
-    buffer_reads: int = 0
-    crossbar_flits: int = 0
     va_grants: int = 0
     sa_grants: int = 0
     sa_losses: int = 0
@@ -57,6 +63,16 @@ class NetworkStats:
             self.latency_by_type.get(ptype, 0) + latency
         )
         self.count_by_type[ptype] = self.count_by_type.get(ptype, 0) + 1
+
+    @property
+    def buffer_reads(self) -> int:
+        """Flits read out of an input buffer: one per switch grant."""
+        return self.sa_grants
+
+    @property
+    def crossbar_flits(self) -> int:
+        """Flits across the crossbar: one per switch grant."""
+        return self.sa_grants
 
     @property
     def avg_packet_latency(self) -> float:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.component import Component
@@ -102,8 +103,7 @@ class _Scheduled:
         }
 
 
-def _reg_order(reg: _Scheduled) -> int:
-    return reg.order
+_reg_order = attrgetter("order")
 
 
 def _per_phase(table: Dict[Tuple[str, str], float]) -> Dict[str, float]:
