@@ -4,15 +4,23 @@ The L1 holds raw (uncompressed) lines in MSI states — the paper's schemes
 never compress L1 contents (the MSHR receives decompressed blocks).  The
 surrounding tile handles all messaging; the L1 itself is a synchronous
 structure with ``access`` / ``fill`` / ``invalidate`` operations.
+
+A store leaves the line's bytes pending: the line records the store's
+version of the workload's :class:`~repro.workloads.corpus.ValuePool`, and
+``L1Line.data`` generates the bytes when first read (by a writeback or a
+recall).  A later store to the line replaces the version unread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cache.mshr import MSHRFile
 from repro.cache.replacement import LRUPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.corpus import ValuePool
 
 # L1 line states (MSI; E/O omitted — see DESIGN.md protocol simplification).
 STATE_S = "S"
@@ -24,12 +32,33 @@ MISS = "miss"
 UPGRADE = "upgrade"  # write hit on a Shared line: needs a GETX round
 
 
-@dataclass
 class L1Line:
-    addr: int
-    state: str
-    data: bytes
-    dirty: bool = False
+    """One resident line.
+
+    ``data`` reads as the line's bytes.  After a store they are pending:
+    the line holds the store's version of ``pool`` and generates the bytes
+    on the first read of ``data``, which is the same value an eager store
+    would have written (a version's content is a pure function of the
+    pool's seed, the address and the version).
+    """
+
+    __slots__ = ("addr", "state", "dirty", "_data", "_pool", "_version")
+
+    def __init__(self, addr: int, state: str, data: bytes):
+        self.addr = addr
+        self.state = state
+        self.dirty = False
+        self._data: Optional[bytes] = data
+        self._pool: Optional["ValuePool"] = None
+        self._version = 0
+
+    @property
+    def data(self) -> bytes:
+        data = self._data
+        if data is None:
+            assert self._pool is not None
+            data = self._data = self._pool.value(self.addr, self._version)
+        return data
 
 
 @dataclass
@@ -76,7 +105,7 @@ class L1Cache:
         """Attempt an access; returns HIT, MISS or UPGRADE.
 
         On HIT the LRU state is updated and, for writes, the line moves to
-        M/dirty (the caller commits the new value via :meth:`write_data`).
+        M/dirty (the caller commits the new value via :meth:`commit_store`).
         MISS/UPGRADE leave the miss handling (MSHR, messaging) to the tile.
         """
         if is_write:
@@ -96,12 +125,15 @@ class L1Cache:
             line.dirty = True
         return HIT
 
-    def write_data(self, addr: int, data: bytes) -> None:
-        """Commit a store's value into a resident M line."""
+    def commit_store(self, addr: int, pool: "ValuePool", version: int) -> None:
+        """Commit a store into a resident M line: its value becomes
+        ``version`` of ``pool``'s line, pending until ``data`` is read."""
         line = self.lookup(addr)
         if line is None or line.state != STATE_M:
             raise RuntimeError(f"store commit to non-M line {addr:#x}")
-        line.data = data
+        line._data = None
+        line._pool = pool
+        line._version = version
         line.dirty = True
 
     # -- fill / eviction --------------------------------------------------------

@@ -1,10 +1,12 @@
 """Core-side tile controller: drives the core, owns the L1, talks MSI.
 
 The tile issues the core's trace accesses into the L1, turns misses into
-GETS/GETX rounds to the home bank, commits store values (drawn from the
-workload's :class:`~repro.workloads.corpus.ValuePool`, so real data flows
-through the system), answers invalidations and recalls, and emits dirty
-writebacks on eviction.
+GETS/GETX rounds to the home bank, commits stores, answers invalidations
+and recalls, and emits dirty writebacks on eviction.  A store advances the
+line's version in the workload's :class:`~repro.workloads.corpus.ValuePool`;
+the version's bytes are generated only when a writeback or a recall reads
+``L1Line.data``, so real data flows through the system without paying for
+values that the next store overwrites.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ class Tile:
         )
 
     def _commit_store(self, addr: int) -> None:
-        """A store retires: the line takes its next trace value."""
-        new_value = self.system.pool.fresh_write_value(addr)
-        self.l1.write_data(addr, new_value)
+        """A store retires: the line takes its next version (bytes pending)."""
+        pool = self.system.pool
+        self.l1.commit_store(addr, pool, pool.store(addr))
 
     # -- inbound protocol messages --------------------------------------------------
     def handle(self, msg: Message, packet: Optional["Packet"] = None) -> None:

@@ -7,10 +7,12 @@ cache line to a smaller encoding.  This module defines that plug-in contract.
 
 from __future__ import annotations
 
+import struct
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Tuple
 
 
 @dataclass(frozen=True)
@@ -239,29 +241,46 @@ class CachedCompressor(CompressionAlgorithm):
         return result
 
 
-def words32(line: bytes) -> list:
-    """Split a line into little-endian unsigned 32-bit words."""
-    return [
-        int.from_bytes(line[i : i + 4], "little") for i in range(0, len(line), 4)
-    ]
+#: ``struct`` code of each field width it can unpack (unsigned; the
+#: lower-case code is the signed one).
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def from_words32(words: list) -> bytes:
-    """Inverse of :func:`words32`."""
-    return b"".join(w.to_bytes(4, "little") for w in words)
+@lru_cache(maxsize=None)
+def _unpacker(
+    width: int, count: int, signed: bool
+) -> Callable[[bytes], Tuple[int, ...]]:
+    code = _STRUCT_CODES[width]
+    return struct.Struct(f"<{count}{code.lower() if signed else code}").unpack
 
 
-def chunks(line: bytes, width: int) -> list:
-    """Split a line into little-endian unsigned ``width``-byte integers."""
-    return [
-        int.from_bytes(line[i : i + width], "little")
-        for i in range(0, len(line), width)
-    ]
+def chunks(line: bytes, width: int, signed: bool = False) -> Tuple[int, ...]:
+    """Split a line into little-endian ``width``-byte integers (unsigned,
+    or two's complement with ``signed``); a short tail is its own chunk.
+    The one unpacker behind every compressor's chunk, word and symbol
+    views: a compiled ``struct`` unpack for 1-, 2-, 4- and 8-byte fields."""
+    count, tail = divmod(len(line), width)
+    if tail or width not in _STRUCT_CODES:
+        return tuple(
+            int.from_bytes(line[i : i + width], "little", signed=signed)
+            for i in range(0, len(line), width)
+        )
+    return _unpacker(width, count, signed)(line)
 
 
-def from_chunks(values: list, width: int) -> bytes:
+def from_chunks(values: Iterable[int], width: int) -> bytes:
     """Inverse of :func:`chunks`."""
     return b"".join(v.to_bytes(width, "little") for v in values)
+
+
+def words32(line: bytes) -> Tuple[int, ...]:
+    """Split a line into little-endian unsigned 32-bit words."""
+    return chunks(line, 4)
+
+
+def from_words32(words: Iterable[int]) -> bytes:
+    """Inverse of :func:`words32`."""
+    return from_chunks(words, 4)
 
 
 def signed_fits(value: int, nbytes: int) -> bool:

@@ -13,6 +13,14 @@ width) run in parallel and a selection stage keeps the smallest encoding
 (Fig. 4a, "compressor selection logic").  Degenerate lines (all-zero,
 repeated chunk) get dedicated tiny encodings.
 
+A unit's encoded size is fixed by its geometry alone — header, one base,
+and a select bit plus a delta per remaining chunk — so the smallest
+encoding is the first *fitting* unit in ascending size order.  The
+software encoder tries the units in that order and stops at the first
+whose deltas all fit, instead of encoding every unit and comparing.  Ties
+go to the special encodings, then to the order of ``units``, exactly as
+the selection logic's strict "smaller wins" scan keeps them.
+
 :class:`SeparateDeltaSession` implements the paper's *separate compression*
 for wormhole flow control (§3.3-A): flits of a packet that arrive in
 different cycles are compressed incrementally against persistent base
@@ -22,7 +30,7 @@ registers, and the partial encodings concatenate without zero bubbles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.compression.base import (
     CompressionAlgorithm,
@@ -76,53 +84,77 @@ class DeltaCompressor(CompressionAlgorithm):
             if delta_w >= base_w:
                 raise ValueError("delta width must be narrower than base width")
         self.units = tuple(units)
+        #: ``(size_bits, base_w, delta_w)`` per unit, ascending by size; the
+        #: sort is stable, so equal sizes keep ``units`` order.
+        self._by_size = sorted(
+            (
+                (
+                    _HEADER_BITS
+                    + 8 * base_w
+                    + (line_size // base_w - 1) * (1 + 8 * delta_w),
+                    base_w,
+                    delta_w,
+                )
+                for base_w, delta_w in self.units
+            ),
+            key=lambda unit: unit[0],
+        )
+        self._zero_line = bytes(line_size)
 
     # -- encoding ----------------------------------------------------------
     def _encode(self, line: bytes) -> Tuple[int, Any]:
         special = self._encode_special(line)
-        best_bits, best_payload = special if special else (1 << 62, None)
-        for base_w, delta_w in self.units:
-            encoded = self._encode_unit(line, base_w, delta_w)
-            if encoded is not None and encoded[0] < best_bits:
-                best_bits, best_payload = encoded
-        if best_payload is None:
-            # No unit applies: report raw size so compress() stores raw.
-            return 8 * len(line), line
-        return best_bits, best_payload
+        views: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        for size_bits, base_w, delta_w in self._by_size:
+            if special is not None and size_bits >= special[0]:
+                break  # no unit left can be strictly smaller
+            view = views.get(base_w)
+            if view is None:
+                view = views[base_w] = (
+                    chunks(line, base_w),
+                    chunks(line, base_w, signed=True),
+                )
+            payload = self._encode_unit(view[0], view[1], base_w, delta_w)
+            if payload is not None:
+                return size_bits, payload
+        if special is not None:
+            return special
+        # No unit applies: report raw size so compress() stores raw.
+        return 8 * len(line), line
 
     def _encode_special(self, line: bytes) -> Optional[Tuple[int, Any]]:
         """All-zero and repeated-chunk lines collapse to a header (+value)."""
-        if line == b"\x00" * len(line):
+        if line == self._zero_line:
             return _HEADER_BITS, ("zero",)
         first = line[:8]
         if line == first * (len(line) // 8):
             return _HEADER_BITS + 64, ("repeat", int.from_bytes(first, "little"))
         return None
 
+    @staticmethod
     def _encode_unit(
-        self, line: bytes, base_w: int, delta_w: int
-    ) -> Optional[Tuple[int, Any]]:
-        values = chunks(line, base_w)
+        values: Sequence[int], signed: Sequence[int], base_w: int, delta_w: int
+    ) -> Optional[_DeltaPayload]:
+        """One unit's encoding of a line split into ``base_w``-byte chunks
+        (``values``; ``signed`` is each chunk's delta from the zero base),
+        or None if some chunk's delta fits neither base.  A chunk takes
+        the first-chunk base unless only the zero base fits it or the zero
+        base's delta is smaller."""
         base = values[0]
+        bound = 1 << (8 * delta_w - 1)
         entries: List[Tuple[int, int]] = []
-        for value in values[1:]:
-            d_base = value - base
-            d_zero = to_signed(value, base_w)
-            if signed_fits(d_base, delta_w) and (
-                not signed_fits(d_zero, delta_w) or abs(d_base) <= abs(d_zero)
+        for i in range(1, len(values)):
+            d_base = values[i] - base
+            d_zero = signed[i]
+            if -bound <= d_base < bound and (
+                not -bound <= d_zero < bound or abs(d_base) <= abs(d_zero)
             ):
                 entries.append((0, d_base))
-            elif signed_fits(d_zero, delta_w):
+            elif -bound <= d_zero < bound:
                 entries.append((1, d_zero))
             else:
                 return None
-        size_bits = (
-            _HEADER_BITS
-            + 8 * base_w
-            + len(entries) * (1 + 8 * delta_w)
-        )
-        payload = _DeltaPayload(base_w, delta_w, base, tuple(entries))
-        return size_bits, payload
+        return _DeltaPayload(base_w, delta_w, base, tuple(entries))
 
     # -- decoding ----------------------------------------------------------
     def _decode(self, payload: Any) -> bytes:

@@ -29,7 +29,7 @@ import itertools
 from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.compression.base import CompressionAlgorithm
+from repro.compression.base import CompressionAlgorithm, chunks, from_chunks
 
 #: Escape marker kept distinct from any half-word value.
 _ESCAPE = -1
@@ -41,14 +41,12 @@ _SYM_BITS = 8 * _SYM_BYTES
 
 def _symbols(line: bytes):
     """Split a line into little-endian unsigned 16-bit half-words."""
-    return [
-        int.from_bytes(line[i : i + _SYM_BYTES], "little")
-        for i in range(0, len(line), _SYM_BYTES)
-    ]
+    return chunks(line, _SYM_BYTES)
 
 
 def _from_symbols(symbols) -> bytes:
-    return b"".join(s.to_bytes(_SYM_BYTES, "little") for s in symbols)
+    return from_chunks(symbols, _SYM_BYTES)
+
 
 #: Cap on distinct codebook symbols (the hardware uses a bounded table).
 _DEFAULT_CODEBOOK_SIZE = 1024

@@ -98,7 +98,6 @@ class InputVC:
         "out_vc_class",
         "out_vc",
         "engine_job",
-        "wait_cycles",
         "credit_debt",
         "wedged_until",
     )
@@ -127,7 +126,6 @@ class InputVC:
         self.out_vc_class: Optional[int] = None
         self.out_vc: Optional["InputVC"] = None
         self.engine_job = None  # set by the DISCO engine
-        self.wait_cycles = 0
         #: Credits destroyed by an injected fault (repro.faults): the
         #: sender-visible credit count shrinks until the resync restores
         #: them, squeezing throughput without corrupting occupancy.
@@ -172,7 +170,6 @@ class InputVC:
             self.state = VC_ROUTING
             self.flits_received = 0
             self.flits_sent = 0
-            self.wait_cycles = 0
         self.flits_present += 1
         self.flits_received += 1
 
@@ -211,7 +208,6 @@ class InputVC:
         self.out_vc_class = None
         self.out_vc = None
         self.engine_job = None
-        self.wait_cycles = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -430,7 +426,6 @@ class Router:
                     t.depth - t.flits_present - t.incoming - t.credit_debt
                 ) > 0
             if not ok:
-                vc.wait_cycles += 1
                 if blocked is None:
                     blocked = [vc]
                 else:
@@ -496,8 +491,6 @@ class Router:
 
         if losers is not None:
             network.stats.sa_losses += len(losers)
-            for vc in losers:
-                vc.wait_cycles += 1
         if self._sa_hook:
             if blocked is not None:
                 losers = blocked if losers is None else losers + blocked
@@ -619,7 +612,6 @@ class Router:
                 continue
             target = self._allocate_downstream_vc(vc, packet)
             if target is None:
-                vc.wait_cycles += 1
                 if waiting is None:
                     waiting = [vc]
                 else:

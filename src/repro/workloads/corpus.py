@@ -5,6 +5,13 @@ ratios).  A :class:`ValuePool` deterministically assigns every line address
 a value drawn from the benchmark profile's pattern mix, and evolves it on
 writes, so two simulation runs of the same (profile, seed) see bit-identical
 data no matter which scheme is being simulated.
+
+Values are made on demand.  Version ``v`` of line ``addr`` is a pure
+function of ``(seed, addr, v)``; a store only advances the line's version
+(:meth:`ValuePool.store`), and the bytes are generated the first time
+something reads them (:meth:`ValuePool.line`, :meth:`ValuePool.value`).
+Most store values are overwritten by the next store to the line before
+anything reads them, so most are never generated.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ _MIX = 0x9E3779B97F4A7C15
 class ValuePool:
     """Deterministic value store backing a synthetic workload.
 
-    ``line(addr)`` returns the current 64-byte content of a line address;
-    ``fresh_write_value(addr)`` returns the next value a store writes there
-    (drawn from the same pattern family, so written-back data keeps the
-    benchmark's compressibility).
+    ``line(addr)`` returns the current (latest-version) 64-byte content of
+    a line address; ``store(addr)`` advances the line's version (a store)
+    and returns it; ``value(addr, version)`` returns any version's content.
+    Every version is drawn from the line's pattern family, so written-back
+    data keeps the benchmark's compressibility.
     """
 
     def __init__(
@@ -38,10 +46,13 @@ class ValuePool:
         self.seed = seed
         self.line_size = line_size
         self._mix = profile.normalized_mix()
+        #: Latest version per stored-to address (absent: version 0).
         self._versions: Dict[int, int] = {}
+        #: Content of the latest version, for the addresses read since
+        #: their last store.
         self._current: Dict[int, bytes] = {}
         #: Pattern per address: a pure function of (seed, addr), drawn
-        #: once instead of on every store (a cache).
+        #: once instead of on every generation (a cache).
         self._patterns: Dict[int, str] = {}
 
     def _pattern_for(self, addr: int) -> str:
@@ -65,20 +76,28 @@ class ValuePool:
         return generate_line(pattern, rng, self.line_size)
 
     def line(self, addr: int) -> bytes:
-        """Current content of line ``addr``."""
+        """Current content of line ``addr`` (its latest version)."""
         cached = self._current.get(addr)
         if cached is None:
-            cached = self._generate(addr, 0)
+            cached = self._generate(addr, self._versions.get(addr, 0))
             self._current[addr] = cached
         return cached
 
-    def fresh_write_value(self, addr: int) -> bytes:
-        """Advance the line's version (a store) and return the new value."""
+    def store(self, addr: int) -> int:
+        """Advance the line's version (a store) and return the new version.
+
+        Nothing is generated: the version's bytes are made when first read.
+        """
         version = self._versions.get(addr, 0) + 1
         self._versions[addr] = version
-        value = self._generate(addr, version)
-        self._current[addr] = value
-        return value
+        self._current.pop(addr, None)
+        return version
+
+    def value(self, addr: int, version: int) -> bytes:
+        """Content of ``version`` of line ``addr``."""
+        if version == self._versions.get(addr, 0):
+            return self.line(addr)
+        return self._generate(addr, version)
 
     def sample(self, n: int, seed: int = 0) -> List[bytes]:
         """``n`` representative lines (for SC²/FVC training, Table 1)."""

@@ -12,6 +12,14 @@ from repro.cache import (
     MSHRFile,
 )
 from repro.cache.l1 import HIT, MISS, STATE_M, STATE_S, UPGRADE
+from repro.workloads import ValuePool, get_profile
+
+
+def commit_store(l1, addr):
+    """Commit a store of the next value of ``addr``; returns the pool."""
+    pool = ValuePool(get_profile("dedup"), seed=3)
+    l1.commit_store(addr, pool, pool.store(addr))
+    return pool
 
 
 class TestLRU:
@@ -172,18 +180,18 @@ class TestL1:
         l1 = self.make()
         l1.fill(0, b"\x01" * 64, STATE_M)
         assert l1.access(0, True) == HIT
-        l1.write_data(0, b"\x02" * 64)
+        commit_store(l1, 0)
         assert l1.lookup(0).dirty
 
     def test_eviction_returns_dirty_m_victim(self):
         l1 = self.make()
         l1.fill(0, b"\x01" * 64, STATE_M)
         l1.access(0, True)
-        l1.write_data(0, b"\x09" * 64)
+        pool = commit_store(l1, 0)
         l1.fill(2, b"\x02" * 64, STATE_S)  # same set (2 % 2 == 0)
         victim = l1.fill(4, b"\x03" * 64, STATE_S)
         assert victim is not None and victim.addr == 0
-        assert victim.data == b"\x09" * 64
+        assert victim.data == pool.line(0) != b"\x01" * 64
 
     def test_clean_victims_dropped_silently(self):
         l1 = self.make()
@@ -203,7 +211,7 @@ class TestL1:
         l1 = self.make()
         l1.fill(0, b"\x01" * 64, STATE_S)
         with pytest.raises(RuntimeError):
-            l1.write_data(0, b"\x02" * 64)
+            commit_store(l1, 0)
 
     def test_bad_fill_state(self):
         with pytest.raises(ValueError):

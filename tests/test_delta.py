@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.compression.delta import (
     DeltaCompressor,
     SeparateDeltaSession,
+    _DeltaPayload,
     _HEADER_BITS,
 )
 
@@ -151,3 +152,155 @@ class TestSeparateDeltaSession:
         session.feed(line[:24])
         session.feed(line[24:])
         assert session.reconstruct() == line
+
+
+# -- first-fit encoder vs the exhaustive oracle ------------------------------
+
+#: The default units plus equal-size pairs for 64-byte lines:
+#: (2,1) and (8,4) both take 299 bits, (4,3) and (8,6) both 411.
+TIED_UNITS = ((8, 1), (8, 2), (8, 4), (4, 1), (4, 2), (2, 1), (4, 3), (8, 6))
+
+
+def exhaustive_encode(line, units):
+    """The selection logic as specified: encode the line with every unit,
+    keep the strictly smallest (ties to the special encodings, then to
+    ``units`` order)."""
+
+    def fits(value, nbytes):
+        return -(1 << (8 * nbytes - 1)) <= value < 1 << (8 * nbytes - 1)
+
+    best_bits, best_payload = 1 << 62, None
+    if line == b"\x00" * len(line):
+        best_bits, best_payload = _HEADER_BITS, ("zero",)
+    elif line == line[:8] * (len(line) // 8):
+        best_bits = _HEADER_BITS + 64
+        best_payload = ("repeat", int.from_bytes(line[:8], "little"))
+    for base_w, delta_w in units:
+        values = [
+            int.from_bytes(line[i : i + base_w], "little")
+            for i in range(0, len(line), base_w)
+        ]
+        base = values[0]
+        entries = []
+        for value in values[1:]:
+            d_base = value - base
+            d_zero = int.from_bytes(
+                value.to_bytes(base_w, "little"), "little", signed=True
+            )
+            if fits(d_base, delta_w) and (
+                not fits(d_zero, delta_w) or abs(d_base) <= abs(d_zero)
+            ):
+                entries.append((0, d_base))
+            elif fits(d_zero, delta_w):
+                entries.append((1, d_zero))
+            else:
+                break
+        else:
+            size = _HEADER_BITS + 8 * base_w + len(entries) * (1 + 8 * delta_w)
+            if size < best_bits:
+                best_bits = size
+                best_payload = _DeltaPayload(
+                    base_w, delta_w, base, tuple(entries)
+                )
+    if best_payload is None:
+        return 8 * len(line), line
+    return best_bits, best_payload
+
+
+def edge_lines(base_w, delta_w, line_size=64):
+    """Lines whose deltas sit at and just past the unit's signed bounds,
+    from the first-chunk base and from the zero base."""
+    bound = 1 << (8 * delta_w - 1)
+    mask = (1 << (8 * base_w)) - 1
+    n = line_size // base_w
+    base = (0x5A5A_5A5A_5A5A_5A5A & mask) | (1 << (8 * base_w - 2))
+    for delta in (-bound - 1, -bound, -1, 1, bound - 1, bound):
+        from_base = [base] + [(base + delta) & mask] * (n - 1)
+        from_zero = [base] + [delta & mask] * (n - 1)
+        mixed = [base] + [
+            (base + delta if i % 2 else delta) & mask for i in range(1, n)
+        ]
+        for values in (from_base, from_zero, mixed):
+            yield b"".join(v.to_bytes(base_w, "little") for v in values)
+
+
+def _delta_lines(width):
+    """Hypothesis lines of ``width``-byte chunks near one base or zero."""
+    mask = (1 << (8 * width)) - 1
+    n = 64 // width
+    deltas = st.one_of(
+        st.integers(-(2**7) - 2, 2**7 + 2),
+        st.integers(-(2**15) - 2, 2**15 + 2),
+        st.integers(-(2**31) - 2, 2**31 + 2),
+    )
+
+    def build(base, pairs):
+        values = [base] + [
+            ((0 if from_zero else base) + delta) & mask
+            for delta, from_zero in pairs
+        ]
+        return b"".join(v.to_bytes(width, "little") for v in values)
+
+    return st.builds(
+        build,
+        st.integers(0, mask),
+        st.lists(st.tuples(deltas, st.booleans()), min_size=n - 1,
+                 max_size=n - 1),
+    )
+
+
+HYPOTHESIS_LINES = st.one_of(
+    st.binary(min_size=64, max_size=64),
+    _delta_lines(8),
+    _delta_lines(4),
+    _delta_lines(2),
+)
+
+
+def shuffled(units, seed):
+    order = list(units)
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
+class TestFirstFitMatchesExhaustive:
+    @given(HYPOTHESIS_LINES)
+    @settings(max_examples=300, deadline=None)
+    def test_default_units(self, line):
+        algo = DeltaCompressor()
+        assert algo._encode(line) == exhaustive_encode(line, algo.units)
+
+    @given(HYPOTHESIS_LINES, st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_shuffled_units_with_ties(self, line, seed):
+        units = shuffled(TIED_UNITS, seed)
+        algo = DeltaCompressor(units=units)
+        assert algo._encode(line) == exhaustive_encode(line, units)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("base_w, delta_w", TIED_UNITS)
+    def test_bound_edges(self, base_w, delta_w, seed):
+        units = shuffled(TIED_UNITS, seed)
+        algos = (DeltaCompressor(), DeltaCompressor(units=units))
+        for line in edge_lines(base_w, delta_w):
+            for algo in algos:
+                assert algo._encode(line) == exhaustive_encode(
+                    line, algo.units
+                )
+
+    def test_equal_size_units_keep_units_order(self):
+        # 16-bit values [a, b, 0, 0] per 8-byte chunk: (2,1) and (8,4)
+        # fit at 299 bits each; nothing smaller fits.
+        rng = random.Random(4)
+        halves = []
+        for _ in range(8):
+            halves += [rng.randrange(128), rng.randrange(1, 128), 0, 0]
+        line = b"".join(h.to_bytes(2, "little") for h in halves)
+        for units, winner in (
+            (((2, 1), (8, 4)), (2, 1)),
+            (((8, 4), (2, 1)), (8, 4)),
+        ):
+            size, payload = DeltaCompressor(units=units)._encode(line)
+            assert size == 299
+            assert (payload.base_width, payload.delta_width) == winner
+            assert (size, payload) == exhaustive_encode(line, units)

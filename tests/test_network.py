@@ -5,6 +5,7 @@ import pytest
 from repro.noc import Network, NocConfig
 from repro.noc.config import FlowControl
 from repro.noc.flit import Packet, PacketType
+from repro.noc.network import ArrivalQueue
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 
 
@@ -141,24 +142,28 @@ class TestFlowControlVariants:
 
 
 class TestVirtualNetworks:
-    def test_vnet_separation(self):
+    def test_vnet_separation(self, monkeypatch):
         """Responses and requests use disjoint VC classes."""
         network = make_network()
         seen_vcs = {0: set(), 1: set()}
-        original = Network.schedule_arrival
+        original = ArrivalQueue.schedule
 
-        def spy(self, delay, target_vc, packet, is_head, is_tail):
+        # Every link hop a router sends goes through the arrival queue.
+        def spy(self, due, target_vc, packet, is_head, is_tail):
             seen_vcs[packet.ptype.vnet].add(target_vc.vc_index)
-            original(self, delay, target_vc, packet, is_head, is_tail)
+            original(self, due, target_vc, packet, is_head, is_tail)
 
-        network.schedule_arrival = spy.__get__(network)
+        monkeypatch.setattr(ArrivalQueue, "schedule", spy)
         packets = [
             Packet(PacketType.REQUEST, 0, 15),
             Packet(PacketType.RESPONSE, 0, 15, line=b"\x00" * 64),
         ]
         send_and_drain(network, packets)
-        assert seen_vcs[0] <= {0}
-        assert seen_vcs[1] <= {1}
+        assert PacketType.REQUEST.vnet == 0 and PacketType.RESPONSE.vnet == 1
+        assert seen_vcs[0] and seen_vcs[1]
+        assert not seen_vcs[0] & seen_vcs[1]
+        for vnet, vcs in seen_vcs.items():
+            assert vcs == set(network.config.vnet_vcs(vnet))
 
 
 class TestQuiescence:

@@ -148,10 +148,11 @@ class TestWritebackBookkeeping:
         for i in range(4):
             tile.l1.fill(i * 32, b"\x01" * 64, "M")
             tile.l1.access(i * 32, True)
-            tile.l1.write_data(i * 32, b"\x02" * 64)
+            tile.l1.commit_store(i * 32, system.pool, system.pool.store(i * 32))
         tile.l1.mshr.allocate(4 * 32, False, cycle=99)
         tile.core.outstanding += 1
         tile.handle(data_msg(4 * 32, dst=1, grant="S"))
         wbs = [m for m in system.sent if m.kind is MessageKind.WB_DATA]
         assert len(wbs) == 1
         assert wbs[0].addr in tile._wb_in_flight
+        assert wbs[0].data == system.pool.line(wbs[0].addr)

@@ -107,14 +107,16 @@ class TestValuePool:
     def test_write_advances_version(self):
         pool = ValuePool(get_profile("dedup"), seed=3)
         pool.line(5)
-        updated = pool.fresh_write_value(5)
+        version = pool.store(5)
+        assert version == 1
+        updated = pool.value(5, version)
         assert pool.line(5) == updated
-        again = pool.fresh_write_value(5)
+        again = pool.value(5, pool.store(5))
         assert pool.line(5) == again
         # versions are deterministic too
         pool_b = ValuePool(get_profile("dedup"), seed=3)
         pool_b.line(5)
-        assert pool_b.fresh_write_value(5) == updated
+        assert pool_b.value(5, pool_b.store(5)) == updated
 
     def test_sample_sizes(self):
         pool = ValuePool(get_profile("vips"), seed=1)
