@@ -201,16 +201,15 @@ class EventQueue:
     def has_work(self) -> bool:
         return bool(self._events)
 
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Idleness contract: sleep until the earliest scheduled event
-        (:meth:`CmpSystem.schedule` wakes the queue for new deadlines)."""
-        return self._events[0][0] if self._events else None
-
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> Optional[int]:
+        """Run every event due by ``cycle``, then sleep until the earliest
+        one left (:meth:`CmpSystem.schedule` wakes the queue for new
+        deadlines)."""
         events = self._events
         while events and events[0][0] <= cycle:
             _, _, fn, args = heapq.heappop(events)
             fn(*args)
+        return events[0][0] if events else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EventQueue({len(self._events)} scheduled)"

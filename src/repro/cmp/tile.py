@@ -44,34 +44,32 @@ class Tile:
 
     # -- per-cycle issue ---------------------------------------------------------
     def has_work(self) -> bool:
-        """Kernel idle test: tick until the core has recorded its finish
-        (the finish marker is set inside ``tick``, so the tile stays
-        schedulable for the cycle that records it)."""
+        """Idle predicate: the core has not recorded its finish yet."""
         return self.core.stats.finished_cycle < 0
 
-    def tick(self, cycle: int) -> None:
-        while self.core.can_issue(cycle):
-            if not self._issue_one(cycle):
-                break
-        if self.core.trace_exhausted() and self.core.outstanding == 0:
-            self.core.finished(cycle)
-
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Idleness contract: sleep between memory events.
+    def tick(self, cycle: int) -> Optional[int]:
+        """Issue what the core can this cycle, then return the next cycle
+        the tile needs.
 
         While the core can still attempt issue (trace left, miss window
-        open) the tile stays scheduled — at the core's next issue cycle,
-        or every cycle while an MSHR-full stall is polling (so
-        ``stall_cycles`` counts match the tick-everything loop exactly).
-        Otherwise it is waiting on fills (or finished): deliveries wake
-        it via :meth:`CmpSystem._on_packet`.
+        open) that is the core's next issue cycle, or the next cycle while
+        an MSHR-full stall is polling (so ``stall_cycles`` counts match
+        the tick-everything loop exactly).  Otherwise the tile is waiting
+        on fills, or finished, and sleeps: deliveries wake it via
+        :meth:`CmpSystem._on_packet`.
         """
         core = self.core
         if core.stats.finished_cycle >= 0:
             return None
-        if core.position < len(core.trace) and core.outstanding < core.window:
-            nxt = core.next_issue_cycle
-            return nxt if nxt > cycle else cycle + 1
+        while core.can_issue(cycle):
+            if not self._issue_one(cycle):
+                break
+        if core.position < len(core.trace):
+            if core.outstanding < core.window:
+                nxt = core.next_issue_cycle
+                return nxt if nxt > cycle else cycle + 1
+        elif core.outstanding == 0:
+            core.finished(cycle)
         return None
 
     def _issue_one(self, cycle: int) -> bool:

@@ -2,11 +2,18 @@
 
 BDI represents a cache line as one *base* value plus an array of narrow
 deltas, with a second implicit base of zero ("immediate") selected per chunk
-by a bitmask.  Eight geometries (base width x delta width) are attempted in
+by a bitmask.  Six geometries (base width x delta width) are attempted in
 parallel and the smallest valid encoding wins; all-zero and repeated-value
-lines have dedicated encodings.  This is the algorithm family the DISCO
-paper's own delta engine is derived from, and the source of the Table 1
-"BDI" row (1-cycle compression, 1-5 cycle decompression, ratio ~1.57).
+lines have two more, dedicated encodings.  This is the algorithm family the
+DISCO paper's own delta engine is derived from, and the source of the
+Table 1 "BDI" row (1-cycle compression, 1-5 cycle decompression, ratio
+~1.57).
+
+A geometry's size is fixed by its shape — header, one select bit per
+chunk, the base and one delta per chunk — so the encoder tries the
+geometries in ascending size and stops at the first that fits, which is
+the one the parallel selection picks: equal sizes keep the table's order,
+and a special encoding wins whenever it is strictly smaller.
 """
 
 from __future__ import annotations
@@ -36,6 +43,17 @@ _GEOMETRIES: Tuple[Tuple[int, int], ...] = (
 )
 
 
+def _geometry_bits(line_size: int, base_w: int, delta_w: int) -> int:
+    """Encoded size of a ``line_size``-byte line under one geometry."""
+    n = line_size // base_w
+    return (
+        _HEADER_BITS
+        + n  # base-select bitmask
+        + 8 * base_w
+        + 8 * delta_w * n
+    )
+
+
 @dataclass(frozen=True)
 class _BDIPayload:
     base_width: int
@@ -50,18 +68,31 @@ class BDICompressor(CompressionAlgorithm):
 
     name = "bdi"
 
+    def __init__(self, line_size: int = 64):
+        super().__init__(line_size)
+        #: ``(size_bits, base_w, delta_w)`` per geometry that divides the
+        #: line, ascending by size; the sort is stable, so equal sizes
+        #: keep ``_GEOMETRIES`` order.
+        self._by_size = sorted(
+            (
+                (_geometry_bits(line_size, base_w, delta_w), base_w, delta_w)
+                for base_w, delta_w in _GEOMETRIES
+                if line_size % base_w == 0
+            ),
+            key=lambda geometry: geometry[0],
+        )
+
     def _encode(self, line: bytes) -> Tuple[int, Any]:
         special = self._encode_special(line)
-        best_bits, best_payload = special if special else (1 << 62, None)
-        for base_w, delta_w in _GEOMETRIES:
-            if len(line) % base_w:
-                continue
-            encoded = self._encode_geometry(line, base_w, delta_w)
-            if encoded is not None and encoded[0] < best_bits:
-                best_bits, best_payload = encoded
-        if best_payload is None:
-            return 8 * len(line), line
-        return best_bits, best_payload
+        for size_bits, base_w, delta_w in self._by_size:
+            if special is not None and size_bits >= special[0]:
+                break  # no geometry left can be strictly smaller
+            payload = self._encode_geometry(line, base_w, delta_w)
+            if payload is not None:
+                return size_bits, payload
+        if special is not None:
+            return special
+        return 8 * len(line), line
 
     def _encode_special(self, line: bytes) -> Optional[Tuple[int, Any]]:
         if line == b"\x00" * len(line):
@@ -71,9 +102,12 @@ class BDICompressor(CompressionAlgorithm):
             return _HEADER_BITS + 64, ("repeat", int.from_bytes(first, "little"))
         return None
 
+    @staticmethod
     def _encode_geometry(
-        self, line: bytes, base_w: int, delta_w: int
-    ) -> Optional[Tuple[int, Any]]:
+        line: bytes, base_w: int, delta_w: int
+    ) -> Optional[_BDIPayload]:
+        """One geometry's encoding of ``line``, or None if some chunk fits
+        neither the base nor the zero base."""
         values = chunks(line, base_w)
         # Base = first chunk that is not narrow enough to ride the zero base.
         base: Optional[int] = None
@@ -96,14 +130,7 @@ class BDICompressor(CompressionAlgorithm):
                 deltas.append(d_base)
             else:
                 return None
-        size_bits = (
-            _HEADER_BITS
-            + len(values)  # base-select bitmask
-            + 8 * base_w
-            + 8 * delta_w * len(values)
-        )
-        payload = _BDIPayload(base_w, delta_w, base, tuple(mask), tuple(deltas))
-        return size_bits, payload
+        return _BDIPayload(base_w, delta_w, base, tuple(mask), tuple(deltas))
 
     def _decode(self, payload: Any) -> bytes:
         if isinstance(payload, tuple):

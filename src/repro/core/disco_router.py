@@ -42,10 +42,14 @@ class DiscoRouter(Router):
         self.arbitrator = DiscoArbitrator(self, disco, self.engine)
         self._jobs_block = not disco.non_blocking
 
-    def tick(self, cycle: Optional[int] = None) -> None:
+    def tick(self, cycle: int) -> Optional[int]:
         Router.tick(self, cycle)
-        if self.engine.jobs:
-            self.engine.tick(self.network.cycle)
+        engine = self.engine
+        if engine.jobs:
+            engine.tick(cycle)
+        if self._bound or engine.jobs:
+            return cycle + 1
+        return None
 
     def has_work(self) -> bool:
         if self._bound or self.engine.jobs:

@@ -83,7 +83,15 @@ class NetworkInterface:
                 return True
         return False
 
-    def tick(self, cycle: Optional[int] = None) -> None:
+    def tick(self, cycle: int) -> Optional[int]:
+        """Deliver due ejections, advance every vnet's injection stream,
+        and return the next cycle the NI needs.
+
+        That is the next cycle while a stream is open or a queue head is
+        streamable (progress depends on VC/buffer state the NI cannot
+        observe changing); otherwise the earliest ready deadline, or
+        ``None`` to sleep (``inject`` / ``complete_ejection`` wake us).
+        """
         if self._pending_delivery:
             self._deliver_pending()
         streaming = self._streaming
@@ -91,18 +99,11 @@ class NetworkInterface:
         for vnet in range(len(queues)):
             if streaming[vnet] is not None or queues[vnet]:
                 self._advance_stream(vnet)
-
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Idleness contract: poll every cycle while a stream is open or a
-        queue head is streamable (progress depends on VC/buffer state the
-        NI cannot observe changing); otherwise sleep until the earliest
-        ready deadline, or indefinitely (``inject`` /
-        ``complete_ejection`` wake us)."""
-        for stream in self._streaming:
+        for stream in streaming:
             if stream is not None:
                 return cycle + 1
         best: Optional[int] = None
-        for queue in self._queues:
+        for queue in queues:
             if queue:
                 ready = queue[0][0]
                 if ready <= cycle:
@@ -175,8 +176,8 @@ class NetworkInterface:
                 )
         else:
             # ``accept_flit`` for a body flit.  Its packet holds the VC, so
-            # the router's visit this cycle re-armed it for the next: no
-            # wake needed.
+            # the router's visit this cycle asked for the next: no wake
+            # needed.
             if vc.incoming > 0:
                 vc.incoming -= 1
             vc.flits_present += 1
@@ -198,11 +199,9 @@ class NetworkInterface:
         if vc is None:
             return None
         queue.popleft()
+        # A reserved VC gives its router nothing to move: the head flit's
+        # landing wakes it (``_advance_stream``).
         vc.reserved = True
-        # Reservation alone makes the router "busy": wake it so it is
-        # polling when the head flit lands (accept may still be a cycle
-        # away if the buffer is momentarily full).
-        self.network.kernel.wake(vc.router)
         stream = (packet, vc, 0)
         self._streaming[vnet] = stream
         return stream

@@ -38,7 +38,6 @@ A ``router_factory`` lets the DISCO scheme replace the baseline router with
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.noc.config import NocConfig
@@ -74,21 +73,21 @@ def _default_priority(packet: Packet) -> int:
 class ArrivalQueue:
     """Link arrivals scheduled for future cycles (a kernel component).
 
-    Idleness contract: a min-heap over the due cycles backs ``next_wake``,
-    so the queue sleeps between batches; ``schedule`` wakes it for the new
-    due cycle.  When a batch lands, the routers its head flits land in are
-    woken in the same cycle (``net.routers`` sweeps after
-    ``net.arrivals``).  A body flit lands in a VC its packet already
-    holds; a router with a bound VC is busy after every visit, so the
-    kernel has already queued it for this cycle.
+    Every link has the same latency, so batches are created in due order
+    and ``_due``'s first key is always the earliest: the queue sleeps
+    until it, and ``schedule`` wakes it for a new batch.  When a batch
+    lands, the routers its head flits land in are woken in the same
+    cycle (``net.routers`` sweeps after ``net.arrivals``).  A body flit
+    lands in a VC its packet already holds; a router with a bound VC
+    asks for the next cycle after every visit, so the kernel has already
+    queued it for this cycle.
     """
 
-    __slots__ = ("network", "_due", "_due_heap")
+    __slots__ = ("network", "_due")
 
     def __init__(self, network: "Network"):
         self.network = network
         self._due: Dict[int, List[Tuple[InputVC, Packet, bool, bool]]] = {}
-        self._due_heap: List[int] = []
 
     def schedule(
         self,
@@ -98,10 +97,12 @@ class ArrivalQueue:
         is_head: bool,
         is_tail: bool,
     ) -> None:
+        """Launch a flit that lands at ``due``.  Batches must be created
+        in due order (every link has the same latency), so that ``_due``'s
+        first key is its earliest."""
         batch = self._due.get(due)
         if batch is None:
             batch = self._due[due] = []
-            heapq.heappush(self._due_heap, due)
             self.network.kernel.wake(self, due)
         batch.append((target_vc, packet, is_head, is_tail))
 
@@ -146,17 +147,11 @@ class ArrivalQueue:
                     del self._due[due_cycle]
         return removed
 
-    def next_wake(self, cycle: int) -> Optional[int]:
-        heap = self._due_heap
+    def tick(self, cycle: int) -> Optional[int]:
         due = self._due
-        while heap and heap[0] not in due:
-            heapq.heappop(heap)  # batch already delivered (or purged empty)
-        return heap[0] if heap else None
-
-    def tick(self, cycle: int) -> None:
-        arrivals = self._due.pop(cycle, None)
-        if not arrivals:
-            return
+        arrivals = due.pop(cycle, None)
+        if arrivals is None:
+            return next(iter(due), None)
         network = self.network
         network.stats.buffer_writes += len(arrivals)
         faults = network.faults
@@ -177,8 +172,8 @@ class ArrivalQueue:
                     )
             else:
                 # ``accept_flit`` for a body flit.  Its packet holds the
-                # VC, so the router was re-armed for this cycle when its
-                # last visit found the VC bound: no wake needed.
+                # VC, so the router asked for this cycle when its last
+                # visit found the VC bound: no wake needed.
                 if target_vc.incoming > 0:
                     target_vc.incoming -= 1
                 target_vc.flits_present += 1
@@ -187,6 +182,7 @@ class ArrivalQueue:
                 # Link-traversal fault hook: payload corruption strikes a
                 # flit as it lands in the downstream buffer.
                 faults.on_link_flit(cycle, target_vc, packet, is_head)
+        return next(iter(due), None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ArrivalQueue({self.pending()} flits in flight)"
@@ -195,8 +191,8 @@ class ArrivalQueue:
 class LocalDeliveryQueue:
     """Same-tile deliveries waiting out their NI transform latency.
 
-    Idleness contract: sleeps until the earliest ``ready`` cycle
-    (``next_wake``); ``schedule`` wakes it for the new deadline.
+    Sleeps until the earliest ``ready`` cycle; ``schedule`` wakes it for
+    the new deadline.
     """
 
     __slots__ = ("network", "_pending")
@@ -215,12 +211,7 @@ class LocalDeliveryQueue:
     def pending(self) -> int:
         return len(self._pending)
 
-    def next_wake(self, cycle: int) -> Optional[int]:
-        if not self._pending:
-            return None
-        return min(ready for ready, _packet in self._pending)
-
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> Optional[int]:
         remaining = []
         network = self.network
         for ready, packet in self._pending:
@@ -235,6 +226,9 @@ class LocalDeliveryQueue:
             else:
                 remaining.append((ready, packet))
         self._pending = remaining
+        if not remaining:
+            return None
+        return min(ready for ready, _packet in remaining)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LocalDeliveryQueue({len(self._pending)} pending)"
@@ -302,6 +296,12 @@ class Network:
         bandwidth = config.ejection_bandwidth
         self._eject_tokens: List[int] = [bandwidth] * self.topology.n_nodes
         self._eject_spent: List[int] = []
+        #: The start-of-cycle step: it runs in a cycle that follows spent
+        #: ejection tokens (``eject_flit`` wakes it), and every cycle
+        #: while a fault controller is attached.
+        self._frame = CallbackComponent(
+            self._frame_start, label="net.frame", has_work_fn=self._frame_due
+        )
         self._delivery_handler: Optional[DeliveryHandler] = None
         #: Fault-injection controller (:mod:`repro.faults`); ``None`` keeps
         #: every hook a cheap attribute test with zero behavioural impact.
@@ -338,10 +338,7 @@ class Network:
 
     def _register_components(self) -> None:
         kernel = self.kernel
-        kernel.register(
-            CallbackComponent(self._frame_start, label="net.frame"),
-            phase="net.frame",
-        )
+        kernel.register(self._frame, phase="net.frame")
         kernel.register(self.arrival_queue, phase="net.arrivals")
         for router in self.routers:
             kernel.register(router, phase="net.routers")
@@ -366,9 +363,9 @@ class Network:
             kernel.stats.register("recovered", self.recovered.counters)
         if config.telemetry_enabled:
             kernel.stats.register("telemetry", self.telemetry.counters)
-            # Idle-efficiency counters (cycles_total / component_wakes /
-            # wakes_skipped).  Gated with telemetry so the default snapshot
-            # layout — and the golden digests — are unchanged.
+            # Idle-efficiency counters (cycles_total / component_wakes).
+            # Gated with telemetry so the default snapshot layout — and
+            # the golden digests — are unchanged.
             kernel.stats.register("kernel", kernel.kernel_counters)
         if config.trace_packets:
             self.tracer = PacketTracer(
@@ -394,8 +391,10 @@ class Network:
                 f"ring of {config.stats_window_cap} windows"
             )
 
+    def _frame_due(self) -> bool:
+        return bool(self._eject_spent) or self.faults is not None
+
     def _frame_start(self, cycle: int) -> None:
-        self.stats.cycles = cycle
         spent = self._eject_spent
         if spent:
             bandwidth = self.config.ejection_bandwidth
@@ -460,6 +459,7 @@ class Network:
             raise RuntimeError("a fault controller is already attached")
         controller.bind(self)
         self.faults = controller
+        self.kernel.wake(self._frame)
 
     # -- packet movement -------------------------------------------------------
     def route(self, node: int, dst: int):
@@ -520,6 +520,11 @@ class Network:
         is_head: bool,
         is_tail: bool,
     ) -> None:
+        """Put a flit on a link toward ``target_vc``, landing ``delay``
+        cycles from now.  The arrival queue takes batches in the order
+        they were created, so while other flits are in flight the landing
+        must not come before theirs (routers always use the link
+        latency)."""
         self.arrival_queue.schedule(
             self.cycle + delay, target_vc, packet, is_head, is_tail
         )
@@ -529,7 +534,10 @@ class Network:
 
     def eject_flit(self, node: int, packet: Packet, is_tail: bool) -> None:
         self._eject_tokens[node] -= 1
-        self._eject_spent.append(node)
+        spent = self._eject_spent
+        if not spent:
+            self.kernel.wake(self._frame)  # refill at the next cycle's start
+        spent.append(node)
         self.stats.flits_ejected += 1
         if is_tail:
             self.nis[node].complete_ejection(packet)

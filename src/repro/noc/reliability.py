@@ -136,15 +136,10 @@ class ReliabilityLayer:
         self._prune()
         return bool(self._deadlines)
 
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Idleness contract: sleep until the earliest live retransmission
-        deadline (every heappush site also wakes the layer, so a deadline
-        scheduled while asleep is never missed)."""
-        self._prune()
-        return self._deadlines[0][0] if self._deadlines else None
-
-    def tick(self, cycle: int) -> None:
-        """Fire every due retransmission deadline."""
+    def tick(self, cycle: int) -> Optional[int]:
+        """Fire every due retransmission deadline, then sleep until the
+        earliest live one (every heappush site also wakes the layer, so a
+        deadline scheduled while asleep is never missed)."""
         while self._deadlines and self._deadlines[0][0] <= cycle:
             deadline, flow, seq = heapq.heappop(self._deadlines)
             entry = self._entries.get(flow, {}).get(seq)
@@ -169,6 +164,8 @@ class ReliabilityLayer:
                 self.network.kernel.wake(self, entry.next_deadline)
                 continue
             self._retransmit(entry, cycle)
+        self._prune()
+        return self._deadlines[0][0] if self._deadlines else None
 
     def _prune(self) -> None:
         """Drop stale heap heads (entries already acked or rescheduled)."""
@@ -464,18 +461,16 @@ class InvariantMonitor:
     def has_work(self) -> bool:
         return True  # the tick itself is one modulo when off-interval
 
-    def next_wake(self, cycle: int) -> int:
-        """Idleness contract: timed wakeup at the next audit boundary."""
-        return cycle + self.interval - cycle % self.interval
-
-    def tick(self, cycle: int) -> None:
-        if cycle % self.interval:
-            return
-        self.checks_run += 1
-        self._check_credit_conservation(cycle)
-        self._check_flit_conservation(cycle)
-        self._check_vc_states(cycle)
-        self._check_forward_progress(cycle)
+    def tick(self, cycle: int) -> int:
+        """Audit on an interval boundary, then sleep until the next one."""
+        off = cycle % self.interval
+        if not off:
+            self.checks_run += 1
+            self._check_credit_conservation(cycle)
+            self._check_flit_conservation(cycle)
+            self._check_vc_states(cycle)
+            self._check_forward_progress(cycle)
+        return cycle + self.interval - off
 
     def _violate(self, kind: str, detail: str, cycle: int) -> None:
         self.violations_raised += 1

@@ -331,7 +331,8 @@ class Router:
         return total
 
     def has_work(self) -> bool:
-        """Cheap idle test so the network can skip quiescent routers."""
+        """Idle predicate: a bound VC, or a VC reserved or with flits in
+        flight toward it (what ``Network.quiescent`` must wait for)."""
         if self._bound:
             return True
         for vc in self.all_vcs:
@@ -340,7 +341,7 @@ class Router:
         return False
 
     # -- per-cycle pipeline --------------------------------------------------
-    def tick(self, cycle: Optional[int] = None) -> None:
+    def tick(self, cycle: int) -> Optional[int]:
         """One cycle: SA/ST first, then VA, then RC (stage separation).
 
         A single pass over the bound VCs snapshots each stage's work list,
@@ -348,6 +349,10 @@ class Router:
         scans because a VC is in exactly one state at scan time and stage
         processing never moves a VC into an *earlier* stage's set within
         the same cycle.
+
+        Asks for the next cycle while a VC is bound and sleeps otherwise:
+        a router holding only reserved VCs or flits in flight has nothing
+        to move until a head flit lands, and the landing wakes it.
         """
         sa = va = rc = None
         for vc in self._bound:
@@ -377,6 +382,7 @@ class Router:
             self._route_computation(rc)
         if waiting is not None and self._va_hook:
             self._post_vc_allocation(waiting)
+        return cycle + 1 if self._bound else None
 
     # .. stage 3+2b: switch allocation and traversal ..........................
     def _switch_allocation(self, active: List[InputVC]) -> None:

@@ -23,7 +23,6 @@ class NetworkStats:
     group and the energy model read all three names.
     """
 
-    cycles: int = 0
     packets_injected: int = 0
     packets_ejected: int = 0
     flits_injected: int = 0

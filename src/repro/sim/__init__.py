@@ -5,7 +5,8 @@ system) used to hand-roll its own clock and tick loop.  ``repro.sim``
 factors that out:
 
 - :class:`~repro.sim.component.Component` — the protocol a simulatable
-  object implements (``has_work()`` / ``tick(cycle)``);
+  object implements (``tick(cycle)``, which returns the next cycle it
+  needs, and the ``has_work()`` idle predicate);
 - :class:`~repro.sim.kernel.SimKernel` — the global clock plus
   phase-ordered component registration and the single ``step()`` loop;
 - :class:`~repro.sim.stats.StatsRegistry` — named, mergeable counter

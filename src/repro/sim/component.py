@@ -2,23 +2,26 @@
 
 A *component* is anything with per-cycle behaviour: a router, a network
 interface, the arrival queue, a tile, the CMP event queue.  The kernel
-only ever asks two things of it:
+makes one call per visit:
 
-- ``has_work()`` — a cheap idle test.  Every kernel visit re-checks it
-  before ticking (so spurious wakeups are harmless), and the same
-  predicate feeds the kernel's idle/wedge diagnostics.
-- ``tick(cycle)`` — advance one cycle.  The kernel passes the cycle it is
-  executing so components need not reach back into a shared clock.
+- ``tick(cycle)`` — do this cycle's work and return the next cycle the
+  component needs: ``cycle + 1`` while it is busy, a later deadline
+  (a retransmission timer, a sampler boundary, a core's next issue
+  cycle), or ``None`` to sleep until a producer calls
+  :meth:`~repro.sim.kernel.SimKernel.wake`.  A sleeping component must
+  be woken by its producers at every idle→busy transition (a router
+  when a head flit lands, an NI when a packet is injected...).  The
+  kernel passes the cycle it is executing so components need not reach
+  back into a shared clock.
 
-A component may additionally implement the *idleness contract* hook:
+A visit may also be spurious — a stale timed wake, or a wake coalesced
+with work already done — so a tick with nothing to do must change
+nothing and return the right next wake.
 
-- ``next_wake(cycle)`` — called after every visit; returns the next
-  cycle the component needs service, or ``None`` to sleep until a
-  producer calls :meth:`~repro.sim.kernel.SimKernel.wake`.  Without it
-  the default contract applies: busy components are revisited next
-  cycle, idle ones sleep.  Components relying on the default must be
-  woken by their producers at every idle→busy transition (a router when
-  a flit arrives, an NI when a packet is injected...).
+``has_work()`` is the idle predicate: it is never consulted by the
+per-cycle loop, only by the kernel's idle and wedge diagnostics, the
+network's ``quiescent()`` (and through it the CMP fast-forward) and the
+test suite's poll-everything reference kernel.
 
 Purely *reactive* state-holders (NUCA banks, the memory controller — they
 act only when a message or scheduled event calls into them) still register
@@ -38,11 +41,11 @@ class Component(Protocol):
     """Anything the kernel can schedule."""
 
     def has_work(self) -> bool:
-        """Cheap idle test; False lets the kernel skip ``tick`` this cycle."""
+        """Idle predicate for diagnostics; never gates a visit."""
         ...
 
-    def tick(self, cycle: int) -> None:
-        """Advance one cycle."""
+    def tick(self, cycle: int) -> Optional[int]:
+        """Advance one cycle; returns the next cycle needed (or None)."""
         ...
 
 
@@ -50,8 +53,12 @@ class CallbackComponent:
     """Adapt a bare callable into a :class:`Component`.
 
     Useful for per-cycle housekeeping steps that are not objects in their
-    own right (e.g. the network's start-of-cycle token refill).  Runs every
-    cycle unless ``has_work_fn`` is given.
+    own right (e.g. the network's start-of-cycle token refill).  Runs
+    every cycle unless ``has_work_fn`` says it is idle after a run; then
+    it sleeps until woken, so whoever makes ``has_work_fn`` true again
+    must wake it.  Without ``has_work_fn`` it is busy on every visit,
+    which the ledger's per-visit kernel cost loop (``sim.noop_wake_ns``)
+    relies on.
     """
 
     __slots__ = ("label", "_fn", "_has_work_fn")
@@ -71,8 +78,11 @@ class CallbackComponent:
             return self._has_work_fn()
         return True
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> Optional[int]:
         self._fn(cycle)
+        if self._has_work_fn is None or self._has_work_fn():
+            return cycle + 1
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CallbackComponent({self.label})"

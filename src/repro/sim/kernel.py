@@ -8,36 +8,38 @@ events → tiles) is explicit, named, and extensible: a subsystem joins
 the simulation by registering components, not by editing the loop.
 
 Scheduling is **event-driven**: instead of polling every component every
-cycle, the kernel keeps a timestamp-ordered wakeup heap plus per-phase
-active sets.  A component is visited only on cycles it (or a producer
-acting on it) asked for via :meth:`SimKernel.wake`; after every visit it
-is re-armed from its *idleness contract*:
+cycle, the kernel keeps a timestamp-ordered wakeup heap plus one active
+set per phase, an integer bitset keyed by registration order.  A
+component is visited only on cycles it (or a producer acting on it)
+asked for, and a visit is one call: ``tick(cycle)`` does the cycle's
+work and returns the next cycle the component needs:
 
-- a component exposing ``next_wake(cycle)`` names the next cycle it
-  needs service (or ``None`` to sleep until woken) — timed components
-  like the reliability layer's retransmission deadlines or the sampler's
-  interval boundaries;
-- otherwise the default contract applies: busy (``has_work()``) means
-  "visit me again next cycle", idle means sleep until a producer wakes
-  it.
+- ``cycle + 1`` while it is busy — its bit goes straight back into the
+  phase's set, with no heap traffic;
+- a later deadline — retransmission timers, sampler interval
+  boundaries, a core's next issue cycle — which becomes a heap entry;
+- ``None`` to sleep until a producer calls :meth:`SimKernel.wake`.
 
-Every visit re-checks ``has_work()`` before ticking, so a *spurious*
-wake is always harmless — the correctness obligation on producers is
-only that no component is left busy without a pending wake.  Execution
-order is deterministic regardless of wake arrival order: due wakeups
-drain into their phase's active set and each set is swept in
-(phase order, registration index) order — exactly the order a
-tick-everything loop visits components in, which is how the test
-suite's poll-everything reference scheduler proves this one
-bit-identical.
+A wake is an OR into the target phase's set, so duplicate wakes
+coalesce for free.  A stale heap entry or a coalesced wake may still
+visit a component with nothing to do; that is harmless because a tick
+with no work changes nothing and returns the right next wake.  The
+correctness obligation on producers is only that no component is left
+busy without a pending wake.  Execution order is deterministic
+regardless of wake arrival order: each set is swept in bit order and the
+phases in phase order — exactly the order a tick-everything loop visits
+components in, which is how the test suite's poll-everything reference
+scheduler proves this one bit-identical.
 
-There is one per-cycle loop, :meth:`SimKernel.step`, and nothing
-branches in it.  Each registration binds its component's ``tick`` once,
-when the component registers (so a class-level wrapper installed before
-the component is built sees every call), and the sweep calls that
-binding.  ``enable_timing()`` swaps each binding for a wrapper that
-accumulates host seconds and tick counts per (phase, component label) —
-profiling the simulator, never visible to the simulation.  Subsystems
+There is one per-cycle loop, :meth:`SimKernel.step`: it drains the due
+heap entries into their phases' sets, then makes one pass over the
+phases, and nothing in it branches on instrumentation.  Each
+registration binds its component's ``tick`` once, when the component
+registers (so a class-level wrapper installed before the component is
+built sees every call), and the sweep calls that binding.
+``enable_timing()`` swaps each binding for a wrapper that accumulates
+host seconds and tick counts per (phase, component label) — profiling
+the simulator, never visible to the simulation.  Subsystems
 that attach extra observability (the telemetry layer's sampler/tracer)
 record a one-line state note in :attr:`SimKernel.annotations` so
 ``describe()`` can report it without the kernel knowing about them.
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.component import Component
@@ -67,43 +68,40 @@ def component_label(component: Component) -> str:
     return type(component).__name__
 
 
+#: The set bits of every byte value, lowest first: an active set below
+#: 256 is swept from one lookup.
+_BYTE_BITS = tuple(
+    tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)
+)
+
+
+def _set_bits(bits: int) -> List[int]:
+    """Indexes of the set bits of ``bits``, lowest first (a byte at a
+    time: cheaper than peeling bits off a large int one by one)."""
+    indexes = []
+    base = 0
+    for byte in bits.to_bytes((bits.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for bit in _BYTE_BITS[byte]:
+                indexes.append(base + bit)
+        base += 8
+    return indexes
+
+
 class _Scheduled:
     """Per-registration scheduling state (one per active component)."""
 
-    __slots__ = (
-        "component", "phase", "order", "next_wake_fn", "tick", "heap_due",
-        "queued_for", "queued_next",
-    )
+    __slots__ = ("component", "phase", "bit", "heap_due")
 
-    def __init__(self, component: Component, phase: "Phase", order: int):
+    def __init__(self, component: Component, phase: "Phase", index: int):
         self.component = component
         self.phase = phase
-        #: Registration index within the phase — the deterministic
-        #: tie-break for simultaneous wakes.
-        self.order = order
-        self.next_wake_fn = getattr(component, "next_wake", None)
-        #: What the sweep calls: the component's ``tick``, bound once at
-        #: registration (wrapped by :meth:`SimKernel.enable_timing`).
-        self.tick = component.tick
+        #: The component's bit in its phase's active set: bit ``index``
+        #: for the ``index``-th registration, so sweep order (bit order)
+        #: is registration order.
+        self.bit = 1 << index
         #: Earliest heap-scheduled visit cycle (-1: none pending).
         self.heap_due = -1
-        #: Cycle this registration is already queued in its phase's
-        #: active set for (-1: not queued) — dedups same-cycle wakes.
-        self.queued_for = -1
-        #: Cycle this registration is already queued in its phase's
-        #: *next* active set for — dedups next-cycle re-arms, which
-        #: bypass the heap entirely.
-        self.queued_next = -1
-
-    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
-        # ``tick`` may be a timing closure, which does not pickle; the
-        # kernel rebinds it on load (:meth:`SimKernel.__setstate__`).
-        return None, {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot != "tick"
-        }
-
-
-_reg_order = attrgetter("order")
 
 
 def _per_phase(table: Dict[Tuple[str, str], float]) -> Dict[str, float]:
@@ -116,19 +114,30 @@ def _per_phase(table: Dict[Tuple[str, str], float]) -> Dict[str, float]:
 class Phase:
     """One named stage of the per-cycle loop."""
 
-    __slots__ = ("name", "components", "index", "pending", "pending_next")
+    __slots__ = ("name", "components", "index", "due", "regs", "ticks")
 
     def __init__(self, name: str, index: int = 0):
         self.name = name
         self.components: List[Component] = []
         #: Position in the kernel's sweep order (maintained on insert).
         self.index = index
-        #: This cycle's active set: registrations due for a visit.
-        self.pending: List[_Scheduled] = []
-        #: Next cycle's active set — busy components re-arm here instead
-        #: of round-tripping through the wakeup heap (the heap is for
-        #: *timed* wakes; the next-cycle case is the hot path).
-        self.pending_next: List[_Scheduled] = []
+        #: The active set: bit ``i`` marks registration ``i`` due at this
+        #: phase's next sweep — this cycle's while the phase has not been
+        #: swept yet, the next cycle's once it has.
+        self.due = 0
+        #: Scheduling records, by registration index.
+        self.regs: List[_Scheduled] = []
+        #: What the sweep calls, by registration index: each component's
+        #: ``tick``, bound once at registration (wrapped by
+        #: :meth:`SimKernel.enable_timing`).
+        self.ticks: List[Callable[[int], Optional[int]]] = []
+
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # A timing wrapper is a closure, which does not pickle; the kernel
+        # rebinds the ticks on load (:meth:`SimKernel.__setstate__`).
+        return None, {
+            slot: getattr(self, slot) for slot in self.__slots__ if slot != "ticks"
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Phase({self.name!r}, {len(self.components)} components)"
@@ -155,7 +164,6 @@ class SimKernel:
         #: Idle-efficiency counters (the ``kernel`` stat group).
         self.cycles_total = 0
         self.component_wakes = 0
-        self.wakes_skipped = 0
         self._timing = False
         #: ``(phase, component label) -> seconds/ticks`` accumulated while
         #: ``enable_timing()`` is on.
@@ -202,9 +210,9 @@ class SimKernel:
         ``passive=True`` registers a reactive state-holder: tracked for
         idle detection and wedge snapshots, never scheduled — waking it
         raises.  (``tick=False`` is the legacy spelling of the same
-        contract.)  Active components are primed with a wake on the next
-        cycle; their first visit either ticks them or lets their
-        idleness contract put them to sleep.
+        contract.)  Active components are primed with a visit on the next
+        cycle; their first tick either starts their work or returns their
+        first wake (``None`` to sleep).
         """
         if passive or not tick:
             self._passive.append((phase, component))
@@ -212,11 +220,13 @@ class SimKernel:
             return
         phase_obj = self.add_phase(phase)
         reg = _Scheduled(component, phase_obj, len(phase_obj.components))
-        if self._timing:
-            reg.tick = self._timed(reg)
         phase_obj.components.append(component)
+        phase_obj.regs.append(reg)
+        phase_obj.ticks.append(
+            self._timed(reg) if self._timing else component.tick
+        )
         self._reg_of[id(component)] = reg
-        self._schedule(reg, self.cycle + 1)
+        self.wake(component)
 
     def phases(self) -> Tuple[str, ...]:
         return tuple(phase.name for phase in self._phases)
@@ -236,8 +246,10 @@ class SimKernel:
         stays deterministic: a wake landing mid-step can only target the
         *current* cycle if the component's phase has not been swept yet;
         anything else (including wakes scheduled in the past) rounds up
-        to the next cycle.  Duplicate wakes coalesce; spurious wakes are
-        harmless because every visit re-checks ``has_work()``.
+        to the next cycle.  The earliest legal cycle is an OR into the
+        phase's active set, a later one a heap entry.  Duplicate wakes
+        coalesce; spurious ones are harmless because a tick with no work
+        changes nothing.
         """
         reg = self._reg_of.get(id(component))
         if reg is None:
@@ -250,31 +262,20 @@ class SimKernel:
                 f"cannot wake unregistered component "
                 f"{component_label(component)}"
             )
-        now = self.cycle
+        phase = reg.phase
         sweeping = self._sweep_index
-        if sweeping is not None and reg.phase.index > sweeping:
-            earliest = now
+        earliest = self.cycle
+        if sweeping is None or phase.index <= sweeping:
+            earliest += 1
+        if cycle is None or cycle <= earliest:
+            phase.due |= reg.bit
         else:
-            earliest = now + 1
-        at = earliest if cycle is None or cycle < earliest else cycle
-        if at == now:
-            if reg.queued_for != now:
-                reg.queued_for = now
-                reg.phase.pending.append(reg)
-            return
-        self._schedule(reg, at)
+            self._schedule(reg, cycle)
 
     def _schedule(self, reg: _Scheduled, at: int) -> None:
-        if at == self.cycle + 1:
-            # Hot path: next-cycle revisit goes straight into the phase's
-            # next active set — no heap traffic.  A stale heap entry for a
-            # later cycle may still fire; the visit it triggers re-checks
-            # ``has_work()`` and is a no-op unless a legitimate wake
-            # queued the component for that cycle anyway.
-            if reg.queued_next != at:
-                reg.queued_next = at
-                reg.phase.pending_next.append(reg)
-            return
+        """A heap entry for a visit at ``at``, later than the earliest
+        legal cycle.  Only the earliest pending entry per registration is
+        kept; the visit it triggers returns any later wake."""
         if reg.heap_due != -1 and reg.heap_due <= at:
             return
         reg.heap_due = at
@@ -294,22 +295,22 @@ class SimKernel:
         if self._timing:
             return
         self._timing = True
-        for reg in self._reg_of.values():
-            if reg is not None:
-                reg.tick = self._timed(reg)
+        for phase in self._phases:
+            phase.ticks = [self._timed(reg) for reg in phase.regs]
 
-    def _timed(self, reg: _Scheduled) -> Callable[[int], None]:
-        bound = reg.tick
+    def _timed(self, reg: _Scheduled) -> Callable[[int], Optional[int]]:
+        bound = reg.component.tick
         key = (reg.phase.name, component_label(reg.component))
         seconds = self.component_seconds
         ticks = self.component_ticks
         clock = time.perf_counter
 
-        def tick(cycle: int) -> None:
+        def tick(cycle: int) -> Optional[int]:
             start = clock()
-            bound(cycle)
+            at = bound(cycle)
             seconds[key] = seconds.get(key, 0.0) + (clock() - start)
             ticks[key] = ticks.get(key, 0) + 1
+            return at
 
         return tick
 
@@ -333,21 +334,6 @@ class SimKernel:
         self.cycle += 1
         cycle = self.cycle
         self.cycles_total += 1
-        # Promote the next-cycle active sets queued by the previous sweep
-        # (the heap-free re-arm path), stamping the same-cycle dedup
-        # marker the heap drain and same-cycle wakes both check.
-        for phase in self._phases:
-            nxt = phase.pending_next
-            if nxt:
-                for reg in nxt:
-                    reg.queued_for = cycle
-                pending = phase.pending
-                if pending:
-                    pending.extend(nxt)
-                    nxt.clear()
-                else:
-                    phase.pending_next = pending
-                    phase.pending = nxt
         # Drain every wakeup due by now into its phase's active set.
         # Entries whose record has since been superseded (an earlier wake
         # coalesced them) or rescheduled into the future are skipped; a
@@ -355,45 +341,36 @@ class SimKernel:
         # interval components treat as an off-boundary no-op.
         heap = self._heap
         while heap and heap[0][0] <= cycle:
-            _, _, reg = heapq.heappop(heap)
-            if reg.heap_due == -1 or reg.heap_due > cycle:
-                continue
-            reg.heap_due = -1
-            if reg.queued_for != cycle:
-                reg.queued_for = cycle
-                reg.phase.pending.append(reg)
+            reg = heapq.heappop(heap)[2]
+            due = reg.heap_due
+            if due != -1 and due <= cycle:
+                reg.heap_due = -1
+                reg.phase.due |= reg.bit
+        # One pass over the phases: each set is swept in bit
+        # (registration) order.  A component asking for the next cycle
+        # keeps its bit; any other answer clears it, and a later deadline
+        # goes on the heap.
+        soon = cycle + 1
         wakes = 0
-        skipped = 0
-        nxt_cycle = cycle + 1
         for phase in self._phases:
-            pending = phase.pending
-            if not pending:
+            bits = phase.due
+            if not bits:
                 continue
+            phase.due = 0
             self._sweep_index = phase.index
-            phase.pending = []
-            if len(pending) > 1:
-                pending.sort(key=_reg_order)
-            pending_next = phase.pending_next
-            for reg in pending:
-                component = reg.component
-                fn = reg.next_wake_fn
-                if component.has_work():
-                    reg.tick(cycle)
-                    wakes += 1
-                    if fn is None:
-                        if component.has_work() and reg.queued_next != nxt_cycle:
-                            reg.queued_next = nxt_cycle
-                            pending_next.append(reg)
-                        continue
-                else:
-                    skipped += 1
-                    if fn is None:
-                        continue
-                nxt = fn(cycle)
-                if nxt is not None:
-                    self._schedule(reg, nxt if nxt > cycle else nxt_cycle)
+            wakes += bits.bit_count()
+            ticks = phase.ticks
+            again = bits
+            for index in _BYTE_BITS[bits] if bits < 256 else _set_bits(bits):
+                at = ticks[index](cycle)
+                if at is None:
+                    again ^= 1 << index
+                elif at > soon:
+                    again ^= 1 << index
+                    self._schedule(phase.regs[index], at)
+            if again:
+                phase.due |= again
         self.component_wakes += wakes
-        self.wakes_skipped += skipped
         self._sweep_index = None
         return cycle
 
@@ -420,40 +397,36 @@ class SimKernel:
     # -- pickling -----------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
         # Registrations are keyed by ``id(component)`` and ids do not
-        # survive a pickle: the records travel as a list and the map is
-        # rebuilt on load.
+        # survive a pickle: the map is rebuilt on load from the phases.
         state = self.__dict__.copy()
-        state["_reg_of"] = [
-            reg for reg in self._reg_of.values() if reg is not None
-        ]
+        del state["_reg_of"]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         # Rebuilds the id-keyed map, and every tick binding, which
-        # ``_Scheduled`` leaves out because a timing wrapper is a closure
+        # ``Phase`` leaves out because a timing wrapper is a closure
         # (closures do not pickle).
-        regs = state.pop("_reg_of")
         self.__dict__.update(state)
         self._reg_of = {id(component): None for _, component in self._passive}
-        for reg in regs:
-            self._reg_of[id(reg.component)] = reg
-            reg.tick = reg.component.tick
-            if self._timing:
-                reg.tick = self._timed(reg)
+        for phase in self._phases:
+            for reg in phase.regs:
+                self._reg_of[id(reg.component)] = reg
+            phase.ticks = [
+                self._timed(reg) if self._timing else reg.component.tick
+                for reg in phase.regs
+            ]
 
     # -- diagnostics --------------------------------------------------------
     def kernel_counters(self) -> Dict[str, int]:
         """Idle-efficiency counters — the ``kernel`` stat group.
 
-        ``component_wakes`` is the number of component visits that
-        actually ticked; ``wakes_skipped`` counts visits gated off by
-        ``has_work()``.  The tick-everything cost this kernel replaced is
+        ``component_wakes`` is the number of component visits (each one
+        ``tick`` call).  The tick-everything cost this kernel replaced is
         ``cycles_total × registered components``.
         """
         return {
             "cycles_total": self.cycles_total,
             "component_wakes": self.component_wakes,
-            "wakes_skipped": self.wakes_skipped,
         }
 
     def idle(self) -> bool:
@@ -493,12 +466,11 @@ class SimKernel:
         """
         lines = [f"cycle {self.cycle}"]
         active_slots = sum(len(p.components) for p in self._phases)
-        visits = self.component_wakes + self.wakes_skipped
         denom = self.cycles_total * active_slots
-        fraction = visits / denom if denom else 0.0
+        fraction = self.component_wakes / denom if denom else 0.0
         lines.append(
             f"  kernel: {self.cycles_total} cycles, "
-            f"{self.component_wakes} wakes ({self.wakes_skipped} skipped), "
+            f"{self.component_wakes} wakes, "
             f"active-set fraction {fraction:.1%}"
         )
         lines.append(

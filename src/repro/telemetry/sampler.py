@@ -86,14 +86,12 @@ class TimeSeriesSampler:
     def has_work(self) -> bool:
         return True  # the off-boundary tick is a single modulo
 
-    def next_wake(self, cycle: int) -> int:
-        """Idleness contract: timed wakeup at the next window boundary."""
-        return cycle + self.interval - cycle % self.interval
-
-    def tick(self, cycle: int) -> None:
-        if cycle % self.interval:
-            return
-        self.sample(cycle)
+    def tick(self, cycle: int) -> int:
+        """Close a window on a boundary, then sleep until the next one."""
+        off = cycle % self.interval
+        if not off:
+            self.sample(cycle)
+        return cycle + self.interval - off
 
     def sample(self, cycle: int) -> SampleWindow:
         """Close the current window at ``cycle`` (also usable manually,

@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from repro.compression.bdi import BDICompressor
+from repro.compression.bdi import _GEOMETRIES, _HEADER_BITS, BDICompressor
 from repro.compression.cpack import CPackCompressor, _Dictionary
 from repro.compression.sc2 import SC2Compressor
 from repro.compression.fvc import FVCCompressor
 from repro.compression.zerocontent import ZeroContentCompressor
+from repro.workloads.corpus import sample_corpus
+from repro.workloads.profiles import PARSEC_BENCHMARKS
+from tests.test_delta import HYPOTHESIS_LINES, edge_lines
 
 
 def chunk_line(values, width=8):
@@ -52,6 +56,100 @@ class TestBDI:
         compressed = algo.compress(line)
         assert compressed.compressible
         assert algo.decompress(compressed) == line
+
+
+def bdi_exhaustive(line):
+    """The selection as specified: encode the line with every geometry,
+    keep the strictly smallest (ties to the special encodings, then to
+    ``_GEOMETRIES`` order)."""
+    algo = BDICompressor(len(line))
+    special = algo._encode_special(line)
+    best_bits, best_payload = special if special else (1 << 62, None)
+    for base_w, delta_w in _GEOMETRIES:
+        if len(line) % base_w:
+            continue
+        payload = algo._encode_geometry(line, base_w, delta_w)
+        if payload is None:
+            continue
+        n = len(line) // base_w
+        size = _HEADER_BITS + n + 8 * base_w + 8 * delta_w * n
+        if size < best_bits:
+            best_bits, best_payload = size, payload
+    if best_payload is None:
+        return 8 * len(line), line
+    return best_bits, best_payload
+
+
+def _tie_line():
+    """4-byte chunks ``small + (0x300 << 16)`` and ``0x300 + (0x300 << 16)``
+    in an irregular order: (4,2) and (2,1) both fit at 308 bits, and no
+    smaller geometry does ((4,1) needs the chunks' 763-apart low halves
+    within a byte)."""
+    rng = random.Random(5)
+    low = [rng.randrange(1, 100) for _ in range(16)]
+    halves = []
+    for i, small in enumerate(low):
+        halves += [0x300 if i in (1, 2, 6, 9, 10, 15) else small, 0x300]
+    return b"".join(h.to_bytes(2, "little") for h in halves)
+
+
+class TestBDIFirstFitMatchesExhaustive:
+    @given(HYPOTHESIS_LINES)
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_lines(self, line):
+        assert BDICompressor()._encode(line) == bdi_exhaustive(line)
+
+    def test_profile_corpus(self):
+        corpus = sample_corpus(
+            [PARSEC_BENCHMARKS[name] for name in sorted(PARSEC_BENCHMARKS)],
+            lines_per_profile=64,
+        )
+        algo = BDICompressor()
+        geometries = set()
+        for line in corpus:
+            bits, payload = algo._encode(line)
+            assert (bits, payload) == bdi_exhaustive(line)
+            if hasattr(payload, "base_width"):
+                geometries.add((payload.base_width, payload.delta_width))
+        assert len(geometries) >= 3  # the corpus exercises the order
+
+    @pytest.mark.parametrize("base_w, delta_w", _GEOMETRIES)
+    def test_bound_edges(self, base_w, delta_w):
+        algo = BDICompressor()
+        for line in edge_lines(base_w, delta_w):
+            assert algo._encode(line) == bdi_exhaustive(line)
+
+    def test_equal_size_geometries_keep_table_order(self):
+        line = _tie_line()
+        algo = BDICompressor()
+        for base_w, delta_w in ((4, 2), (2, 1)):
+            assert algo._encode_geometry(line, base_w, delta_w) is not None
+        for base_w, delta_w in ((8, 1), (8, 2), (4, 1)):
+            assert algo._encode_geometry(line, base_w, delta_w) is None
+        bits, payload = algo._encode(line)
+        assert bits == 308
+        assert (payload.base_width, payload.delta_width) == (4, 2)
+        assert (bits, payload) == bdi_exhaustive(line)
+        assert algo.decompress(algo.compress(line)) == line
+
+    @pytest.mark.parametrize("line_size", [8, 16, 32])
+    def test_other_line_sizes(self, line_size):
+        """The size order depends on the line size (at 8 bytes a (4,1)
+        encoding undercuts the repeat encoding)."""
+        rng = random.Random(line_size)
+        algo = BDICompressor(line_size)
+        for _ in range(300):
+            width = rng.choice((2, 4, 8))
+            n = line_size // width
+            base = rng.randrange(1 << (8 * width))
+            spread = 1 << rng.choice((4, 8, 12, 20))
+            values = [
+                (rng.choice((0, base)) + rng.randrange(-spread, spread))
+                % (1 << (8 * width))
+                for _ in range(n)
+            ]
+            line = b"".join(v.to_bytes(width, "little") for v in values)
+            assert algo._encode(line) == bdi_exhaustive(line)
 
 
 class TestCPackDictionary:

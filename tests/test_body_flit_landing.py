@@ -3,10 +3,10 @@
 A link arrival (``ArrivalQueue.tick``) or an NI injection
 (``NetworkInterface._advance_stream``) wakes the target router only for a
 head flit.  A body flit lands in a VC its packet already holds, and a
-router with a bound VC is busy after every visit, so the kernel has
-already queued it: for the current cycle when the flit comes off a link
-(``net.arrivals`` sweeps before ``net.routers``), for the next cycle when
-the NI injects it (``net.nis`` sweeps after ``net.routers``).
+router with a bound VC asks for the next cycle after every visit, so the
+kernel has already queued it: for the current cycle when the flit comes
+off a link (``net.arrivals`` sweeps before ``net.routers``), for the next
+cycle when the NI injects it (``net.nis`` sweeps after ``net.routers``).
 
 The invariant tests check both facts at every body-flit landing, before
 the landing runs, across the configurations that stress it: the five
@@ -47,8 +47,20 @@ class Landings:
         self.ni = 0
 
 
-def _registration(kernel, router):
-    return kernel._reg_of[id(router)]
+def _queued_for(kernel, router):
+    """The cycle the kernel has queued ``router`` for, or None.
+
+    A router is queued when its bit is set in its phase's active set;
+    that set holds this cycle's visits until the phase is swept and the
+    next cycle's from then on.
+    """
+    reg = kernel._reg_of[id(router)]
+    phase = reg.phase
+    if not phase.due & reg.bit:
+        return None
+    sweeping = kernel._sweep_index
+    swept = sweeping is not None and phase.index <= sweeping
+    return kernel.cycle + 1 if swept else kernel.cycle
 
 
 @pytest.fixture
@@ -71,8 +83,7 @@ def landings(monkeypatch):
                 f"cycle {cycle}: body flit of #{packet.pid} lands in a VC "
                 f"holding {target_vc.packet!r}"
             )
-            reg = _registration(kernel, target_vc.router)
-            assert reg.queued_for == cycle, (
+            assert _queued_for(kernel, target_vc.router) == cycle, (
                 f"cycle {cycle}: router {target_vc.router.node} is not "
                 "queued for the cycle a body flit lands in it"
             )
@@ -86,8 +97,7 @@ def landings(monkeypatch):
             if vc.depth - vc.flits_present > 0:  # the flit lands this call
                 kernel = self.network.kernel
                 assert vc.packet is packet
-                reg = _registration(kernel, vc.router)
-                assert reg.queued_next == kernel.cycle + 1, (
+                assert _queued_for(kernel, vc.router) == kernel.cycle + 1, (
                     f"cycle {kernel.cycle}: router {vc.router.node} is not "
                     "queued for the cycle after an NI body flit lands"
                 )

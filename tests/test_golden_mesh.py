@@ -20,6 +20,7 @@ import sys
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import QUICK_ACCESSES, RunSpec, run_spec
 from tests.tick_all import simulate_tick_all
 
@@ -46,6 +47,14 @@ def result_digest(result) -> str:
     ).hexdigest()
 
 
+#: ``result_digest`` of the ledger's service unit — the first fresh unit
+#: of the ``service-closed`` workload's first client — so the 2x2 shape
+#: has a golden of its own.
+SERVICE_UNIT_DIGEST = (
+    "a222cdf0adce082bec2d2811f8c441d20d6b10e01b3d027667bd485e3707bf54"
+)
+
+
 @pytest.mark.parametrize("scheme", sorted(GOLDEN_DIGESTS))
 def test_default_mesh_counter_snapshots_are_golden(scheme):
     spec = RunSpec(
@@ -59,6 +68,18 @@ def test_default_mesh_counter_snapshots_are_golden(scheme):
     assert result_digest(result) == GOLDEN_DIGESTS[scheme], (
         f"default-mesh {scheme} run diverged from the pre-refactor golden "
         f"digest — the Table 2 fabric is no longer bit-identical"
+    )
+
+
+def test_service_unit_is_golden():
+    spec = RunSpec(
+        scheme="disco", workload="canneal", width=2, height=2,
+        accesses_per_core=200, seed=100007,
+    )
+    # ``_simulate`` bypasses every cache: a genuinely fresh run.
+    result = runner._simulate(spec)
+    assert result_digest(result) == SERVICE_UNIT_DIGEST, (
+        "the 2x2 service unit diverged from its golden digest"
     )
 
 

@@ -18,7 +18,11 @@ from tests.tick_all import TickAllKernel
 
 
 class Recorder:
-    """A component that logs its ticks into a shared trace."""
+    """A component that logs the ticks it works in into a shared trace.
+
+    Busy, it logs and asks for the next cycle; idle, its tick changes
+    nothing and it sleeps (the kernel's return-value contract).
+    """
 
     def __init__(self, name, trace, busy=True):
         self.name = name
@@ -29,7 +33,10 @@ class Recorder:
         return self.busy
 
     def tick(self, cycle):
+        if not self.busy:
+            return None
         self.trace.append((cycle, self.name))
+        return cycle + 1
 
 
 class TestKernelScheduling:
@@ -64,7 +71,7 @@ class TestKernelScheduling:
         kernel.register(Recorder("two", trace), phase="shared")
         assert len(kernel.components("shared")) == 2
 
-    def test_has_work_gates_tick(self):
+    def test_returned_wake_gates_revisits(self):
         kernel = SimKernel()
         trace = []
         idle = Recorder("idle", trace, busy=False)
@@ -74,6 +81,30 @@ class TestKernelScheduling:
         kernel.step()
         kernel.step()
         assert trace == [(1, "busy"), (2, "busy")]
+        # Both were visited at cycle 1; only the one that asked for the
+        # next cycle was visited again.
+        assert kernel.component_wakes == 3
+        # Becoming busy without a wake does not bring the sleeper back...
+        idle.busy = True
+        kernel.step()
+        assert trace[-1] == (3, "busy")
+        # ...a wake does.
+        kernel.wake(idle)
+        kernel.step()
+        assert trace[-2:] == [(4, "idle"), (4, "busy")]
+
+    def test_step_never_asks_has_work(self):
+        class NoPredicate(Recorder):
+            def has_work(self):
+                raise AssertionError("the sweep asked has_work()")
+
+        kernel = SimKernel()
+        trace = []
+        kernel.register(NoPredicate("busy", trace, busy=True))
+        kernel.register(NoPredicate("idle", trace, busy=False))
+        for _ in range(3):
+            kernel.step()
+        assert trace == [(1, "busy"), (2, "busy"), (3, "busy")]
 
     def test_passive_components_never_tick_but_count_as_busy(self):
         kernel = SimKernel()
@@ -103,12 +134,14 @@ class TestKernelScheduling:
         comp = CallbackComponent(ticks.append, label="cb")
         assert isinstance(comp, Component)
         assert comp.has_work()
-        comp.tick(7)
+        assert comp.tick(7) == 8  # runs every cycle
         assert ticks == [7]
         gated = CallbackComponent(
             ticks.append, label="gated", has_work_fn=lambda: False
         )
         assert not gated.has_work()
+        assert gated.tick(9) is None  # idle after the run: sleeps
+        assert ticks == [7, 9]
 
     def test_describe_mentions_phases(self):
         kernel = SimKernel()
@@ -127,7 +160,8 @@ class TestInstrumentation:
         kernel.enable_timing()
         for _ in range(3):
             kernel.step()
-        assert kernel.phase_ticks == {"work": 3}  # idle b never counted
+        # a ticks every cycle; idle b once, the priming visit, then sleeps.
+        assert kernel.phase_ticks == {"work": 4}
         assert kernel.phase_seconds["work"] >= 0.0
 
 
@@ -186,14 +220,14 @@ class TestStatsRegistry:
 
 
 class SleepyRecorder(Recorder):
-    """A Recorder with the explicit 'sleep unless woken' idleness contract.
+    """A Recorder that sleeps after every visit.
 
-    ``next_wake`` returning ``None`` opts out of the default busy →
-    revisit-next-cycle re-arm, so the *only* thing that can keep this
-    component running is an explicit :meth:`SimKernel.wake`.
+    Its tick returns ``None`` even while busy, so the *only* thing that
+    can keep this component running is an explicit :meth:`SimKernel.wake`.
     """
 
-    def next_wake(self, cycle):
+    def tick(self, cycle):
+        super().tick(cycle)
         return None
 
 
@@ -218,7 +252,6 @@ class TestWakeupEdgeCases:
         assert trace == [(1, "self"), (2, "self"), (3, "self")]
         counters = kernel.kernel_counters()
         assert counters["component_wakes"] == 3
-        assert counters["wakes_skipped"] == 0
 
     def test_busy_self_wake_does_not_double_tick(self):
         kernel = SimKernel()
@@ -226,11 +259,12 @@ class TestWakeupEdgeCases:
 
         class Noisy(Recorder):
             def tick(self, cycle):
-                super().tick(cycle)
-                # Redundant with the default busy re-arm contract, and
-                # with each other: all three must coalesce to one visit.
+                at = super().tick(cycle)
+                # Redundant with the returned next cycle, and with each
+                # other: all three must coalesce to one visit.
                 kernel.wake(self)
                 kernel.wake(self, cycle + 1)
+                return at
 
         kernel.register(Noisy("noisy", trace, busy=True))
         for _ in range(4):
@@ -289,29 +323,37 @@ class TestWakeupEdgeCases:
 
         class Producer(SleepyRecorder):
             def tick(self, cycle):
-                super().tick(cycle)
-                upstream.busy = True
-                downstream.busy = True
-                kernel.wake(upstream)
-                kernel.wake(downstream)
+                if self.busy:
+                    super().tick(cycle)
+                    self.busy = False
+                    upstream.busy = True
+                    downstream.busy = True
+                    kernel.wake(upstream)
+                    kernel.wake(downstream)
+                return None
 
+        producer = Producer("prod", mid_trace, busy=False)
         kernel.register(upstream, phase="pre")
-        kernel.register(Producer("prod", mid_trace), phase="mid")
+        kernel.register(producer, phase="mid")
         kernel.register(downstream, phase="post")
+        kernel.step()  # the priming visits: nothing is busy yet
+        producer.busy = True
+        kernel.wake(producer)
         kernel.step()
         kernel.step()
-        assert mid_trace == [(1, "prod")]
+        assert mid_trace == [(2, "prod")]
         # The not-yet-swept phase is reached the same cycle; the
         # already-swept one must wait for the next cycle.
-        assert down_trace[0] == (1, "down")
-        assert up_trace[0] == (2, "up")
+        assert down_trace[0] == (2, "down")
+        assert up_trace[0] == (3, "up")
 
-    def test_timed_next_wake_sleeps_between_deadlines(self):
+    def test_returned_deadline_sleeps_between_visits(self):
         kernel = SimKernel()
         trace = []
 
         class Timer(Recorder):
-            def next_wake(self, cycle):
+            def tick(self, cycle):
+                super().tick(cycle)
                 return cycle + 5
 
         kernel.register(Timer("timer", trace, busy=True))
@@ -321,7 +363,6 @@ class TestWakeupEdgeCases:
         counters = kernel.kernel_counters()
         assert counters["cycles_total"] == 12
         assert counters["component_wakes"] == 3  # no visits in between
-        assert counters["wakes_skipped"] == 0
 
     def test_superseded_heap_entry_never_causes_a_visit(self):
         kernel = SimKernel()
@@ -332,12 +373,11 @@ class TestWakeupEdgeCases:
         kernel.wake(comp, cycle=3)  # supersedes the cycle-10 entry
         for _ in range(12):
             kernel.step()
-        assert trace == []  # never busy, so never ticked
+        assert trace == []  # never busy, so no visit did any work
         counters = kernel.kernel_counters()
         # Prime visit at cycle 1 + the coalesced wake at cycle 3; the
         # stale cycle-10 heap entry is dropped in the drain, not visited.
-        assert counters["wakes_skipped"] == 2
-        assert counters["component_wakes"] == 0
+        assert counters["component_wakes"] == 2
 
     def test_wake_unregistered_or_passive_raises(self):
         kernel = SimKernel()

@@ -1,11 +1,12 @@
 """The poll-everything reference scheduler for the invariance tests.
 
 :class:`TickAllKernel` visits every registered component every cycle
-(``has_work()``-gated) and ignores wakeups — the loop the event-driven
-:class:`~repro.sim.kernel.SimKernel` replaced.  Matching results prove
-that no producer leaves a busy component without a wake and that timed
-wakeups (retransmission deadlines, sampler intervals) fire on the right
-cycles, which the golden digests alone do not exercise.
+(``has_work()``-gated), ignores wakeups and discards what each tick
+returns — the loop the event-driven :class:`~repro.sim.kernel.SimKernel`
+replaced.  Matching results prove that no producer leaves a busy
+component without a wake and that timed wakeups (retransmission
+deadlines, sampler intervals) fire on the right cycles, which the golden
+digests alone do not exercise.
 """
 
 from repro.cmp import system
@@ -25,8 +26,6 @@ class TickAllKernel(SimKernel):
                 if component.has_work():
                     component.tick(self.cycle)
                     self.component_wakes += 1
-                else:
-                    self.wakes_skipped += 1
         return self.cycle
 
 
