@@ -125,9 +125,6 @@ class CompressedBankArray:
             cache_set.lru.touch(addr)
         return line
 
-    def contains(self, addr: int) -> bool:
-        return addr in self._set_for(addr).lines
-
     def occupancy(self) -> Tuple[int, int]:
         """(used segments, total segments) across all sets."""
         used = sum(self._used_segments(s) for s in self._sets)

@@ -107,9 +107,6 @@ class CoreModel:
     def done(self) -> bool:
         return self.position >= len(self.trace) and self.outstanding == 0
 
-    def trace_exhausted(self) -> bool:
-        return self.position >= len(self.trace)
-
     def can_issue(self, cycle: int) -> bool:
         return (
             self.position < len(self.trace)

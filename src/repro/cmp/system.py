@@ -47,9 +47,7 @@ class SimulationResult:
     The substrate event counts live in two
     :class:`~repro.sim.stats.CounterSnapshot` registry snapshots — the
     full run and the post-warmup (steady-state) window — instead of loose
-    fields; the historical scalar accessors (``bank_reads``,
-    ``memory_writes``, ``llc_segment_occupancy``...) remain available as
-    properties over ``snapshot_full``.
+    fields; read them through ``counters_full``/``counters_measured``.
     """
 
     scheme: str
@@ -108,39 +106,13 @@ class SimulationResult:
         return self.cycles - self.measure_start_cycle
 
     @property
-    def l1_miss_rate(self) -> float:
-        if self.l1_accesses == 0:
-            return 0.0
-        return 1.0 - self.l1_hits / self.l1_accesses
-
-    @property
     def llc_miss_rate(self) -> float:
         lookups = self.bank_hits + self.bank_misses
         if lookups == 0:
             return 0.0
         return self.bank_misses / lookups
 
-    # -- backward-compatible counter accessors -------------------------------
-    @property
-    def bank_reads(self) -> int:
-        return self._full("bank_reads")
-
-    @property
-    def bank_writes(self) -> int:
-        return self._full("bank_writes")
-
-    @property
-    def bank_tag_lookups(self) -> int:
-        return self._full("bank_tag_lookups")
-
-    @property
-    def bank_segments_read(self) -> int:
-        return self._full("bank_segments_read")
-
-    @property
-    def bank_segments_written(self) -> int:
-        return self._full("bank_segments_written")
-
+    # -- counter accessors ---------------------------------------------------
     @property
     def bank_hits(self) -> int:
         return self._full("bank_hits")
@@ -148,33 +120,6 @@ class SimulationResult:
     @property
     def bank_misses(self) -> int:
         return self._full("bank_misses")
-
-    @property
-    def bank_compressions(self) -> int:
-        return self._full("bank_compressions")
-
-    @property
-    def bank_decompressions(self) -> int:
-        return self._full("bank_decompressions")
-
-    @property
-    def memory_reads(self) -> int:
-        return self._full("memory_reads")
-
-    @property
-    def memory_writes(self) -> int:
-        return self._full("memory_writes")
-
-    @property
-    def llc_resident_lines(self) -> int:
-        return self._full("llc_resident_lines")
-
-    @property
-    def llc_segment_occupancy(self) -> float:
-        total = self._full("llc_segments_total")
-        if total == 0:
-            return 0.0
-        return self._full("llc_segments_used") / total
 
 
 class EventQueue:
@@ -413,11 +358,6 @@ class CmpSystem:
             accesses += stats.reads + stats.writes
             hits += stats.hits
         return {"l1_accesses": accesses, "l1_hits": hits}
-
-    def collect_counters(self) -> Dict[str, int]:
-        """Scalar event counters consumed by the energy model (the flat
-        view of the kernel's stats registry)."""
-        return self.kernel.stats.snapshot().flat()
 
     def _maybe_snapshot(self) -> None:
         if self._snapshot is None and not self.progress.warming:

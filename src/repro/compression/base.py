@@ -138,11 +138,6 @@ class CompressionAlgorithm(ABC):
             return bytes(compressed.payload)
         return self._decode(compressed.payload)
 
-    # -- conveniences -------------------------------------------------------
-    def compressed_size_bytes(self, line: bytes) -> int:
-        """Shortcut: compressed size of ``line`` in whole bytes."""
-        return self.compress(line).size_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r} line={self.line_size}>"
 

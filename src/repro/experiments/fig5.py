@@ -17,7 +17,6 @@ from repro.experiments.runner import (
     DEFAULT_WORKLOADS,
     FIGURE_ACCESSES,
     RunSpec,
-    run_spec,
     run_specs,
 )
 
@@ -46,8 +45,8 @@ def fig5(
     schemes: Sequence[str] = SCHEMES,
     verbose: bool = False,
 ) -> Fig5Result:
-    grid = [
-        RunSpec(
+    grid = {
+        (workload, scheme): RunSpec(
             scheme=scheme,
             workload=workload,
             algorithm=algorithm,
@@ -55,19 +54,14 @@ def fig5(
         )
         for workload in workloads
         for scheme in (REFERENCE, *schemes)
-    ]
-    run_specs(grid, verbose=verbose)  # parallel fan-out; lookups below hit memo
+    }
+    results = run_specs(list(grid.values()), verbose=verbose)
     normalized: Dict[str, Dict[str, float]] = {}
     for workload in workloads:
-        raw: Dict[str, float] = {}
-        for scheme in (REFERENCE, *schemes):
-            spec = RunSpec(
-                scheme=scheme,
-                workload=workload,
-                algorithm=algorithm,
-                accesses_per_core=accesses_per_core,
-            )
-            raw[scheme] = run_spec(spec, verbose=verbose).avg_miss_latency
+        raw = {
+            scheme: results[grid[workload, scheme]].avg_miss_latency
+            for scheme in (REFERENCE, *schemes)
+        }
         normalized[workload] = normalize(raw, REFERENCE)
     average = {
         scheme: geomean(normalized[w][scheme] for w in workloads)

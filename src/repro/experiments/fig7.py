@@ -20,7 +20,6 @@ from repro.experiments.runner import (
     DEFAULT_WORKLOADS,
     FIGURE_ACCESSES,
     RunSpec,
-    run_spec,
     run_specs,
 )
 
@@ -48,32 +47,24 @@ def fig7(
     verbose: bool = False,
 ) -> Fig7Result:
     params = params or EnergyParams()
-    run_specs(
-        [
-            RunSpec(
-                scheme=scheme,
-                workload=workload,
-                algorithm=algorithm,
-                accesses_per_core=accesses_per_core,
-            )
-            for workload in workloads
-            for scheme in SCHEMES
-        ],
-        verbose=verbose,
-    )  # parallel fan-out; the loops below hit the memo cache
+    grid = {
+        (workload, scheme): RunSpec(
+            scheme=scheme,
+            workload=workload,
+            algorithm=algorithm,
+            accesses_per_core=accesses_per_core,
+        )
+        for workload in workloads
+        for scheme in SCHEMES
+    }
+    results = run_specs(list(grid.values()), verbose=verbose)
     normalized: Dict[str, Dict[str, float]] = {}
     breakdowns: Dict[str, Dict[str, EnergyBreakdown]] = {}
     for workload in workloads:
         totals: Dict[str, float] = {}
         breakdowns[workload] = {}
         for scheme in SCHEMES:
-            spec = RunSpec(
-                scheme=scheme,
-                workload=workload,
-                algorithm=algorithm,
-                accesses_per_core=accesses_per_core,
-            )
-            result = run_spec(spec, verbose=verbose)
+            result = results[grid[workload, scheme]]
             breakdown = energy_of_result(result, params=params)
             breakdowns[workload][scheme] = breakdown
             totals[scheme] = breakdown.total

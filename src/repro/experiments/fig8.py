@@ -21,7 +21,6 @@ from repro.experiments.report import format_table, geomean, normalize
 from repro.experiments.runner import (
     FIGURE_ACCESSES,
     RunSpec,
-    run_spec,
     run_specs,
 )
 
@@ -62,23 +61,21 @@ def fig8(
     accesses_per_core: int = FIGURE_ACCESSES,
     verbose: bool = False,
 ) -> Fig8Result:
-    run_specs(
-        [
-            RunSpec(
-                scheme=scheme,
-                workload=workload,
-                width=width,
-                height=height,
-                accesses_per_core=accesses_per_core,
-                l2_sets_per_bank=_BANK_SETS.get((width, height), 32),
-                l2_hit_latency=_BANK_LATENCY.get((width, height), 4),
-            )
-            for width, height in meshes
-            for workload in workloads
-            for scheme in (REFERENCE, *SCHEMES)
-        ],
-        verbose=verbose,
-    )  # parallel fan-out; the loops below hit the memo cache
+    grid = {
+        ((width, height), workload, scheme): RunSpec(
+            scheme=scheme,
+            workload=workload,
+            width=width,
+            height=height,
+            accesses_per_core=accesses_per_core,
+            l2_sets_per_bank=_BANK_SETS.get((width, height), 32),
+            l2_hit_latency=_BANK_LATENCY.get((width, height), 4),
+        )
+        for width, height in meshes
+        for workload in workloads
+        for scheme in (REFERENCE, *SCHEMES)
+    }
+    results = run_specs(list(grid.values()), verbose=verbose)
     average: Dict[Tuple[int, int], Dict[str, float]] = {}
     overlap_share: Dict[Tuple[int, int], float] = {}
     for width, height in meshes:
@@ -88,16 +85,7 @@ def fig8(
         for workload in workloads:
             raw: Dict[str, float] = {}
             for scheme in (REFERENCE, *SCHEMES):
-                spec = RunSpec(
-                    scheme=scheme,
-                    workload=workload,
-                    width=width,
-                    height=height,
-                    accesses_per_core=accesses_per_core,
-                    l2_sets_per_bank=_BANK_SETS.get(mesh, 32),
-                    l2_hit_latency=_BANK_LATENCY.get(mesh, 4),
-                )
-                result = run_spec(spec, verbose=verbose)
+                result = results[grid[mesh, workload, scheme]]
                 raw[scheme] = result.avg_miss_latency
                 if scheme == "disco":
                     counters = result.counters_measured

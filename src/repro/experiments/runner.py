@@ -200,8 +200,8 @@ class RunSpec:
     #: Working-set multiplier (for weak-scaling studies; Fig. 8 uses the
     #: paper's strong scaling — fixed workload and total cache).
     ws_scale: float = 1.0
-    #: Fabric shape ("mesh", "torus", "ring", "cmesh"); non-mesh fabrics
-    #: get the escape VCs their default routing needs.
+    #: Fabric shape ("mesh", "torus", "ring", "cmesh"); the wrap-around
+    #: fabrics get the escape VCs their route needs.
     topology: str = "mesh"
     # -- telemetry knobs (repro.telemetry; all off by default — they are
     # part of the spec key, so a traced run never aliases an untraced
@@ -219,14 +219,13 @@ class RunSpec:
 
     def noc_config(self) -> "NocConfig":
         from repro.noc.config import NocConfig
-        from repro.noc.routing import resolve_routing
+        from repro.noc.topology import min_vcs_per_vnet
 
-        vcs = 2 if resolve_routing(self.topology).needs_escape_vcs else 1
         return NocConfig(
             width=self.width,
             height=self.height,
             topology=self.topology,
-            vcs_per_vnet=vcs,
+            vcs_per_vnet=min_vcs_per_vnet(self.topology),
             stats_interval=self.stats_interval,
             trace_packets=self.trace_packets,
             trace_sample_interval=self.trace_sample_interval,

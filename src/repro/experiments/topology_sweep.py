@@ -26,7 +26,6 @@ from repro.experiments.report import format_table, geomean, normalize
 from repro.experiments.runner import (
     QUICK_ACCESSES,
     RunSpec,
-    run_spec,
     run_specs,
 )
 
@@ -61,17 +60,6 @@ class TopologySweepResult:
         return 1.0 - table["disco"] / table[other]
 
 
-def _spec(scheme: str, workload: str, topology: str,
-          algorithm: str, accesses_per_core: int) -> RunSpec:
-    return RunSpec(
-        scheme=scheme,
-        workload=workload,
-        algorithm=algorithm,
-        accesses_per_core=accesses_per_core,
-        topology=topology,
-    )
-
-
 def topology_sweep(
     topologies: Sequence[str] = TOPOLOGIES,
     workloads: Sequence[str] = SWEEP_WORKLOADS,
@@ -80,24 +68,28 @@ def topology_sweep(
     schemes: Sequence[str] = SCHEMES,
     verbose: bool = False,
 ) -> TopologySweepResult:
-    grid = [
-        _spec(scheme, workload, topology, algorithm, accesses_per_core)
+    grid = {
+        (topology, workload, scheme): RunSpec(
+            scheme=scheme,
+            workload=workload,
+            algorithm=algorithm,
+            accesses_per_core=accesses_per_core,
+            topology=topology,
+        )
         for topology in topologies
         for workload in workloads
         for scheme in (REFERENCE, *schemes)
-    ]
-    run_specs(grid, verbose=verbose)  # parallel fan-out; lookups hit memo
+    }
+    results = run_specs(list(grid.values()), verbose=verbose)
     normalized: Dict[str, Dict[str, Dict[str, float]]] = {}
     average: Dict[str, Dict[str, float]] = {}
     for topology in topologies:
         normalized[topology] = {}
         for workload in workloads:
             raw = {
-                scheme: run_spec(
-                    _spec(scheme, workload, topology,
-                          algorithm, accesses_per_core),
-                    verbose=verbose,
-                ).avg_miss_latency
+                scheme: results[
+                    grid[topology, workload, scheme]
+                ].avg_miss_latency
                 for scheme in (REFERENCE, *schemes)
             }
             normalized[topology][workload] = normalize(raw, REFERENCE)

@@ -33,6 +33,7 @@ from repro.faults.integrity import IntegrityViolation
 from repro.faults.plan import FaultPlan
 from repro.noc.config import NocConfig
 from repro.noc.network import Network
+from repro.noc.topology import min_vcs_per_vnet
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 
 
@@ -50,8 +51,8 @@ class CampaignSpec:
     #: Cycles the post-injection drain may take before the wedge watchdog
     #: declares the network stuck (small so permanent wedges fail fast).
     drain_limit: int = 20_000
-    #: Fabric shape ("mesh", "torus", "ring", "cmesh"); non-mesh fabrics
-    #: get the escape VCs their default routing needs.
+    #: Fabric shape ("mesh", "torus", "ring", "cmesh"); the wrap-around
+    #: fabrics get the escape VCs their route needs.
     topology: str = "mesh"
     #: Turn on the end-to-end recovery layer (:mod:`repro.noc.reliability`):
     #: NI retransmission plus the invariant monitor in squash-and-requeue
@@ -61,9 +62,6 @@ class CampaignSpec:
 
     def noc_config(self) -> NocConfig:
         """The fabric configuration this campaign runs on."""
-        from repro.noc.routing import resolve_routing
-
-        vcs = 2 if resolve_routing(self.topology).needs_escape_vcs else 1
         reliability = {}
         if self.retransmission:
             reliability = dict(
@@ -80,7 +78,7 @@ class CampaignSpec:
             width=self.width,
             height=self.height,
             topology=self.topology,
-            vcs_per_vnet=vcs,
+            vcs_per_vnet=min_vcs_per_vnet(self.topology),
             **reliability,
         )
 

@@ -3,18 +3,19 @@
 A fabric of 3-stage virtual-channel routers with credit-based wormhole
 flow control (virtual cut-through and store-and-forward are also supported,
 §3.3-A of the paper).  The fabric shape is pluggable — mesh (the Table 2
-default), torus, ring, concentrated mesh — each paired with a
-deterministic deadlock-free routing algorithm from the registry.  Packets
-carry real cache-line payloads so in-network compression operates on
-actual bytes.
+default), torus, ring, concentrated mesh — and each topology class holds
+its one deterministic deadlock-free route.  Packets carry real cache-line
+payloads so in-network compression operates on actual bytes.
 
 Main entry points:
 
 - :class:`repro.noc.network.Network` — builds the fabric, owns the cycle loop;
 - :class:`repro.noc.flit.Packet` — the unit of transfer;
 - :class:`repro.noc.config.NocConfig` — structural parameters (Table 2);
-- :mod:`repro.noc.topology` — the Topology protocol and implementations;
-- :mod:`repro.noc.routing` — the routing registry;
+- :mod:`repro.noc.topology` — the Topology protocol, the four fabrics
+  and their routes, and the name -> class table;
+- :mod:`repro.noc.routing` — the dateline rule the wrap-around fabrics
+  share;
 - :mod:`repro.noc.traffic` — synthetic traffic drivers for NoC-only studies.
 """
 
@@ -22,22 +23,12 @@ from repro.noc.config import NocConfig, FlowControl
 from repro.noc.flit import Packet, PacketType, VNET_REQUEST, VNET_RESPONSE
 from repro.noc.topology import (
     ConcentratedMesh2D,
-    Mesh,
     Mesh2D,
     PORT_LOCAL,
     PORT_NAMES,
     Ring,
     Topology,
     Torus2D,
-    build_topology,
-)
-from repro.noc.routing import (
-    DEFAULT_ROUTING,
-    ROUTING_REGISTRY,
-    RoutingAlgorithm,
-    resolve_routing,
-    xy_hops,
-    xy_route,
 )
 from repro.noc.network import Network
 from repro.noc.reliability import (
@@ -57,20 +48,12 @@ __all__ = [
     "VNET_REQUEST",
     "VNET_RESPONSE",
     "Topology",
-    "Mesh",
     "Mesh2D",
     "Torus2D",
     "Ring",
     "ConcentratedMesh2D",
-    "build_topology",
     "PORT_LOCAL",
     "PORT_NAMES",
-    "RoutingAlgorithm",
-    "ROUTING_REGISTRY",
-    "DEFAULT_ROUTING",
-    "resolve_routing",
-    "xy_route",
-    "xy_hops",
     "Network",
     "NetworkStats",
     "ReliabilityLayer",

@@ -5,7 +5,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.noc.topology import TOPOLOGY_NAMES, Topology, build_topology, fabric_n_nodes
+from repro.noc.topology import (
+    TOPOLOGIES,
+    Topology,
+    min_vcs_per_vnet,
+    topology_class,
+)
 
 
 class FlowControl(enum.Enum):
@@ -31,11 +36,10 @@ class NocConfig:
     pipeline stages, wormhole flow control, 8-flit buffers, 2 virtual
     channels, 64-bit flits.
 
-    ``topology`` selects the fabric shape ("mesh", "torus", "ring",
-    "cmesh"); ``routing`` selects a registered algorithm ("" picks the
-    topology's deadlock-free default).  ``width``/``height`` shape the
-    grid fabrics; the ring reuses ``width * height`` as its node count
-    and the cmesh multiplies it by ``concentration``.
+    ``topology`` selects the fabric ("mesh", "torus", "ring", "cmesh"),
+    which brings its one deadlock-free route.  ``width``/``height``
+    shape the grid fabrics; the ring reuses ``width * height`` as its
+    node count and the cmesh multiplies it by ``concentration``.
     """
 
     width: int = 4
@@ -45,10 +49,8 @@ class NocConfig:
     vc_depth: int = 8
     flit_bytes: int = 8
     flow_control: FlowControl = FlowControl.WORMHOLE
-    link_latency: int = 1
     ejection_bandwidth: int = 1  # flits per cycle per node
     topology: str = "mesh"
-    routing: str = ""  # "" -> the topology's default algorithm
     concentration: int = 4  # terminals per hub (cmesh only)
     max_line_bytes: int = 64  # largest cache line the fabric carries
     # -- reliability layer (repro.noc.reliability; all off by default so
@@ -68,14 +70,6 @@ class NocConfig:
     #: Retransmission attempts per packet before it is abandoned to the
     #: integrity layer's loss detection.
     retx_max_retries: int = 8
-    #: Cap on the exponential backoff multiplier (timeout, 2x, 4x, ...).
-    retx_backoff_cap: int = 8
-    #: Max simultaneously outstanding retransmissions per flow (bounds a
-    #: retransmit storm; further due entries wait for the next deadline).
-    retx_inflight_cap: int = 4
-    #: Unacked packets retained per flow in the source replay buffer;
-    #: beyond this the oldest entry is evicted (and counted).
-    retx_window: int = 32
     #: Invariant-monitor check interval in cycles; 0 disables the monitor
     #: (the default — no component is registered, digests unchanged).
     invariant_interval: int = 0
@@ -90,15 +84,10 @@ class NocConfig:
     #: Time-series sampling interval in cycles; 0 disables the sampler
     #: (the default — no component is registered, digests unchanged).
     stats_interval: int = 0
-    #: Ring-buffer capacity of the sampler: at most this many windows are
-    #: retained (oldest evicted first), bounding memory on long runs.
-    stats_window_cap: int = 256
     #: Enable per-packet lifecycle tracing (repro.telemetry.tracer).
     trace_packets: bool = False
     #: Trace every Nth injected packet (1 = every packet).
     trace_sample_interval: int = 1
-    #: Hard cap on recorded trace events; overflow is counted, not stored.
-    trace_event_cap: int = 200_000
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -109,8 +98,6 @@ class NocConfig:
             raise ValueError("vc_depth must be positive")
         if self.flit_bytes < 1:
             raise ValueError("flit_bytes must be positive")
-        if self.link_latency < 1:
-            raise ValueError("link_latency must be at least 1 cycle")
         if self.ejection_bandwidth < 1:
             raise ValueError("ejection_bandwidth must be at least 1")
         if self.concentration < 1:
@@ -121,24 +108,14 @@ class NocConfig:
             raise ValueError("retx_timeout must be at least 1 cycle")
         if self.retx_max_retries < 1:
             raise ValueError("retx_max_retries must be at least 1")
-        if self.retx_backoff_cap < 1:
-            raise ValueError("retx_backoff_cap must be at least 1")
-        if self.retx_inflight_cap < 1:
-            raise ValueError("retx_inflight_cap must be at least 1")
-        if self.retx_window < 1:
-            raise ValueError("retx_window must be at least 1")
         if self.invariant_interval < 0:
             raise ValueError("invariant_interval must be >= 0 (0 disables)")
         if self.invariant_patience < 1:
             raise ValueError("invariant_patience must be at least 1")
         if self.stats_interval < 0:
             raise ValueError("stats_interval must be >= 0 (0 disables)")
-        if self.stats_window_cap < 1:
-            raise ValueError("stats_window_cap must be at least 1")
         if self.trace_sample_interval < 1:
             raise ValueError("trace_sample_interval must be at least 1")
-        if self.trace_event_cap < 1:
-            raise ValueError("trace_event_cap must be at least 1")
         if self.invariant_recovery and not self.retransmission:
             raise ValueError(
                 "invariant_recovery requeues victims through the "
@@ -149,24 +126,14 @@ class NocConfig:
                 "invariant_recovery needs the monitor: set "
                 "invariant_interval > 0"
             )
-        if self.topology not in TOPOLOGY_NAMES:
+        # Building the fabric once rejects an unknown name and a shape the
+        # fabric cannot take (a torus side under 2, a one-node ring).
+        self.make_topology()
+        needed = min_vcs_per_vnet(self.topology)
+        if self.vcs_per_vnet < needed:
             raise ValueError(
-                f"unknown topology {self.topology!r}; "
-                f"choose from {TOPOLOGY_NAMES}"
-            )
-        if self.topology == "torus" and (self.width < 2 or self.height < 2):
-            raise ValueError("torus dimensions must be at least 2")
-        if self.topology == "ring" and self.width * self.height < 2:
-            raise ValueError("ring needs at least 2 nodes")
-        # Resolving eagerly rejects unknown names and topology/routing
-        # mismatches at construction time (import here to avoid a cycle).
-        from repro.noc.routing import resolve_routing
-
-        algorithm = resolve_routing(self.topology, self.routing)
-        if algorithm.needs_escape_vcs and self.vcs_per_vnet < 2:
-            raise ValueError(
-                f"routing {algorithm.name!r} uses dateline escape VCs and "
-                f"needs vcs_per_vnet >= 2 (got {self.vcs_per_vnet})"
+                f"the {self.topology} route uses dateline escape VCs and "
+                f"needs vcs_per_vnet >= {needed} (got {self.vcs_per_vnet})"
             )
         if self.flow_control is not FlowControl.WORMHOLE:
             if self.vc_depth < self.max_packet_flits:
@@ -186,8 +153,8 @@ class NocConfig:
 
     @property
     def n_nodes(self) -> int:
-        return fabric_n_nodes(
-            self.topology, self.width, self.height, self.concentration
+        return TOPOLOGIES[self.topology].shape_nodes(
+            self.width, self.height, self.concentration
         )
 
     @property
@@ -210,7 +177,7 @@ class NocConfig:
         """The VC indices of a dateline class within a vnet.
 
         Class 0 owns the first half of the vnet's VCs, class 1 the second
-        half (``vcs_per_vnet >= 2`` is validated for dateline routings).
+        half (``vcs_per_vnet >= 2`` is validated for dateline fabrics).
         """
         start = vnet * self.vcs_per_vnet
         half = self.vcs_per_vnet // 2
@@ -220,12 +187,6 @@ class NocConfig:
 
     def make_topology(self) -> Topology:
         """Build the configured topology object."""
-        return build_topology(
-            self.topology, self.width, self.height, self.concentration
+        return topology_class(self.topology).from_shape(
+            self.width, self.height, self.concentration
         )
-
-    def make_routing(self):
-        """Resolve the configured routing algorithm."""
-        from repro.noc.routing import resolve_routing
-
-        return resolve_routing(self.topology, self.routing)

@@ -1,8 +1,8 @@
 """The fabric network: routers + NIs, assembled on the simulation kernel.
 
 The fabric shape comes from ``NocConfig.topology`` (mesh by default); the
-network builds the topology object once, resolves the paired routing
-algorithm from the registry, and hands both to its routers.
+network builds the topology object once, and that object's ``route`` is
+the fabric's one routing.
 
 The network no longer hand-walks its routers each cycle — it registers
 components on a :class:`repro.sim.SimKernel` in five ordered phases:
@@ -254,9 +254,6 @@ class Network:
     ):
         self.config = config
         self.topology = config.make_topology()
-        self.mesh = self.topology  # legacy alias (pre-fabric callers)
-        self.routing = config.make_routing()
-        self._route_fn = self.routing.fn
         # Route memoization: decisions are pure functions of (topology,
         # node, dst), so small fabrics precompute every pair once at
         # construction and the cache never grows; large fabrics keep a
@@ -269,10 +266,9 @@ class Network:
         self._route_cache_evictions = 0
         n_nodes = self.topology.n_nodes
         if n_nodes * n_nodes <= self.ROUTE_PRECOMPUTE_MAX_PAIRS:
-            route_fn = self._route_fn
-            topology = self.topology
+            route = self.topology.route
             self._route_cache = {
-                (node, dst): route_fn(topology, node, dst)
+                (node, dst): route(node, dst)
                 for node in range(n_nodes)
                 for dst in range(n_nodes)
                 if node != dst
@@ -370,25 +366,23 @@ class Network:
         if config.trace_packets:
             self.tracer = PacketTracer(
                 sample_interval=config.trace_sample_interval,
-                event_cap=config.trace_event_cap,
                 stats=self.telemetry,
             )
             kernel.annotations["telemetry.tracer"] = (
                 f"1/{config.trace_sample_interval} packets, "
-                f"cap {config.trace_event_cap} events"
+                f"cap {self.tracer.event_cap} events"
             )
         if config.stats_interval > 0:
             self.sampler = TimeSeriesSampler(
                 kernel,
                 interval=config.stats_interval,
-                capacity=config.stats_window_cap,
                 stats=self.telemetry,
             )
             self.sampler.add_gauge("fabric_occupancy", self._fabric_occupancy)
             kernel.register(self.sampler, phase="telemetry.sample")
             kernel.annotations["telemetry.sampler"] = (
                 f"every {config.stats_interval} cycles, "
-                f"ring of {config.stats_window_cap} windows"
+                f"ring of {self.sampler.capacity} windows"
             )
 
     def _frame_due(self) -> bool:
@@ -464,16 +458,16 @@ class Network:
     # -- packet movement -------------------------------------------------------
     def route(self, node: int, dst: int):
         """Route decision ``(out_port, vc_class)`` at ``node`` toward ``dst``
-        under the configured algorithm.
+        under the topology's route.
 
-        Routing algorithms are deterministic pure functions of
-        ``(topology, node, dst)`` (the :mod:`repro.noc.routing` contract),
-        so decisions are memoized per pair.
+        A route is a deterministic pure function of ``(node, dst)`` (the
+        :meth:`Topology.route` contract), so decisions are memoized per
+        pair.
         """
         key = (node, dst)
         decision = self._route_cache.get(key)
         if decision is None:
-            decision = self._route_fn(self.topology, node, dst)
+            decision = self.topology.route(node, dst)
             cache = self._route_cache
             if self._route_cache_cap and len(cache) >= self._route_cache_cap:
                 # FIFO eviction: dict preserves insertion order, so the
@@ -511,23 +505,6 @@ class Network:
             self.local_deliveries.schedule(self.cycle + delay, packet)
             return
         self.nis[packet.src].inject(packet)
-
-    def schedule_arrival(
-        self,
-        delay: int,
-        target_vc: InputVC,
-        packet: Packet,
-        is_head: bool,
-        is_tail: bool,
-    ) -> None:
-        """Put a flit on a link toward ``target_vc``, landing ``delay``
-        cycles from now.  The arrival queue takes batches in the order
-        they were created, so while other flits are in flight the landing
-        must not come before theirs (routers always use the link
-        latency)."""
-        self.arrival_queue.schedule(
-            self.cycle + delay, target_vc, packet, is_head, is_tail
-        )
 
     def can_eject(self, node: int) -> bool:
         return self._eject_tokens[node] > 0

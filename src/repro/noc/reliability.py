@@ -52,6 +52,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: A reliability flow: (source node, destination node, vnet).
 Flow = Tuple[int, int, int]
 
+#: Cap on the exponential backoff multiplier (timeout, 2x, 4x, ...).
+RETX_BACKOFF_CAP = 8
+#: Max simultaneously outstanding retransmissions per flow (bounds a
+#: retransmit storm; further due entries wait for the next deadline).
+RETX_INFLIGHT_CAP = 4
+#: Unacked packets retained per flow in the source replay buffer; beyond
+#: this the oldest entry is evicted (and counted).
+RETX_WINDOW = 32
+
 
 def payload_crc(packet: Packet) -> int:
     """CRC-32 of the packet's end-to-end payload (0-length for control)."""
@@ -152,10 +161,7 @@ class ReliabilityLayer:
             if entry.attempts >= self.config.retx_max_retries:
                 self._abandon(entry)
                 continue
-            if (
-                self._retx_outstanding.get(flow, 0)
-                >= self.config.retx_inflight_cap
-            ):
+            if self._retx_outstanding.get(flow, 0) >= RETX_INFLIGHT_CAP:
                 # Storm bound: wait one base timeout and try again.
                 entry.next_deadline = cycle + self.config.retx_timeout
                 heapq.heappush(
@@ -195,7 +201,7 @@ class ReliabilityLayer:
         packet.seq = seq
         packet.crc = payload_crc(packet)
         entries = self._entries.setdefault(flow, {})
-        if len(entries) >= self.config.retx_window:
+        if len(entries) >= RETX_WINDOW:
             oldest = min(entries)
             evicted = entries.pop(oldest)
             if evicted.counted_inflight:
@@ -244,7 +250,7 @@ class ReliabilityLayer:
         clone.retransmissions = entry.attempts
         entry.counted_inflight = True
         self._retx_outstanding[flow] = self._retx_outstanding.get(flow, 0) + 1
-        backoff = min(1 << entry.attempts, self.config.retx_backoff_cap)
+        backoff = min(1 << entry.attempts, RETX_BACKOFF_CAP)
         entry.next_deadline = cycle + self.config.retx_timeout * backoff
         heapq.heappush(self._deadlines, (entry.next_deadline, flow, entry.seq))
         self.network.kernel.wake(self, entry.next_deadline)
@@ -392,10 +398,7 @@ class ReliabilityLayer:
                 self._dec_outstanding(flow)
             if entry.attempts >= self.config.retx_max_retries:
                 self._abandon(entry)
-            elif (
-                self._retx_outstanding.get(flow, 0)
-                < self.config.retx_inflight_cap
-            ):
+            elif self._retx_outstanding.get(flow, 0) < RETX_INFLIGHT_CAP:
                 self._retransmit(entry, self.network.cycle)
             # else: the pending timeout deadline retries later.
 

@@ -54,6 +54,9 @@ VC_ROUTING = 1
 VC_VA = 2
 VC_ACTIVE = 3
 
+#: Cycles a flit spends on an inter-router link.
+LINK_LATENCY = 1
+
 _by_scan_key = attrgetter("scan_key")
 
 #: Resolved lazily (import cycle): the stock ``Network.can_eject``, so the
@@ -229,7 +232,6 @@ class Router:
         self.config = config
         self.network = network
         self.topology = network.topology
-        self.mesh = network.topology  # legacy alias (pre-fabric callers)
         self.radix = self.topology.radix(node)
         self.inputs: List[List[InputVC]] = [
             [
@@ -265,7 +267,6 @@ class Router:
             FlowControl.VIRTUAL_CUT_THROUGH,
             FlowControl.STORE_AND_FORWARD,
         )
-        self._link_latency = config.link_latency
         #: Whether every engine job holds its VC, not only a committed
         #: streaming one: set by a DISCO router without non-blocking
         #: compression (the shadow-invalid bit of §3.2).
@@ -586,7 +587,7 @@ class Router:
             target.incoming += 1
             stats.link_flits += 1
             network.arrival_queue.schedule(
-                network.kernel.cycle + self._link_latency,
+                network.kernel.cycle + LINK_LATENCY,
                 target,
                 packet,
                 is_head,

@@ -1,85 +1,34 @@
-"""Deterministic deadlock-free routing, one algorithm per topology.
+"""The dateline rule: deadlock-free minimal routing around a ring.
 
-Route functions take ``(topology, current, dst)`` and return
-``(out_port, vc_class)``:
+Every topology class in :mod:`repro.noc.topology` holds its own
+deterministic route, ``route(current, dst) -> (out_port, vc_class)``:
 
-- ``out_port`` — the output port at ``current`` (:data:`PORT_LOCAL` on
+- ``out_port`` — the output port at ``current`` (``PORT_LOCAL`` on
   arrival);
-- ``vc_class`` — ``None`` when the algorithm is deadlock-free on any VC
+- ``vc_class`` — ``None`` when the route is deadlock-free on any VC
   (XY on a mesh, star+XY on a cmesh), or ``0``/``1`` when the topology
   has wrap-around links and needs dateline escape VCs.  The router then
   restricts VC allocation to the class's half of the vnet's VCs.
 
-The dateline rule used for torus/ring rings of size ``n``: a packet
-travelling in the ``+1`` direction starts in class 0 and is in class 1
-exactly when ``current > dst`` (it still has to cross the ``n-1 -> 0``
-wrap); symmetrically, a ``-1``-direction packet is in class 1 when
+The two wrap-around fabrics (each torus dimension, each ring direction)
+share the one rule here.  On a ring of size ``n``, a packet travelling
+in the ``+1`` direction starts in class 0 and is in class 1 exactly when
+``current > dst`` (it still has to cross the ``n-1 -> 0`` wrap);
+symmetrically, a ``-1``-direction packet is in class 1 when
 ``current < dst``.  Within one class the channel-dependency graph is
 acyclic (class 0 never uses the wrap link; a class-1 chain cannot extend
 past the wrap), and dimension order breaks cycles between dimensions, so
 the route is deadlock-free with 2 VCs per vnet.
-
-The legacy ``xy_route``/``xy_hops`` helpers are kept for mesh-specific
-callers and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
-
-from repro.noc.topology import (
-    ConcentratedMesh2D,
-    Mesh,
-    PORT_EAST,
-    PORT_LOCAL,
-    PORT_NORTH,
-    PORT_SOUTH,
-    PORT_WEST,
-    RING_CCW,
-    RING_CW,
-    Ring,
-    Topology,
-    Torus2D,
-)
+from typing import Optional, Tuple
 
 RouteDecision = Tuple[int, Optional[int]]
-RouteFn = Callable[[Topology, int, int], RouteDecision]
 
 
-def xy_route(mesh: Mesh, current: int, dst: int) -> int:
-    """Output port at ``current`` for a packet heading to ``dst``.
-
-    X first, then Y; returns ``PORT_LOCAL`` on arrival.  XY routing on a
-    mesh is deadlock-free, which keeps the wormhole network live without a
-    turn model.
-    """
-    cx, cy = mesh.coords(current)
-    dx, dy = mesh.coords(dst)
-    if cx < dx:
-        return PORT_EAST
-    if cx > dx:
-        return PORT_WEST
-    if cy > dy:
-        return PORT_NORTH
-    if cy < dy:
-        return PORT_SOUTH
-    return PORT_LOCAL
-
-
-def xy_hops(mesh: Mesh, src: int, dst: int) -> int:
-    """Manhattan hop distance between two nodes."""
-    sx, sy = mesh.coords(src)
-    dx, dy = mesh.coords(dst)
-    return abs(sx - dx) + abs(sy - dy)
-
-
-def route_mesh_xy(topology: Topology, current: int, dst: int) -> RouteDecision:
-    """XY dimension order on a mesh; no escape class needed."""
-    return xy_route(topology, current, dst), None
-
-
-def _ring_step(
+def ring_step(
     current: int, dst: int, n: int, plus_port: int, minus_port: int
 ) -> RouteDecision:
     """One minimal step around a ring of ``n`` nodes with dateline classes.
@@ -92,120 +41,3 @@ def _ring_step(
     if forward <= backward:
         return plus_port, 1 if current > dst else 0
     return minus_port, 1 if current < dst else 0
-
-
-def route_torus_dor(topology: Torus2D, current: int, dst: int) -> RouteDecision:
-    """Dimension-order routing on a torus with a dateline per dimension."""
-    cx, cy = topology.coords(current)
-    dx, dy = topology.coords(dst)
-    if cx != dx:
-        return _ring_step(cx, dx, topology.width, PORT_EAST, PORT_WEST)
-    if cy != dy:
-        return _ring_step(cy, dy, topology.height, PORT_SOUTH, PORT_NORTH)
-    return PORT_LOCAL, None
-
-
-def route_ring_dateline(topology: Ring, current: int, dst: int) -> RouteDecision:
-    """Minimal bidirectional ring routing with a dateline per direction."""
-    if current == dst:
-        return PORT_LOCAL, None
-    return _ring_step(current, dst, topology.n_nodes, RING_CW, RING_CCW)
-
-
-def route_cmesh_xy(
-    topology: ConcentratedMesh2D, current: int, dst: int
-) -> RouteDecision:
-    """Star-up, XY over the hub mesh, star-down.  The star links form a
-    tree and the hub mesh uses XY, so the union is acyclic."""
-    if current == dst:
-        return PORT_LOCAL, None
-    if not topology.is_hub(current):
-        return 1, None  # leaf: the uplink is the only way out
-    dst_hub = topology.hub_of(dst)
-    if current == dst_hub:
-        return topology.star_port(dst), None  # descend to the leaf
-    c = topology.concentration
-    mesh_port = xy_route(
-        topology._hub_mesh, current // c, dst_hub // c
-    )
-    return mesh_port, None
-
-
-@dataclass(frozen=True)
-class RoutingAlgorithm:
-    """A named route function plus the topologies it is valid for."""
-
-    name: str
-    fn: RouteFn
-    topologies: Tuple[str, ...]
-    #: True when the algorithm returns dateline VC classes and therefore
-    #: needs ``vcs_per_vnet >= 2`` (one escape class per half).
-    needs_escape_vcs: bool = False
-    description: str = field(default="", compare=False)
-
-
-ROUTING_REGISTRY: Dict[str, RoutingAlgorithm] = {}
-
-
-def register_routing(algorithm: RoutingAlgorithm) -> RoutingAlgorithm:
-    if algorithm.name in ROUTING_REGISTRY:
-        raise ValueError(f"routing {algorithm.name!r} already registered")
-    ROUTING_REGISTRY[algorithm.name] = algorithm
-    return algorithm
-
-
-register_routing(RoutingAlgorithm(
-    name="xy",
-    fn=route_mesh_xy,
-    topologies=("mesh",),
-    description="XY dimension order (paper Table 2)",
-))
-register_routing(RoutingAlgorithm(
-    name="dor_dateline",
-    fn=route_torus_dor,
-    topologies=("torus",),
-    needs_escape_vcs=True,
-    description="dimension order with dateline escape VCs",
-))
-register_routing(RoutingAlgorithm(
-    name="ring_dateline",
-    fn=route_ring_dateline,
-    topologies=("ring",),
-    needs_escape_vcs=True,
-    description="minimal bidirectional ring with dateline escape VCs",
-))
-register_routing(RoutingAlgorithm(
-    name="cmesh_xy",
-    fn=route_cmesh_xy,
-    topologies=("cmesh",),
-    description="star ascent/descent around hub-mesh XY",
-))
-
-#: Topology name -> default routing algorithm name.
-DEFAULT_ROUTING = {
-    "mesh": "xy",
-    "torus": "dor_dateline",
-    "ring": "ring_dateline",
-    "cmesh": "cmesh_xy",
-}
-
-
-def resolve_routing(topology_name: str, routing_name: str = "") -> RoutingAlgorithm:
-    """Look up a routing algorithm and check it fits the topology.
-
-    An empty ``routing_name`` selects the topology's default.
-    """
-    if not routing_name:
-        routing_name = DEFAULT_ROUTING[topology_name]
-    algorithm = ROUTING_REGISTRY.get(routing_name)
-    if algorithm is None:
-        raise ValueError(
-            f"unknown routing {routing_name!r}; "
-            f"choose from {sorted(ROUTING_REGISTRY)}"
-        )
-    if topology_name not in algorithm.topologies:
-        raise ValueError(
-            f"routing {routing_name!r} does not support topology "
-            f"{topology_name!r} (supports {algorithm.topologies})"
-        )
-    return algorithm

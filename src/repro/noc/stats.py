@@ -78,9 +78,3 @@ class NetworkStats:
         if self.packets_ejected == 0:
             return 0.0
         return self.total_packet_latency / self.packets_ejected
-
-    def avg_latency_of(self, ptype: str) -> float:
-        count = self.count_by_type.get(ptype, 0)
-        if count == 0:
-            return 0.0
-        return self.latency_by_type[ptype] / count

@@ -1,10 +1,13 @@
-"""Pluggable fabric topologies and the port-numbering contract.
+"""Fabric topologies: shape, port numbering and the one route per fabric.
 
-A :class:`Topology` describes the fabric shape the rest of the NoC is
-built from: node count, per-node radix, adjacency (which output port of
-which node feeds which input port of which neighbour), deterministic hop
-distance, and the placement queries the CMP layer needs (corner nodes for
-memory controllers, the transpose permutation for synthetic traffic).
+A :class:`Topology` is the one description of a fabric the rest of the
+NoC is built from: node count, per-node radix, adjacency (which output
+port of which node feeds which input port of which neighbour), its
+deterministic deadlock-free route and whether that route needs dateline
+escape VCs, hop distance along it, and the placement queries the CMP
+layer needs (corner nodes for memory controllers, the transpose
+permutation for synthetic traffic).  :data:`TOPOLOGIES` maps each
+``NocConfig.topology`` name to its class.
 
 The port-numbering contract every topology obeys:
 
@@ -15,8 +18,11 @@ The port-numbering contract every topology obeys:
   port, e.g. a mesh edge), and :meth:`Topology.neighbor_port` names the
   input port it lands on.
 
-Topologies are paired with a deterministic deadlock-free route function
-by the registry in :mod:`repro.noc.routing`.
+Each fabric has exactly one route: XY on the mesh (the paper's Table 2),
+dimension order with a dateline per dimension on the torus, minimal
+bidirectional with a dateline per direction on the ring, and star
+ascent/descent around hub-mesh XY on the cmesh.  The dateline rule and
+its deadlock-freedom argument live in :mod:`repro.noc.routing`.
 
 The module-level ``PORT_*`` constants describe the 2-D mesh/torus port
 space (the paper's Table 2 fabric) and are kept for the mesh-specific
@@ -26,7 +32,9 @@ topology object instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
+
+from repro.noc.routing import RouteDecision, ring_step
 
 #: Router port indices (2-D mesh/torus port space).
 PORT_LOCAL = 0
@@ -65,10 +73,14 @@ class Topology:
 
     Subclasses fill ``neighbor`` (one ``{port: node | None}`` dict per
     node, link ports only) and implement :meth:`radix`,
-    :meth:`neighbor_port` and :meth:`hop_distance`.
+    :meth:`neighbor_port`, :meth:`route` and :meth:`hop_distance`.
     """
 
     name = "abstract"
+    #: True when :meth:`route` returns dateline VC classes; the fabric
+    #: then needs ``vcs_per_vnet >= 2`` (one escape class per half of
+    #: each vnet's VCs, see :func:`min_vcs_per_vnet`).
+    needs_escape_vcs = False
 
     def __init__(self, n_nodes: int):
         if n_nodes < 1:
@@ -77,6 +89,19 @@ class Topology:
         #: ``neighbor[node][port]`` -> neighbouring node id or ``None``.
         self.neighbor: List[Dict[int, Optional[int]]] = []
 
+    @classmethod
+    def from_shape(
+        cls, width: int, height: int, concentration: int
+    ) -> "Topology":
+        """The fabric for ``NocConfig``'s shape fields; raises
+        ``ValueError`` for a shape the fabric cannot take."""
+        raise NotImplementedError
+
+    @classmethod
+    def shape_nodes(cls, width: int, height: int, concentration: int) -> int:
+        """Node count of :meth:`from_shape` without building adjacency."""
+        return width * height
+
     # -- adjacency ----------------------------------------------------------
     def radix(self, node: int) -> int:
         """Port count of one router, local port included."""
@@ -84,6 +109,12 @@ class Topology:
 
     def neighbor_port(self, node: int, port: int) -> int:
         """The input port on ``neighbor[node][port]`` that the link feeds."""
+        raise NotImplementedError
+
+    def route(self, current: int, dst: int) -> RouteDecision:
+        """``(out_port, vc_class)`` at ``current`` for a packet heading to
+        ``dst``: a pure function of the pair, ``(PORT_LOCAL, None)`` on
+        arrival (see :mod:`repro.noc.routing` for ``vc_class``)."""
         raise NotImplementedError
 
     def hop_distance(self, src: int, dst: int) -> int:
@@ -134,6 +165,12 @@ class _Grid2D(Topology):
         super().__init__(width * height)
         self.width = width
         self.height = height
+
+    @classmethod
+    def from_shape(
+        cls, width: int, height: int, concentration: int
+    ) -> "_Grid2D":
+        return cls(width, height)
 
     def coords(self, node: int) -> Tuple[int, int]:
         """Node id -> (x, y); x grows east, y grows south."""
@@ -191,25 +228,37 @@ class Mesh2D(_Grid2D):
                 }
             )
 
+    def route(self, current: int, dst: int) -> RouteDecision:
+        """X first, then Y.  XY routing on a mesh is deadlock-free on any
+        VC, which keeps the wormhole network live without a turn model."""
+        cx, cy = self.coords(current)
+        dx, dy = self.coords(dst)
+        if cx < dx:
+            return PORT_EAST, None
+        if cx > dx:
+            return PORT_WEST, None
+        if cy > dy:
+            return PORT_NORTH, None
+        if cy < dy:
+            return PORT_SOUTH, None
+        return PORT_LOCAL, None
+
     def hop_distance(self, src: int, dst: int) -> int:
         sx, sy = self.coords(src)
         dx, dy = self.coords(dst)
         return abs(sx - dx) + abs(sy - dy)
 
 
-#: Backward-compatible alias for the seed's mesh class.
-Mesh = Mesh2D
-
-
 class Torus2D(_Grid2D):
     """A ``width x height`` torus: the mesh plus wrap-around links.
 
     Both dimensions must be at least 2 so no wrap link is a self-loop.
-    Deadlock freedom over the wrap links needs the dateline (escape-VC)
-    routing from :mod:`repro.noc.routing`, not plain XY.
+    Deadlock freedom over the wrap links needs dimension order with a
+    dateline (escape-VC) class per dimension, not plain XY.
     """
 
     name = "torus"
+    needs_escape_vcs = True
 
     def __init__(self, width: int, height: int):
         if width < 2 or height < 2:
@@ -226,6 +275,16 @@ class Torus2D(_Grid2D):
                 }
             )
 
+    def route(self, current: int, dst: int) -> RouteDecision:
+        """Dimension order with a dateline per dimension."""
+        cx, cy = self.coords(current)
+        dx, dy = self.coords(dst)
+        if cx != dx:
+            return ring_step(cx, dx, self.width, PORT_EAST, PORT_WEST)
+        if cy != dy:
+            return ring_step(cy, dy, self.height, PORT_SOUTH, PORT_NORTH)
+        return PORT_LOCAL, None
+
     def hop_distance(self, src: int, dst: int) -> int:
         sx, sy = self.coords(src)
         dx, dy = self.coords(dst)
@@ -239,10 +298,18 @@ class Ring(Topology):
     Port :data:`RING_CW` faces node ``i+1``, :data:`RING_CCW` faces
     ``i-1``; each direction is its own unidirectional ring, so deadlock
     avoidance only needs a dateline per direction (see
-    :mod:`repro.noc.routing`).
+    :mod:`repro.noc.routing`).  Built from ``NocConfig``, the ring lays
+    the same ``width * height`` node count out on a cycle.
     """
 
     name = "ring"
+    needs_escape_vcs = True
+
+    @classmethod
+    def from_shape(
+        cls, width: int, height: int, concentration: int
+    ) -> "Ring":
+        return cls(width * height)
 
     def __init__(self, n_nodes: int):
         if n_nodes < 2:
@@ -268,6 +335,12 @@ class Ring(Topology):
             port, f"link{port}"
         )
 
+    def route(self, current: int, dst: int) -> RouteDecision:
+        """Minimal bidirectional, with a dateline per direction."""
+        if current == dst:
+            return PORT_LOCAL, None
+        return ring_step(current, dst, self.n_nodes, RING_CW, RING_CCW)
+
     def hop_distance(self, src: int, dst: int) -> int:
         self._check_node(src)
         self._check_node(dst)
@@ -282,12 +355,22 @@ class ConcentratedMesh2D(Topology):
     Node ids: terminal ``node`` belongs to cluster ``node // c``; local
     index ``node % c == 0`` is the cluster hub (a full mesh router plus
     ``c - 1`` star links), the rest are radix-2 leaf routers whose only
-    link port (``1``) is the uplink to their hub.  Routing descends the
-    star, XY-routes over the hub mesh, then ascends — acyclic (tree +
+    link port (``1``) is the uplink to their hub.  Routing ascends the
+    star, XY-routes over the hub mesh, then descends — acyclic (tree +
     dimension order), so no escape VCs are needed.
     """
 
     name = "cmesh"
+
+    @classmethod
+    def from_shape(
+        cls, width: int, height: int, concentration: int
+    ) -> "ConcentratedMesh2D":
+        return cls(width, height, concentration)
+
+    @classmethod
+    def shape_nodes(cls, width: int, height: int, concentration: int) -> int:
+        return width * height * concentration
 
     def __init__(self, width: int, height: int, concentration: int = 4):
         if width < 1 or height < 1:
@@ -347,6 +430,19 @@ class ConcentratedMesh2D(Topology):
             return f"star{port - N_PORTS + 1}"
         return f"link{port}"
 
+    def route(self, current: int, dst: int) -> RouteDecision:
+        """Star-up, XY over the hub mesh, star-down.  The star links form
+        a tree and the hub mesh uses XY, so the union is acyclic."""
+        if current == dst:
+            return PORT_LOCAL, None
+        if not self.is_hub(current):
+            return 1, None  # leaf: the uplink is the only way out
+        dst_hub = self.hub_of(dst)
+        if current == dst_hub:
+            return self.star_port(dst), None  # descend to the leaf
+        c = self.concentration
+        return self._hub_mesh.route(current // c, dst_hub // c)
+
     def hop_distance(self, src: int, dst: int) -> int:
         self._check_node(src)
         self._check_node(dst)
@@ -368,40 +464,23 @@ class ConcentratedMesh2D(Topology):
         )
 
 
-#: Topology name -> constructor arguments drawn from a NocConfig.
-TOPOLOGY_NAMES = ("mesh", "torus", "ring", "cmesh")
+#: ``NocConfig.topology`` name -> the fabric's class.
+TOPOLOGIES: Dict[str, Type[Topology]] = {
+    cls.name: cls for cls in (Mesh2D, Torus2D, Ring, ConcentratedMesh2D)
+}
 
 
-def build_topology(
-    name: str, width: int, height: int, concentration: int = 4
-) -> Topology:
-    """Instantiate a topology from ``NocConfig``-style parameters.
-
-    ``width``/``height`` shape the grid fabrics; the ring lays the same
-    ``width * height`` node count out on a cycle; the cmesh multiplies
-    the grid by ``concentration`` terminals per hub.
-    """
-    if name == "mesh":
-        return Mesh2D(width, height)
-    if name == "torus":
-        return Torus2D(width, height)
-    if name == "ring":
-        return Ring(width * height)
-    if name == "cmesh":
-        return ConcentratedMesh2D(width, height, concentration)
-    raise ValueError(
-        f"unknown topology {name!r}; choose from {TOPOLOGY_NAMES}"
-    )
+def topology_class(name: str) -> Type[Topology]:
+    """The class of the fabric called ``name``."""
+    fabric = TOPOLOGIES.get(name)
+    if fabric is None:
+        raise ValueError(
+            f"unknown topology {name!r}; choose from {tuple(TOPOLOGIES)}"
+        )
+    return fabric
 
 
-def fabric_n_nodes(
-    name: str, width: int, height: int, concentration: int = 4
-) -> int:
-    """Node count of :func:`build_topology` without building adjacency."""
-    if name in ("mesh", "torus", "ring"):
-        return width * height
-    if name == "cmesh":
-        return width * height * concentration
-    raise ValueError(
-        f"unknown topology {name!r}; choose from {TOPOLOGY_NAMES}"
-    )
+def min_vcs_per_vnet(name: str) -> int:
+    """The fewest VCs per vnet the fabric's route is deadlock-free with:
+    two dateline escape classes on the wrap-around fabrics, one else."""
+    return 2 if topology_class(name).needs_escape_vcs else 1

@@ -3,8 +3,8 @@
 Public surface:
 
 - :class:`~repro.service.scheduler.CampaignService` — the supervised
-  scheduler (priority queues, work stealing, retries, quarantine,
-  result streaming);
+  scheduler (one priority queue, retries, quarantine, result
+  streaming);
 - :class:`~repro.service.admission.AdmissionController` /
   :class:`~repro.service.admission.Overloaded` — admission control and
   the structured shed response;

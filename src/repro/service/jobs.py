@@ -2,7 +2,7 @@
 
 A **job** is one client submission — a sweep of simulation specs, fault
 campaigns, or both — broken into independently schedulable **work
-units**.  Units are what the scheduler queues, steals, retries and
+units**.  Units are what the scheduler queues, dispatches, retries and
 journals; the job aggregates their outcomes and publishes an ordered
 event stream (``result`` / ``failed`` per unit, one terminal ``done``)
 that any number of consumers can follow live or replay after the fact —

@@ -4,19 +4,17 @@
 service: clients submit jobs (spec sweeps and/or fault campaigns) at any
 time, an admission layer sheds overload with structured
 :class:`~repro.service.admission.Overloaded` responses, and admitted
-work flows through per-worker priority queues into the runner's shared
+work flows through one priority queue into the runner's shared
 executor, streaming each unit's result the moment it completes.
 
 Scheduling model
 ----------------
-Each of ``workers`` dispatcher threads owns a priority heap (ordered by
-client priority, then global FIFO sequence).  A submission shards its
-units round-robin across the heaps; an idle worker first drains its own
-heap, then **steals** the best unit from the most-backlogged peer — so
-one giant sweep cannot convoy small jobs behind it, and no worker idles
-while any queue holds work.  Units backing off after a failure sit in a
-shared delayed set until their deadline, then rejoin the least-loaded
-heap.
+Every queued unit sits in one heap ordered by client priority, then
+global FIFO sequence, and each of the ``workers`` dispatcher threads
+takes the heap's best unit whenever it is free — so a higher-priority
+unit never waits behind a lower one, and no dispatcher idles while the
+heap holds work.  Units backing off after a failure sit in a delayed
+set until their deadline, then rejoin the heap.
 
 Execution
 ---------
@@ -97,8 +95,6 @@ class ServiceStats:
     jobs_completed: int = 0
     #: Jobs with at least one failed/quarantined unit.
     jobs_failed: int = 0
-    #: Units a worker took from a peer's queue.
-    steals: int = 0
     #: Re-enqueues after an error or interruption.
     retries: int = 0
     #: Process pools torn down and respawned after a worker death.
@@ -122,7 +118,6 @@ class CampaignService:
         rate: float = 8.0,
         burst: float = 32.0,
         max_queue_depth: int = 256,
-        registry: Optional[StatsRegistry] = None,
         slos: Optional[Sequence[SLOSpec]] = None,
     ):
         self.workers = max(1, workers or default_jobs())
@@ -133,7 +128,7 @@ class CampaignService:
             max_queue_depth=max_queue_depth,
             stats=AdmissionStats(),
         )
-        self.registry = registry if registry is not None else StatsRegistry()
+        self.registry = StatsRegistry()
         self.registry.register("service", self.stats.counters)
         self.registry.register("admission", self.admission.stats.counters)
         #: Every occurrence's one emit path (counters, rates, samples,
@@ -151,12 +146,10 @@ class CampaignService:
         self._slo_burning: Dict[str, float] = {}
 
         self._cond = threading.Condition()
-        self._heaps: List[List[Tuple[Tuple[int, int], WorkUnit]]] = [
-            [] for _ in range(self.workers)
-        ]
+        #: Queued units, best first by ``WorkUnit.order_key()``.
+        self._heap: List[Tuple[Tuple[int, int], WorkUnit]] = []
         self._delayed: List[WorkUnit] = []
         self._inflight = 0
-        self._shard_rr = 0
         self._accepting = False
         self._stopping = False
         self._threads: List[threading.Thread] = []
@@ -225,11 +218,7 @@ class CampaignService:
     # -- introspection -------------------------------------------------------
     def queue_depth(self) -> int:
         """Queued + delayed + in-flight units (callers may hold _cond)."""
-        return (
-            sum(len(heap) for heap in self._heaps)
-            + len(self._delayed)
-            + self._inflight
-        )
+        return len(self._heap) + len(self._delayed) + self._inflight
 
     def drain_rate(self, seconds: float = 30.0) -> float:
         """Recent completion throughput (units/second)."""
@@ -470,18 +459,14 @@ class CampaignService:
         )
 
     def _enqueue_locked(self, unit: WorkUnit) -> None:
-        """Place a unit on the least-loaded heap (callers hold _cond)."""
+        """Queue a unit (callers hold _cond)."""
         unit.enqueued = time.monotonic()
-        target = min(range(self.workers), key=lambda i: len(self._heaps[i]))
-        if len(self._heaps[target]) == len(self._heaps[self._shard_rr]):
-            target = self._shard_rr  # break ties round-robin
-        self._shard_rr = (self._shard_rr + 1) % self.workers
-        heapq.heappush(self._heaps[target], (unit.order_key(), unit))
+        heapq.heappush(self._heap, (unit.order_key(), unit))
 
     # -- the worker loop -----------------------------------------------------
     def _worker_loop(self, index: int) -> None:
         while True:
-            unit = self._next_unit(index)
+            unit = self._next_unit()
             if unit is None:
                 return  # stopping
             try:
@@ -496,41 +481,22 @@ class CampaignService:
                     self._inflight -= 1
                     self._cond.notify_all()
 
-    def _next_unit(self, index: int) -> Optional[WorkUnit]:
-        """Own heap first, then steal; block when everything is idle."""
+    def _next_unit(self) -> Optional[WorkUnit]:
+        """The best queued unit; block while nothing is queued."""
         with self._cond:
             while True:
                 if self._stopping:
                     return None
                 now = time.monotonic()
                 self._promote_delayed_locked(now)
-                unit = self._pop_locked(index)
-                if unit is None:
-                    victim = max(
-                        (i for i in range(self.workers) if i != index),
-                        key=lambda i: len(self._heaps[i]),
-                        default=None,
-                    )
-                    if victim is not None and self._heaps[victim]:
-                        unit = self._pop_locked(victim)
-                        if unit is not None:
-                            self.events.emit(
-                                "steal", worker=index, victim=victim
-                            )
-                if unit is not None:
+                if self._heap:
                     self._inflight += 1
-                    return unit
+                    return heapq.heappop(self._heap)[1]
                 timeout = 0.25
                 if self._delayed:
                     soonest = min(u.ready_at for u in self._delayed)
                     timeout = max(0.01, min(timeout, soonest - now))
                 self._cond.wait(timeout=timeout)
-
-    def _pop_locked(self, index: int) -> Optional[WorkUnit]:
-        heap = self._heaps[index]
-        if not heap:
-            return None
-        return heapq.heappop(heap)[1]
 
     def _promote_delayed_locked(self, now: float) -> None:
         if not self._delayed:

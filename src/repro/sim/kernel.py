@@ -201,7 +201,6 @@ class SimKernel:
         component: Component,
         phase: str = "main",
         *,
-        tick: bool = True,
         passive: bool = False,
     ) -> None:
         """Add a component to a phase (creating the phase at the end of the
@@ -209,12 +208,11 @@ class SimKernel:
 
         ``passive=True`` registers a reactive state-holder: tracked for
         idle detection and wedge snapshots, never scheduled — waking it
-        raises.  (``tick=False`` is the legacy spelling of the same
-        contract.)  Active components are primed with a visit on the next
+        raises.  Active components are primed with a visit on the next
         cycle; their first tick either starts their work or returns their
         first wake (``None`` to sleep).
         """
-        if passive or not tick:
+        if passive:
             self._passive.append((phase, component))
             self._reg_of[id(component)] = None
             return

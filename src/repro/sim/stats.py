@@ -270,9 +270,6 @@ class StatsRegistry:
             raise ValueError(f"stats group {group!r} already registered")
         self._providers[group] = provider
 
-    def unregister(self, group: str) -> None:
-        self._providers.pop(group, None)
-
     def groups(self) -> Tuple[str, ...]:
         return tuple(self._providers)
 

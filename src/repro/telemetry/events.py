@@ -87,7 +87,6 @@ KINDS: Dict[str, Kind] = {
         "(retry_after %(retry_after).2fs)",
     ),
     # -- the service: dispatch and resolution -----------------------------
-    "steal": Kind(counters={"steals": None}),
     "dispatch": Kind(
         counters={
             "queue_age_ms_total": "queue_age_ms",

@@ -85,4 +85,6 @@ def test_prefill_reduces_memory_traffic():
     rw = warm.run()
     cold = build("baseline", prefill=False)
     rc = cold.run()
-    assert rw.memory_reads < rc.memory_reads
+    assert (
+        rw.counters_full["memory_reads"] < rc.counters_full["memory_reads"]
+    )

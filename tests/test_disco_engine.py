@@ -31,7 +31,7 @@ def stage_packet(router, packet, port=PORT_WEST, vc_index=1, flits=None,
     vc.flits_received = received
     vc.flits_present = received
     if state == VC_ACTIVE and out_port != 0:
-        neighbor = router.mesh.neighbor[router.node][out_port]
+        neighbor = router.topology.neighbor[router.node][out_port]
         vc.out_vc = router.network.routers[neighbor].inputs[PORT_WEST][vc_index]
     return vc
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.noc.config import FlowControl, NocConfig
+from repro.noc.topology import Mesh2D
 
 
 def test_defaults_match_table2():
@@ -13,7 +14,7 @@ def test_defaults_match_table2():
     assert config.flit_bytes == 8
     assert config.flow_control is FlowControl.WORMHOLE
     assert config.topology == "mesh"
-    assert config.make_routing().name == "xy"
+    assert type(config.make_topology()) is Mesh2D  # XY routing
 
 
 def test_vnet_vc_partitioning():
@@ -35,15 +36,14 @@ def test_n_nodes():
         {"vcs_per_vnet": 0},
         {"vc_depth": 0},
         {"flit_bytes": 0},
-        {"link_latency": 0},
+        {"height": 0},
         {"ejection_bandwidth": 0},
         {"concentration": 0},
         {"max_line_bytes": 0},
-        # Unknown fabric / routing names.
+        # Unknown fabric names.
         {"topology": "hypercube"},
-        {"routing": "spiral"},
-        # Routing that does not fit the topology.
-        {"topology": "ring", "routing": "xy", "vcs_per_vnet": 2},
+        {"topology": ""},
+        {"retx_timeout": 0},
         # Wrap-around fabrics too small to wrap.
         {"topology": "torus", "width": 1, "vcs_per_vnet": 2},
         {"topology": "ring", "width": 1, "height": 1, "vcs_per_vnet": 2},

@@ -8,12 +8,12 @@ same tiny specs the runner tests use, so the whole suite stays fast.
 """
 
 import contextlib
-import heapq
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -373,24 +373,42 @@ class TestCampaignService:
         finally:
             service.shutdown(drain=False, timeout=10.0)
 
-    def test_idle_worker_steals_from_backlogged_peer(self):
+    def test_first_dispatch_takes_the_best_queued_unit(self, monkeypatch):
         service = CampaignService(workers=2, rate=1000.0, burst=1000.0)
-        job = Job(
-            "c",
-            5,
-            [
-                ("spec", RunSpec(scheme="baseline", seed=s, **QUICK))
-                for s in (1, 2)
-            ],
+        service._accepting = True  # queue deterministically before start
+        low = service.submit(
+            specs=[RunSpec(scheme="baseline", seed=s, **QUICK)
+                   for s in (1, 2)],
+            client="low",
+            priority=9,
         )
-        # Pile both units onto worker 0's heap; worker 1 must steal.
-        for unit in job.units:
-            heapq.heappush(service._heaps[0], (unit.order_key(), unit))
-        stolen = service._next_unit(1)
-        assert stolen is job.units[0]  # best unit, not an arbitrary one
-        assert service.stats.steals == 1
-        assert service._next_unit(0) is job.units[1]
-        assert service.stats.steals == 1  # own heap: no steal counted
+        high = service.submit(
+            specs=[RunSpec(scheme="disco", **QUICK)],
+            client="high",
+            priority=0,
+        )
+        # Each dispatcher holds the first unit it takes until released,
+        # so the two dispatchers take exactly one unit each.
+        taken, release = [], threading.Event()
+
+        def hold(unit):
+            taken.append(unit)
+            release.wait(timeout=30.0)
+
+        monkeypatch.setattr(service, "_execute", hold)
+        service.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while len(taken) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # The two best queued units, whichever dispatcher took which:
+            # the priority-0 unit, then the older priority-9 one.
+            assert {unit.order_key() for unit in taken} == {
+                high.units[0].order_key(), low.units[0].order_key()
+            }
+        finally:
+            release.set()
+            service.shutdown(drain=False, timeout=10.0)
 
     def test_transient_error_retries_then_succeeds(
         self, tmp_path, monkeypatch

@@ -110,7 +110,7 @@ class TestKernelScheduling:
         kernel = SimKernel()
         trace = []
         passive = Recorder("passive", trace, busy=True)
-        kernel.register(passive, phase="banks", tick=False)
+        kernel.register(passive, phase="banks", passive=True)
         kernel.step()
         assert trace == []  # never ticked...
         assert not kernel.idle()  # ...but holds the kernel non-idle
@@ -146,7 +146,9 @@ class TestKernelScheduling:
     def test_describe_mentions_phases(self):
         kernel = SimKernel()
         kernel.register(Recorder("r", [], busy=True), phase="net.routers")
-        kernel.register(Recorder("p", [], busy=False), phase="banks", tick=False)
+        kernel.register(
+            Recorder("p", [], busy=False), phase="banks", passive=True
+        )
         text = kernel.describe()
         assert "net.routers" in text
         assert "passive" in text
@@ -491,7 +493,9 @@ class TestNetworkOnKernel:
         packet = Packet(PacketType.RESPONSE, 0, 3, line=b"\x00" * 64)
         packet.injected_cycle = 0
         vc = network.routers[3].all_vcs[0]
-        network.schedule_arrival(1, vc, packet, is_head=True, is_tail=False)
+        network.arrival_queue.schedule(
+            network.cycle + 1, vc, packet, is_head=True, is_tail=False
+        )
         with pytest.raises(RuntimeError) as excinfo:
             network.run_until_quiescent(max_cycles=200)
         message = str(excinfo.value)
@@ -505,6 +509,8 @@ class TestNetworkOnKernel:
         packet = Packet(PacketType.REQUEST, 0, 3)
         vc = network.routers[3].all_vcs[0]
         # Scheduled far in the future: stays "in flight" past the deadline.
-        network.schedule_arrival(10_000, vc, packet, is_head=True, is_tail=True)
+        network.arrival_queue.schedule(
+            network.cycle + 10_000, vc, packet, is_head=True, is_tail=True
+        )
         with pytest.raises(RuntimeError, match="link flits in flight: 1"):
             network.run_until_quiescent(max_cycles=100)

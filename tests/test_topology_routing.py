@@ -1,19 +1,14 @@
-"""Topology and routing tests: mesh/torus/ring/cmesh + the registry."""
+"""Topology and routing tests: mesh/torus/ring/cmesh, each fabric's
+route, and the name -> class table."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc.routing import (
-    DEFAULT_ROUTING,
-    ROUTING_REGISTRY,
-    resolve_routing,
-    xy_hops,
-    xy_route,
-)
 from repro.noc.topology import (
+    TOPOLOGIES,
     ConcentratedMesh2D,
-    Mesh,
+    Mesh2D,
     OPPOSITE,
     PORT_EAST,
     PORT_LOCAL,
@@ -24,20 +19,20 @@ from repro.noc.topology import (
     RING_CW,
     Ring,
     Torus2D,
-    build_topology,
-    fabric_n_nodes,
+    min_vcs_per_vnet,
+    topology_class,
 )
 
 
 class TestMesh:
     def test_coords_roundtrip(self):
-        mesh = Mesh(4, 4)
+        mesh = Mesh2D(4, 4)
         for node in range(16):
             x, y = mesh.coords(node)
             assert mesh.node_at(x, y) == node
 
     def test_neighbors_4x4(self):
-        mesh = Mesh(4, 4)
+        mesh = Mesh2D(4, 4)
         assert mesh.neighbor[0][PORT_EAST] == 1
         assert mesh.neighbor[0][PORT_WEST] is None
         assert mesh.neighbor[0][PORT_SOUTH] == 4
@@ -46,38 +41,38 @@ class TestMesh:
         assert mesh.neighbor[5][PORT_NORTH] == 1
 
     def test_neighbor_symmetry(self):
-        mesh = Mesh(3, 5)
+        mesh = Mesh2D(3, 5)
         for node in range(mesh.n_nodes):
             for port, nbr in mesh.neighbor[node].items():
                 if nbr is not None:
                     assert mesh.neighbor[nbr][OPPOSITE[port]] == node
 
     def test_links_count(self):
-        mesh = Mesh(4, 4)
+        mesh = Mesh2D(4, 4)
         # 2 directed links per internal edge: 2*(3*4)*2 meshes of edges
         assert len(mesh.links()) == 2 * (3 * 4 + 4 * 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Mesh(0, 4)
+            Mesh2D(0, 4)
         with pytest.raises(ValueError):
-            Mesh(4, 4).coords(16)
+            Mesh2D(4, 4).coords(16)
 
 
 class TestXYRouting:
     def test_local_at_destination(self):
-        mesh = Mesh(4, 4)
+        mesh = Mesh2D(4, 4)
         for node in range(16):
-            assert xy_route(mesh, node, node) == PORT_LOCAL
+            assert mesh.route(node, node) == (PORT_LOCAL, None)
 
     def test_x_first(self):
-        mesh = Mesh(4, 4)
+        mesh = Mesh2D(4, 4)
         # node 0 (0,0) -> node 15 (3,3): go east first
-        assert xy_route(mesh, 0, 15) == PORT_EAST
+        assert mesh.route(0, 15) == (PORT_EAST, None)
         # same column: go south
-        assert xy_route(mesh, 0, 12) == PORT_SOUTH
-        assert xy_route(mesh, 12, 0) == PORT_NORTH
-        assert xy_route(mesh, 3, 0) == PORT_WEST
+        assert mesh.route(0, 12) == (PORT_SOUTH, None)
+        assert mesh.route(12, 0) == (PORT_NORTH, None)
+        assert mesh.route(3, 0) == (PORT_WEST, None)
 
     @given(
         src=st.integers(0, 63),
@@ -85,30 +80,30 @@ class TestXYRouting:
     )
     @settings(max_examples=200, deadline=None)
     def test_route_always_converges(self, src, dst):
-        mesh = Mesh(8, 8)
+        mesh = Mesh2D(8, 8)
         current = src
         steps = 0
         while current != dst:
-            port = xy_route(mesh, current, dst)
-            assert port != PORT_LOCAL
+            port, vc_class = mesh.route(current, dst)
+            assert port != PORT_LOCAL and vc_class is None
             current = mesh.neighbor[current][port]
             assert current is not None
             steps += 1
             assert steps <= 14
-        assert steps == xy_hops(mesh, src, dst)
+        assert steps == mesh.hop_distance(src, dst)
 
     def test_hops(self):
-        mesh = Mesh(4, 4)
-        assert xy_hops(mesh, 0, 15) == 6
-        assert xy_hops(mesh, 5, 5) == 0
-        assert xy_hops(mesh, 0, 3) == 3
+        mesh = Mesh2D(4, 4)
+        assert mesh.hop_distance(0, 15) == 6
+        assert mesh.hop_distance(5, 5) == 0
+        assert mesh.hop_distance(0, 3) == 3
 
 
-def walk_route(topology, route_fn, src, dst):
-    """Follow a route function link by link; returns (hops, classes)."""
+def walk_route(topology, src, dst):
+    """Follow a topology's route link by link; returns (hops, classes)."""
     current, hops, classes = src, 0, []
     while current != dst:
-        port, vc_class = route_fn(topology, current, dst)
+        port, vc_class = topology.route(current, dst)
         assert port != PORT_LOCAL
         classes.append(vc_class)
         nbr = topology.neighbor[current].get(port)
@@ -116,16 +111,15 @@ def walk_route(topology, route_fn, src, dst):
         current = nbr
         hops += 1
         assert hops <= topology.n_nodes * 2, "route is cycling"
-    port, vc_class = route_fn(topology, dst, dst)
-    assert port == PORT_LOCAL and vc_class is None
+    assert topology.route(dst, dst) == (PORT_LOCAL, None)
     return hops, classes
 
 
 ALL_FABRICS = (
-    build_topology("mesh", 4, 4),
-    build_topology("torus", 4, 4),
-    build_topology("ring", 4, 2),
-    build_topology("cmesh", 2, 2, 4),
+    TOPOLOGIES["mesh"].from_shape(4, 4, 4),
+    TOPOLOGIES["torus"].from_shape(4, 4, 4),
+    TOPOLOGIES["ring"].from_shape(4, 2, 4),
+    TOPOLOGIES["cmesh"].from_shape(2, 2, 4),
 )
 
 
@@ -162,16 +156,13 @@ class TestTopologyProtocol:
 
     def test_factory_matches_n_nodes(self):
         for name, args in (
-            ("mesh", (4, 4)), ("torus", (3, 5)),
-            ("ring", (4, 4)), ("cmesh", (2, 3)),
+            ("mesh", (4, 4, 4)), ("torus", (3, 5, 4)),
+            ("ring", (4, 4, 4)), ("cmesh", (2, 3, 4)),
         ):
-            assert build_topology(name, *args).n_nodes == fabric_n_nodes(
-                name, *args
+            fabric = TOPOLOGIES[name]
+            assert fabric.from_shape(*args).n_nodes == fabric.shape_nodes(
+                *args
             )
-        with pytest.raises(ValueError):
-            build_topology("hypercube", 4, 4)
-        with pytest.raises(ValueError):
-            fabric_n_nodes("hypercube", 4, 4)
 
 
 class TestTorus:
@@ -196,8 +187,7 @@ class TestTorus:
     @settings(max_examples=200, deadline=None)
     def test_route_walk_is_minimal(self, src, dst):
         torus = Torus2D(5, 5)
-        fn = ROUTING_REGISTRY["dor_dateline"].fn
-        hops, classes = walk_route(torus, fn, src, dst)
+        hops, classes = walk_route(torus, src, dst)
         assert hops == torus.hop_distance(src, dst)
         # Every inter-router step carries a dateline class.
         assert all(c in (0, 1) for c in classes)
@@ -210,10 +200,9 @@ class TestTorus:
         # therefore never occupies a wrap link and a class-1 chain ends at
         # the wrap — both dependency graphs stay acyclic.
         torus = Torus2D(5, 5)
-        fn = ROUTING_REGISTRY["dor_dateline"].fn
         current, prev_port, prev_class = src, None, None
         while current != dst:
-            port, vc_class = fn(torus, current, dst)
+            port, vc_class = torus.route(current, dst)
             if port == prev_port:
                 assert (prev_class, vc_class) != (0, 1)
             prev_port, prev_class = port, vc_class
@@ -221,12 +210,11 @@ class TestTorus:
 
     def test_class_zero_never_uses_a_wrap_link(self):
         torus = Torus2D(5, 5)
-        fn = ROUTING_REGISTRY["dor_dateline"].fn
         for src in range(25):
             for dst in range(25):
                 current = src
                 while current != dst:
-                    port, vc_class = fn(torus, current, dst)
+                    port, vc_class = torus.route(current, dst)
                     nbr = torus.neighbor[current][port]
                     cx, cy = torus.coords(current)
                     nx, ny = torus.coords(nbr)
@@ -253,26 +241,23 @@ class TestRing:
     @settings(max_examples=200, deadline=None)
     def test_route_walk_is_minimal(self, src, dst):
         ring = Ring(16)
-        fn = ROUTING_REGISTRY["ring_dateline"].fn
-        hops, classes = walk_route(ring, fn, src, dst)
+        hops, classes = walk_route(ring, src, dst)
         assert hops == ring.hop_distance(src, dst)
         assert all(c in (0, 1) for c in classes)
 
     def test_direction_is_minimal_and_tie_breaks_clockwise(self):
         ring = Ring(8)
-        fn = ROUTING_REGISTRY["ring_dateline"].fn
-        assert fn(ring, 0, 2)[0] == RING_CW
-        assert fn(ring, 0, 6)[0] == RING_CCW
-        assert fn(ring, 0, 4)[0] == RING_CW  # tie -> clockwise
+        assert ring.route(0, 2)[0] == RING_CW
+        assert ring.route(0, 6)[0] == RING_CCW
+        assert ring.route(0, 4)[0] == RING_CW  # tie -> clockwise
 
     def test_dateline_class_set_after_wrap(self):
         ring = Ring(8)
-        fn = ROUTING_REGISTRY["ring_dateline"].fn
         # 6 -> 1 clockwise: before the wrap (current 6,7 > dst) class 1,
         # after the wrap (current 0 < dst) class 0.
-        assert fn(ring, 6, 1) == (RING_CW, 1)
-        assert fn(ring, 7, 1) == (RING_CW, 1)
-        assert fn(ring, 0, 1) == (RING_CW, 0)
+        assert ring.route(6, 1) == (RING_CW, 1)
+        assert ring.route(7, 1) == (RING_CW, 1)
+        assert ring.route(0, 1) == (RING_CW, 0)
 
 
 class TestConcentratedMesh:
@@ -298,8 +283,7 @@ class TestConcentratedMesh:
     @settings(max_examples=200, deadline=None)
     def test_route_walk_is_minimal(self, src, dst):
         cmesh = ConcentratedMesh2D(2, 2, concentration=4)
-        fn = ROUTING_REGISTRY["cmesh_xy"].fn
-        hops, classes = walk_route(cmesh, fn, src, dst)
+        hops, classes = walk_route(cmesh, src, dst)
         assert hops == cmesh.hop_distance(src, dst)
         assert all(c is None for c in classes)  # tree + XY needs no classes
 
@@ -309,23 +293,22 @@ class TestConcentratedMesh:
             assert cmesh.is_hub(node)
 
 
-class TestRoutingRegistry:
-    def test_every_topology_has_a_default(self):
-        for name in ("mesh", "torus", "ring", "cmesh"):
-            algorithm = resolve_routing(name)
-            assert algorithm.name == DEFAULT_ROUTING[name]
-            assert name in algorithm.topologies
+class TestTopologyTable:
+    def test_every_name_maps_to_its_class(self):
+        assert set(TOPOLOGIES) == {"mesh", "torus", "ring", "cmesh"}
+        for name, fabric in TOPOLOGIES.items():
+            assert fabric.name == name
+            assert topology_class(name) is fabric
 
-    def test_unknown_routing_rejected(self):
-        with pytest.raises(ValueError, match="unknown routing"):
-            resolve_routing("mesh", "spiral")
-
-    def test_topology_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not support"):
-            resolve_routing("ring", "xy")
+    def test_unknown_topology_rejected(self):
+        with pytest.raises(ValueError, match="unknown topology"):
+            topology_class("hypercube")
+        with pytest.raises(ValueError, match="unknown topology"):
+            min_vcs_per_vnet("hypercube")
 
     def test_escape_vc_flags(self):
-        assert resolve_routing("torus").needs_escape_vcs
-        assert resolve_routing("ring").needs_escape_vcs
-        assert not resolve_routing("mesh").needs_escape_vcs
-        assert not resolve_routing("cmesh").needs_escape_vcs
+        assert Torus2D.needs_escape_vcs and Ring.needs_escape_vcs
+        assert not Mesh2D.needs_escape_vcs
+        assert not ConcentratedMesh2D.needs_escape_vcs
+        names = ("mesh", "torus", "ring", "cmesh")
+        assert [min_vcs_per_vnet(name) for name in names] == [1, 2, 2, 1]

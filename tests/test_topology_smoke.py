@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import DiscoConfig, disco_priority, make_disco_router_factory
 from repro.noc import FlowControl, Network, NocConfig
-from repro.noc.routing import resolve_routing
+from repro.noc.topology import min_vcs_per_vnet
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 
 ALL_TOPOLOGIES = ("mesh", "torus", "ring", "cmesh")
@@ -28,8 +28,9 @@ SEEDS = (1, 2, 3)
 
 
 def smoke_config(topology: str, **overrides) -> NocConfig:
-    vcs = 2 if resolve_routing(topology).needs_escape_vcs else 1
-    return NocConfig(topology=topology, vcs_per_vnet=vcs, **overrides)
+    return NocConfig(
+        topology=topology, vcs_per_vnet=min_vcs_per_vnet(topology), **overrides
+    )
 
 
 def run_stress(config: NocConfig, seed: int, pattern: str = "uniform",
