@@ -56,8 +56,6 @@ class SimulationResult:
     cycles: int
     total_primary_misses: int
     total_miss_latency: int
-    l1_hits: int
-    l1_accesses: int
     network: Optional[NetworkStats] = None
     n_routers: int = 0
     measured_primary_misses: int = 0
@@ -662,10 +660,6 @@ class CmpSystem:
         total_primary = sum(
             t.core.stats.primary_misses for t in self.tiles
         )
-        l1_hits = sum(t.l1.stats.hits for t in self.tiles)
-        l1_accesses = sum(
-            t.l1.stats.reads + t.l1.stats.writes for t in self.tiles
-        )
         full = self.kernel.stats.snapshot()
         if self._snapshot is not None:
             measured = full.delta(self._snapshot)
@@ -684,8 +678,6 @@ class CmpSystem:
             cycles=self.cycle,
             total_primary_misses=total_primary,
             total_miss_latency=total_latency,
-            l1_hits=l1_hits,
-            l1_accesses=l1_accesses,
             network=self.network.stats,
             n_routers=self.config.noc.n_nodes,
             measured_primary_misses=sum(

@@ -1,18 +1,22 @@
 """Crash-safe checkpointing of in-flight simulations.
 
 A checkpoint is the live :class:`~repro.cmp.system.CmpSystem`, pickled
-whole, stored with the pid watermark (the next packet id, which a
-restore raises this process's counter past) in an ``RDK1`` envelope
-(magic + SHA-256 of the payload, the disk-cache format of
-:mod:`repro.experiments.runner` with its own magic so the two file kinds
-can never be confused).  Restoring is unpickling it: nothing is rebuilt
-from the spec.  The envelope carries no format version: it is filed
+whole, stored with its spec key and the pid watermark (the next packet
+id, which a restore raises this process's counter past).  Restoring is
+unpickling it: nothing is rebuilt from the spec.  The envelope, its
+atomic publish and the quarantine of a corrupt file are the runner's
+(:func:`~repro.experiments.runner._seal`,
+:func:`~repro.experiments.runner._unseal`,
+:func:`~repro.experiments.runner._publish_atomic`), under the magic
+``RDK1`` instead of the disk cache's ``RDC1``, so the two file kinds can
+never be confused.  The envelope carries no format version: it is filed
 under the spec key, which hashes every ``repro`` source file, so changed
-code never looks an old checkpoint up.  Envelopes are published atomically
-(``mkstemp`` + ``os.replace``) and the last two generations are retained
-(``<key>.ckpt`` / ``<key>.ckpt.1``), so a crash *during* a checkpoint
-write still leaves a valid older envelope behind.  A corrupt envelope is
-quarantined (``*.corrupt``) and the older generation is tried next.
+code never looks an old checkpoint up.  This module adds two rules: the
+last two generations are retained (``<key>.ckpt`` / ``<key>.ckpt.1``),
+so a crash *during* a checkpoint write still leaves a valid older
+envelope behind, and an envelope whose recorded spec key is not the one
+it is filed under is quarantined like a corrupt one.  After a
+quarantine the older generation is tried next.
 
 Everything is configured by environment variables — deliberately outside
 :class:`~repro.experiments.runner.RunSpec`, so cache keys, result
@@ -34,21 +38,26 @@ final envelope at a safe point and then re-raises the termination — so a
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import signal
 import threading
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.cmp.system import CmpSystem
+from repro.experiments.runner import (
+    _env_number,
+    _publish_atomic,
+    _quarantine,
+    _seal,
+    _unseal,
+    cache_dir,
+    spec_key,
+)
 from repro.noc.flit import ensure_pid_floor, pid_watermark
-from repro.telemetry.events import emit
 
-#: Checkpoint envelope format version ("RDK" = repro disco kernel state).
+#: Checkpoint envelope magic ("RDK" = repro disco kernel state).
 CHECKPOINT_MAGIC = b"RDK1"
-_ENVELOPE_HEADER = len(CHECKPOINT_MAGIC) + hashlib.sha256().digest_size
 
 #: Process-wide count of successful checkpoint restores (tests assert the
 #: resume path actually restored instead of silently recomputing).
@@ -67,8 +76,6 @@ def restores() -> int:
 
 def checkpoint_interval() -> int:
     """Cycles between periodic checkpoints; 0 (the default) disables."""
-    from repro.experiments.runner import _env_number
-
     return max(0, _env_number("REPRO_CHECKPOINT_INTERVAL", int, 0))
 
 
@@ -76,8 +83,6 @@ def checkpoint_dir() -> Path:
     override = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
     if override:
         return Path(override).expanduser()
-    from repro.experiments.runner import cache_dir
-
     return cache_dir() / "checkpoints"
 
 
@@ -86,7 +91,7 @@ def resume_enabled() -> bool:
 
 
 # --------------------------------------------------------------------------
-# envelope I/O
+# the two generations
 # --------------------------------------------------------------------------
 
 
@@ -96,88 +101,45 @@ def checkpoint_paths(key: str) -> Tuple[Path, Path]:
     return directory / f"{key}.ckpt", directory / f"{key}.ckpt.1"
 
 
-def _quarantine(path: Path) -> None:
-    try:
-        os.replace(path, path.with_name(path.name + ".corrupt"))
-    except OSError:  # pragma: no cover - concurrent cleanup
-        return
-    # A quarantined checkpoint is postmortem-worthy: dump the flight ring
-    # (no-op with the plane off) so the corrupt-envelope event joins the
-    # service log and journal on the correlation id.
-    emit("checkpoint_quarantine", path=str(path))
-
-
 def save_checkpoint(key: str, cycle: int, state) -> Path:
     """Atomically publish a checkpoint of ``state`` (normally the live
     system), rotating the previous one.
 
     Safe under concurrent writers of the same key (two hosts sharing the
-    cache directory can legitimately both run one spec): the rotation's
-    ``os.replace`` tolerates the current generation vanishing under us —
-    another writer just rotated it — and the publish itself stages into a
-    per-writer ``mkstemp`` file, fsyncs, and renames, so whichever writer
-    lands last leaves a complete envelope (the simulator is
-    deterministic, so either writer's envelope restores the same run).
+    cache directory can legitimately both run one spec): the rotation
+    tolerates the current generation vanishing under us — another writer
+    just rotated it — and whichever publish lands last leaves a complete
+    envelope (the simulator is deterministic, so either writer's envelope
+    restores the same run).
     """
     current, previous = checkpoint_paths(key)
-    payload = pickle.dumps(
+    blob = _seal(
+        CHECKPOINT_MAGIC,
         {
             "spec_key": key,
             "cycle": cycle,
             "pid_watermark": pid_watermark(),
             "state": state,
         },
-        protocol=pickle.HIGHEST_PROTOCOL,
     )
-    blob = CHECKPOINT_MAGIC + hashlib.sha256(payload).digest() + payload
-    directory = current.parent
-    directory.mkdir(parents=True, exist_ok=True)
-    if current.exists():
-        try:
-            os.replace(current, previous)  # last-two retention
-        except FileNotFoundError:  # a concurrent writer won the rotation
-            pass
-    from repro.experiments.runner import _publish_atomic
-
-    _publish_atomic(directory, current, blob)
+    try:
+        os.replace(current, previous)  # last-two retention
+    except FileNotFoundError:  # first save, or a concurrent rotation
+        pass
+    _publish_atomic(current, blob)
     return current
-
-
-def _read_envelope(path: Path, key: str) -> Optional[Dict]:
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except FileNotFoundError:
-        return None
-    except OSError:
-        _quarantine(path)
-        return None
-    header, payload = blob[:_ENVELOPE_HEADER], blob[_ENVELOPE_HEADER:]
-    if (
-        len(header) < _ENVELOPE_HEADER
-        or not header.startswith(CHECKPOINT_MAGIC)
-        or header[len(CHECKPOINT_MAGIC):] != hashlib.sha256(payload).digest()
-    ):
-        _quarantine(path)  # truncated / wrong magic / bit-rotted
-        return None
-    try:
-        envelope = pickle.loads(payload)
-    except Exception:
-        _quarantine(path)  # checksum-valid but unreconstructable
-        return None
-    if not isinstance(envelope, dict) or envelope.get("spec_key") != key:
-        _quarantine(path)  # misfiled under the wrong key
-        return None
-    return envelope
 
 
 def load_checkpoint(key: str) -> Optional[Dict]:
     """Latest valid envelope for ``key`` (falls back to the previous
-    generation when the current one is corrupt); ``None`` when none."""
+    generation when the current one is corrupt); ``None`` when none.
+    An envelope filed under another spec key is quarantined too."""
     for path in checkpoint_paths(key):
-        envelope = _read_envelope(path, key)
-        if envelope is not None:
+        envelope = _unseal(CHECKPOINT_MAGIC, path)
+        if isinstance(envelope, dict) and envelope.get("spec_key") == key:
             return envelope
+        if envelope is not None:
+            _quarantine(path)  # misfiled under the wrong key
     return None
 
 
@@ -287,6 +249,4 @@ def session_for(spec) -> Optional[CheckpointSession]:
     interval = checkpoint_interval()
     if interval <= 0 and not resume_enabled():
         return None
-    from repro.experiments.runner import spec_key
-
     return CheckpointSession(spec_key(spec), interval)

@@ -29,8 +29,14 @@ retried once, a worker death until ``REPRO_QUARANTINE_AFTER``
 interruptions quarantine the spec) and one journal rule.  A batch with
 unrecoverable failures raises :class:`RunnerError` naming exactly the
 failed specs while the survivors stay in the memo/disk caches.
-Disk-cache entries carry a magic + SHA-256 envelope; an entry that fails
+
+The cache directory has one write protocol.  Disk-cache entries and
+checkpoints are sealed envelopes (:func:`_seal`/:func:`_unseal`: a
+4-byte magic per file kind, SHA-256, pickle); an envelope that fails
 validation is quarantined (renamed ``*.corrupt``) once and recomputed.
+Results, checkpoints, heartbeats and the service's port file are all
+published by :func:`_publish_atomic`, and journal appends are single
+writes under a POSIX record lock (:func:`_journal_append`).
 
 Crash safety (see :mod:`repro.experiments.checkpoint`): a campaign keeps
 an append-only JSONL journal (``campaign.journal.jsonl`` in the cache
@@ -47,6 +53,7 @@ wedged, as opposed to merely slow.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -118,9 +125,9 @@ TRAIN_LINES = 512
 #: key, so bumping it invalidates all cached results at once.
 CODE_VERSION = "1"
 
-#: Disk-cache envelope: magic (format version) + SHA-256 of the pickle
-#: payload.  Bump the magic when the envelope layout changes; entries with
-#: any other prefix are quarantined, not parsed.
+#: Disk-cache envelope magic (see :func:`_seal`; checkpoints use ``RDK1``).
+#: Bump it when the envelope layout changes: entries with any other prefix
+#: are quarantined, not parsed.
 _CACHE_MAGIC = b"RDC1"
 _ENVELOPE_HEADER = len(_CACHE_MAGIC) + hashlib.sha256().digest_size
 
@@ -353,63 +360,92 @@ def _disk_path(spec: RunSpec) -> Path:
     return cache_dir() / f"{spec_key(spec)}.pkl"
 
 
-def _quarantine(path: Path) -> None:
-    """Move a bad cache entry aside (``<name>.corrupt``) so it is inspected
-    at most once: the rename is what guarantees the *next* lookup is a
-    clean miss instead of another validation failure."""
-    try:
-        os.replace(path, path.with_name(path.name + ".corrupt"))
-    except OSError:  # pragma: no cover - concurrent quarantine/cleanup
-        pass
-
-
 def _disk_load(spec: RunSpec) -> Optional[SimulationResult]:
     if not disk_cache_enabled():
         return None
-    path = _disk_path(spec)
+    return _unseal(_CACHE_MAGIC, _disk_path(spec))
+
+
+def _disk_store(spec: RunSpec, result: SimulationResult) -> None:
+    if not disk_cache_enabled():
+        return
+    try:
+        _publish_atomic(_disk_path(spec), _seal(_CACHE_MAGIC, result))
+    except OSError:  # pragma: no cover - read-only cache dir
+        pass
+
+
+# --------------------------------------------------------------------------
+# sealed envelopes (disk-cache results and checkpoints)
+# --------------------------------------------------------------------------
+
+
+def _seal(magic: bytes, obj) -> bytes:
+    """The envelope of ``obj``: ``magic`` (4 bytes, the file kind and
+    format version), the SHA-256 of the pickle, then the pickle."""
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return magic + hashlib.sha256(payload).digest() + payload
+
+
+def _unseal(magic: bytes, path: Path):
+    """The object sealed at ``path`` under ``magic``, or ``None``.
+
+    A missing file is a plain miss.  An unreadable file (permissions, a
+    directory), a truncated, wrong-magic or bit-rotted envelope, and a
+    checksum-valid pickle this build cannot reconstruct (say, a renamed
+    class the source fingerprint missed) are all quarantined, then
+    missed: the caller recomputes.
+    """
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except FileNotFoundError:
-        return None  # plain miss
+        return None
     except OSError:
-        _quarantine(path)  # unreadable entry (permissions, a directory...)
+        _quarantine(path)
         return None
     header, payload = blob[:_ENVELOPE_HEADER], blob[_ENVELOPE_HEADER:]
-    if (
-        len(header) < _ENVELOPE_HEADER
-        or not header.startswith(_CACHE_MAGIC)
-        or header[len(_CACHE_MAGIC):] != hashlib.sha256(payload).digest()
-    ):
-        _quarantine(path)  # truncated / wrong version / bit-rotted
+    if header != magic + hashlib.sha256(payload).digest():
+        _quarantine(path)
         return None
     try:
         return pickle.loads(payload)
     except Exception:
-        # The checksum matched, so the pickle itself references something
-        # this build cannot reconstruct (e.g. a renamed class the source
-        # fingerprint missed).  Same treatment: quarantine and recompute.
         _quarantine(path)
         return None
 
 
-def _publish_atomic(directory: Path, target: Path, blob: bytes) -> None:
-    """Publish ``blob`` at ``target`` atomically (tmp + fsync +
-    ``os.replace``).
+def _quarantine(path: Path) -> None:
+    """Move a bad envelope aside (``<name>.corrupt``) so it is inspected
+    at most once: the rename is what guarantees the *next* lookup is a
+    clean miss instead of another validation failure.  The flight
+    recorder dumps (a no-op with it off), so the corrupt file joins the
+    service log and journal on the correlation id."""
+    try:
+        os.replace(path, path.with_name(path.name + ".corrupt"))
+    except OSError:  # pragma: no cover - concurrent quarantine/cleanup
+        return
+    emit("envelope_quarantine", path=str(path))
 
-    This is the whole multi-writer cache protocol: every writer stages
-    into its own ``mkstemp`` file (unique per writer, so two processes —
-    or two hosts sharing the directory — never touch the same staging
-    file), fsyncs it so a host crash cannot publish a torn blob, and
-    renames into the content-addressed path.  Concurrent writers of the
-    same deterministic result race harmlessly: last rename wins with
-    identical bytes, and a reader always sees either a complete old blob
-    or a complete new one — never a partial write, never a ``.corrupt``
-    quarantine from a mid-publish read.  The staging file is removed on
-    any failure so aborted publishes cannot accumulate.
+
+def _publish_atomic(target: Path, blob: bytes) -> None:
+    """Publish ``blob`` at ``target`` atomically (tmp + fsync +
+    ``os.replace``); results, checkpoints, heartbeats and the service's
+    port file all go through here.
+
+    Every writer stages into its own ``mkstemp`` file (unique per
+    writer, so two processes — or two hosts sharing the directory —
+    never touch the same staging file), fsyncs it so a host crash cannot
+    publish a torn blob, and renames it onto ``target``.  Concurrent
+    writers of the same deterministic result race harmlessly: last
+    rename wins with identical bytes, and a reader always sees either a
+    complete old blob or a complete new one — never a partial write,
+    never a ``.corrupt`` quarantine from a mid-publish read.  The staging
+    file is removed on any failure so aborted publishes cannot
+    accumulate.
     """
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)
@@ -422,17 +458,6 @@ def _publish_atomic(directory: Path, target: Path, blob: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def _disk_store(spec: RunSpec, result: SimulationResult) -> None:
-    if not disk_cache_enabled():
-        return
-    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    blob = _CACHE_MAGIC + hashlib.sha256(payload).digest() + payload
-    try:
-        _publish_atomic(cache_dir(), _disk_path(spec), blob)
-    except OSError:  # pragma: no cover - read-only cache dir
-        pass
 
 
 def result_digest(result: SimulationResult) -> str:
@@ -721,38 +746,40 @@ def _journal_path() -> Path:
     return cache_dir() / "campaign.journal.jsonl"
 
 
-def _journal_lock() -> "FileLock":
-    """The journal's cross-process/cross-host write lock.
-
-    Appends are single ``O_APPEND`` writes (atomic on local filesystems)
-    but network filesystems can interleave concurrent appends, and the
-    service runs many journaling processes against one shared cache
-    directory — so writes serialize through a lockfile with stale-owner
-    takeover (a SIGKILLed holder's lock is broken after
-    ``REPRO_LOCK_STALE_SECONDS``, default 30)."""
-    from repro.experiments.lockfile import FileLock
-
-    return FileLock(
-        cache_dir() / "campaign.journal.lock",
-        stale_seconds=max(
-            1.0, _env_number("REPRO_LOCK_STALE_SECONDS", float, 30.0)
-        ),
-        timeout=5.0,
-    )
+#: Excludes this process's own threads from the journal (see
+#: :func:`_journal_append`).
+_JOURNAL_MUTEX = threading.Lock()
 
 
 def _journal_append(key: Optional[str], state: str, **extra) -> None:
     """Append one spec-state record.  Journal I/O failures never take a
     campaign down — the journal is a recovery aid, not a correctness
     dependency (results still flow through the content-addressed
-    caches).  The record is encoded up front and written with one
-    ``os.write`` on an ``O_APPEND`` descriptor, under the journal
-    lockfile: concurrent writers (threads, processes, hosts) each land a
-    whole line or nothing — a torn *tail* can only come from a crash
-    mid-write, which replay already tolerates.  ``key=None`` (a unit
-    that is not journaled, such as a fault campaign) is a no-op."""
-    from repro.experiments.lockfile import LockTimeout
+    caches).  ``key=None`` (a unit that is not journaled, such as a fault
+    campaign) is a no-op.
 
+    The record is encoded up front and written with one ``os.write`` on
+    an ``O_APPEND`` descriptor under :data:`_JOURNAL_MUTEX` and an
+    exclusive ``fcntl.lockf`` record lock on that descriptor, so
+    concurrent writers (threads, processes, hosts whose filesystem
+    honours POSIX locks) each land a whole line; a torn *tail* can only
+    come from a crash mid-write, which replay tolerates.  The kernel
+    drops a killed holder's lock with its process, so a crash never
+    makes later writers wait.  Three rules keep the lock sound:
+
+    - A POSIX record lock belongs to the process, not the descriptor or
+      the thread, so two threads of one process would both "hold" it;
+      the module mutex is what excludes the process's own threads.
+    - Closing *any* descriptor of the file drops every record lock the
+      process holds on it, so :func:`_journal_read` takes the same mutex:
+      a read closing its descriptor mid-append would otherwise unlock
+      another thread's write.
+    - The lock is ``lockf``, not ``flock``.  A ``flock`` belongs to the
+      open file description, which a forked child shares: the child keeps
+      the lock after the parent closes its descriptor, and pool workers
+      fork while dispatcher threads journal.  A forked child never
+      inherits a record lock.
+    """
     if key is None:
         return
     record = {"key": key, "state": state, "ts": time.time()}
@@ -765,22 +792,20 @@ def _journal_append(key: Optional[str], state: str, **extra) -> None:
     record.update(extra)
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
     path = _journal_path()
-    lock = _journal_lock()
-    try:
-        lock.acquire()
-    except (LockTimeout, OSError):
-        pass  # degrade to a lockless (still single-write) append
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, os.O_CREAT | os.O_APPEND | os.O_WRONLY, 0o644)
+    with _JOURNAL_MUTEX:
         try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-    except OSError:
-        pass
-    finally:
-        lock.release()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_CREAT | os.O_APPEND | os.O_WRONLY, 0o644)
+            try:
+                try:
+                    fcntl.lockf(fd, fcntl.LOCK_EX)
+                except OSError:
+                    pass  # a mount without lock support: still one write
+                os.write(fd, line)
+            finally:
+                os.close(fd)  # also releases the record lock
+        except OSError:
+            pass
 
 
 def _journal_read() -> Dict[str, dict]:
@@ -799,7 +824,7 @@ def _journal_read() -> Dict[str, dict]:
     """
     entries: Dict[str, dict] = {}
     try:
-        with open(_journal_path(), "r", encoding="utf-8") as handle:
+        with _JOURNAL_MUTEX, open(_journal_path(), encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError:
         return entries
@@ -853,8 +878,8 @@ def _progress_hook(spec: RunSpec):
     It writes this process's heartbeat file (``REPRO_HEARTBEAT_DIR``)
     with the last simulated cycle: the watchdog distinguishes *wedged*
     (cycle frozen) from merely *slow* (cycle still advancing), so a
-    loaded machine is never punished.  Writes are atomic (tmp +
-    ``os.replace``).  SIGKILL (the watchdog's verdict for a wedged
+    loaded machine is never punished.  Writes go through
+    :func:`_publish_atomic`.  SIGKILL (the watchdog's verdict for a wedged
     worker) gives no chance to dump after the fact, so the worker also
     persists its flight ring *ahead* of death, with ``reason="inflight"``,
     the bound correlation id and the last sampled simulated cycle.  The
@@ -884,13 +909,10 @@ def _progress_hook(spec: RunSpec):
             if corr:
                 record["corr"] = corr
             try:
-                directory.mkdir(parents=True, exist_ok=True)
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=str(directory), suffix=".tmp"
+                _publish_atomic(
+                    directory / f"hb_{os.getpid()}.json",
+                    json.dumps(record).encode(),
                 )
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(json.dumps(record))
-                os.replace(tmp_name, directory / f"hb_{os.getpid()}.json")
             except OSError:
                 pass
         if inflight:

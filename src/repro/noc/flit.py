@@ -111,11 +111,9 @@ class Packet:
         "decompress_at_dst",
         "flit_bytes",
         "size_flits",
-        "priority",
         "msg",
         "injected_cycle",
         "ejected_cycle",
-        "queued_cycles",
         "compressed_at_hop",
         "decompressed_at_hop",
         "hops_traversed",
@@ -135,7 +133,6 @@ class Packet:
         is_compressed: bool = False,
         compressible: bool = False,
         decompress_at_dst: bool = False,
-        priority: int = 0,
         msg: Any = None,
     ):
         self.pid = next(_packet_ids)
@@ -154,11 +151,9 @@ class Packet:
         #: the DISCO arbitrator never reconsiders it (graceful degradation).
         self.poisoned = False
         self.decompress_at_dst = decompress_at_dst
-        self.priority = priority
         self.msg = msg
         self.injected_cycle = -1
         self.ejected_cycle = -1
-        self.queued_cycles = 0
         self.compressed_at_hop = -1
         self.decompressed_at_hop = -1
         self.hops_traversed = 0

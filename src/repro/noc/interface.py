@@ -243,9 +243,7 @@ class NetworkInterface:
     def _deliver(self, packet: Packet) -> None:
         now = self.network.cycle
         packet.ejected_cycle = now
-        self.network.stats.record_ejection(
-            packet.ptype.value, now - packet.injected_cycle
-        )
+        self.network.stats.record_ejection(now - packet.injected_cycle)
         if self.network.tracer is not None:
             # Lifecycle hook: mirrors record_ejection exactly, so traced
             # eject events (and packet spans) match ``packets_ejected``.

@@ -217,9 +217,7 @@ class LocalDeliveryQueue:
         for ready, packet in self._pending:
             if ready <= cycle:
                 packet.ejected_cycle = cycle
-                network.stats.record_ejection(
-                    packet.ptype.value, cycle - packet.injected_cycle
-                )
+                network.stats.record_ejection(cycle - packet.injected_cycle)
                 if network.tracer is not None:
                     network.tracer.on_eject(cycle, packet, packet.dst)
                 network.deliver(packet.dst, packet)
@@ -237,15 +235,6 @@ class LocalDeliveryQueue:
 class Network:
     """A cycle-level NoC instance over a pluggable topology."""
 
-    #: Fabrics with at most this many (src, dst) pairs get their whole
-    #: route table precomputed at construction (a 64-node mesh = 4096
-    #: pairs, well under a millisecond); bigger fabrics get the bounded
-    #: demand cache instead so memory stays O(cap), not O(n²).
-    ROUTE_PRECOMPUTE_MAX_PAIRS = 4096
-    #: Entry cap for the demand-filled cache on large fabrics (FIFO
-    #: eviction; ~64 nodes' worth of destination rows on a 1k-node mesh).
-    ROUTE_CACHE_CAP = 65536
-
     def __init__(
         self,
         config: NocConfig,
@@ -254,27 +243,13 @@ class Network:
     ):
         self.config = config
         self.topology = config.make_topology()
-        # Route memoization: decisions are pure functions of (topology,
-        # node, dst), so small fabrics precompute every pair once at
-        # construction and the cache never grows; large fabrics keep a
-        # bounded demand-filled cache with FIFO eviction (the counter is a
-        # plain attribute, deliberately outside every stat group).  Either
-        # way the cache is pure derived state: a checkpoint carries it as
-        # it stands, and every entry is what a recompute would return.
+        # Route memo: decisions are pure functions of (topology, node,
+        # dst), filled on first use.  It holds at most n·(n−1) entries
+        # (65,280 on 16×16, the largest fabric the experiments build), so
+        # it needs no bound.  It is pure derived state: a checkpoint
+        # carries it as it stands, and every entry is what a recompute
+        # would return.
         self._route_cache: Dict[Tuple[int, int], Tuple[int, Optional[int]]] = {}
-        self._route_cache_cap = 0  # 0 = fully precomputed, never evicts
-        self._route_cache_evictions = 0
-        n_nodes = self.topology.n_nodes
-        if n_nodes * n_nodes <= self.ROUTE_PRECOMPUTE_MAX_PAIRS:
-            route = self.topology.route
-            self._route_cache = {
-                (node, dst): route(node, dst)
-                for node in range(n_nodes)
-                for dst in range(n_nodes)
-                if node != dst
-            }
-        else:
-            self._route_cache_cap = self.ROUTE_CACHE_CAP
         self.stats = NetworkStats()
         self.kernel = kernel if kernel is not None else SimKernel()
         factory = router_factory or Router
@@ -467,15 +442,7 @@ class Network:
         key = (node, dst)
         decision = self._route_cache.get(key)
         if decision is None:
-            decision = self.topology.route(node, dst)
-            cache = self._route_cache
-            if self._route_cache_cap and len(cache) >= self._route_cache_cap:
-                # FIFO eviction: dict preserves insertion order, so the
-                # oldest entry is the first key.  Decisions are pure, so
-                # evicting one only costs a recompute on next use.
-                cache.pop(next(iter(cache)))
-                self._route_cache_evictions += 1
-            cache[key] = decision
+            decision = self._route_cache[key] = self.topology.route(node, dst)
         return decision
 
     def send(self, packet: Packet) -> None:

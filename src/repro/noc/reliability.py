@@ -99,7 +99,6 @@ class ReplayEntry:
     flit_bytes: int
     compressible: bool
     decompress_at_dst: bool
-    priority: int
     msg: object
     crc: int
     first_sent: int
@@ -216,7 +215,6 @@ class ReliabilityLayer:
             flit_bytes=packet.flit_bytes,
             compressible=packet.compressible,
             decompress_at_dst=packet.decompress_at_dst,
-            priority=packet.priority,
             msg=packet.msg,
             crc=packet.crc,
             first_sent=cycle,
@@ -237,7 +235,6 @@ class ReliabilityLayer:
             line=entry.line,
             compressible=entry.compressible,
             decompress_at_dst=entry.decompress_at_dst,
-            priority=entry.priority,
             msg=entry.msg,
         )
         # The clone *is* the original as far as end-to-end identity goes:

@@ -7,8 +7,7 @@ performance metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
@@ -48,20 +47,12 @@ class NetworkStats:
     ni_decompressions: int = 0
     eject_decompress_stall_cycles: int = 0
 
-    # Latency accumulators
+    # Latency accumulator
     total_packet_latency: int = 0
-    # Plain dicts (not defaultdicts) so results stay friendly to
-    # ``dataclasses.asdict`` and pickling across the runner's pool.
-    latency_by_type: Dict[str, int] = field(default_factory=dict)
-    count_by_type: Dict[str, int] = field(default_factory=dict)
 
-    def record_ejection(self, ptype: str, latency: int) -> None:
+    def record_ejection(self, latency: int) -> None:
         self.packets_ejected += 1
         self.total_packet_latency += latency
-        self.latency_by_type[ptype] = (
-            self.latency_by_type.get(ptype, 0) + latency
-        )
-        self.count_by_type[ptype] = self.count_by_type.get(ptype, 0) + 1
 
     @property
     def buffer_reads(self) -> int:

@@ -19,9 +19,10 @@ import logging
 import os
 import signal
 import sys
-import tempfile
 import threading
+from pathlib import Path
 
+from repro.experiments.runner import _publish_atomic
 from repro.service.http import serve
 from repro.service.scheduler import CampaignService
 from repro.telemetry.log import ensure_level, get_logger
@@ -82,11 +83,7 @@ def main(argv=None) -> int:
     if args.port_file:
         # Atomic publish so a supervisor polling the file never reads a
         # half-written port number.
-        directory = os.path.dirname(os.path.abspath(args.port_file)) or "."
-        fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(str(port))
-        os.replace(tmp_name, args.port_file)
+        _publish_atomic(Path(args.port_file), str(port).encode())
 
     stop = threading.Event()
 

@@ -34,6 +34,9 @@ The submit body is::
      "specs": [{"scheme": "disco", "workload": "x264", ...}, ...],
      "campaigns": [{"spec": {...}, "plan": {"seed": 1, ...}}, ...]}
 
+Any other top-level key, like an unknown ``RunSpec`` field, is answered
+``400`` naming it.
+
 Responses are always JSON; overload answers are bounded O(1) work so a
 saturated service still sheds within milliseconds, never hangs a client.
 """
@@ -54,6 +57,10 @@ _LOG = get_logger("repro.service.http")
 
 #: Streams give up after this much total wall time on a wedged job.
 STREAM_TIMEOUT = 600.0
+
+#: The top-level keys of a submit body; any other key is a client error
+#: (a typo'd ``priorty`` must not queue the job at the default priority).
+_SUBMIT_KEYS = {"client", "priority", "specs", "campaigns"}
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -111,6 +118,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             body = self._read_body()
+            unknown = sorted(set(body) - _SUBMIT_KEYS)
+            if unknown:
+                raise ValueError(f"unknown submit keys: {', '.join(unknown)}")
             result = self.service.submit(
                 specs=body.get("specs") or (),
                 campaigns=body.get("campaigns") or (),

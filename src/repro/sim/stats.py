@@ -19,7 +19,7 @@ runner's process pool and the on-disk result cache unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple
 
 Provider = Callable[[], Dict[str, float]]
@@ -52,15 +52,8 @@ class DegradedStats:
     packets_dropped: int = 0
 
     def counters(self) -> Dict[str, int]:
-        """Registry-provider view of the group."""
-        return {
-            "degraded_transmissions": self.degraded_transmissions,
-            "poisoned_packets": self.poisoned_packets,
-            "engine_stalls_absorbed": self.engine_stalls_absorbed,
-            "credit_resyncs": self.credit_resyncs,
-            "wedge_recoveries": self.wedge_recoveries,
-            "packets_dropped": self.packets_dropped,
-        }
+        """Registry-provider view of the group (every field, in order)."""
+        return asdict(self)
 
 
 @dataclass
@@ -108,20 +101,8 @@ class RecoveredStats:
     retries_exhausted: int = 0
 
     def counters(self) -> Dict[str, int]:
-        """Registry-provider view of the group."""
-        return {
-            "retransmissions": self.retransmissions,
-            "duplicates_dropped": self.duplicates_dropped,
-            "crc_rejections": self.crc_rejections,
-            "acks_sent": self.acks_sent,
-            "nacks_sent": self.nacks_sent,
-            "recovered_packets": self.recovered_packets,
-            "recovery_latency_cycles": self.recovery_latency_cycles,
-            "invariant_recoveries": self.invariant_recoveries,
-            "flits_squashed": self.flits_squashed,
-            "replay_evictions": self.replay_evictions,
-            "retries_exhausted": self.retries_exhausted,
-        }
+        """Registry-provider view of the group (every field, in order)."""
+        return asdict(self)
 
 
 @dataclass
@@ -149,14 +130,8 @@ class TelemetryStats:
     trace_events_dropped: int = 0
 
     def counters(self) -> Dict[str, int]:
-        """Registry-provider view of the group."""
-        return {
-            "windows_sampled": self.windows_sampled,
-            "windows_evicted": self.windows_evicted,
-            "packets_traced": self.packets_traced,
-            "trace_events": self.trace_events,
-            "trace_events_dropped": self.trace_events_dropped,
-        }
+        """Registry-provider view of the group (every field, in order)."""
+        return asdict(self)
 
 
 class CounterSnapshot(Mapping[str, Dict[str, float]]):

@@ -132,7 +132,7 @@ KINDS: Dict[str, Kind] = {
     "inflight": Kind(dump=True),
     "invariant_violation": Kind(dump=True),
     "exception": Kind(dump=True),
-    "checkpoint_quarantine": Kind(dump=True),
+    "envelope_quarantine": Kind(dump=True),
     "watchdog_kill": Kind(
         dump=True,
         level=logging.WARNING,

@@ -236,12 +236,9 @@ class TestDispatchBound:
         assert len(dangling) <= self.JOBS
         # Resume with the tightest crash-loop bound: only dangling specs
         # are quarantined (one published just before the kill is served
-        # from the cache instead) and every other spec completes.  (The
-        # kill may have left the journal lock behind; let resume take it
-        # over quickly instead of after the default 30s.)
+        # from the cache instead) and every other spec completes.
         monkeypatch.setenv("REPRO_QUARANTINE_AFTER", "1")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        monkeypatch.setenv("REPRO_LOCK_STALE_SECONDS", "1")
         try:
             completed = run_specs(self.SPECS, jobs=self.JOBS, resume=True)
             failures = {}

@@ -180,33 +180,10 @@ class TestQuiescence:
 
 
 class TestRouteCache:
-    def test_small_fabrics_precompute_all_pairs(self):
-        network = Network(NocConfig())  # 4x4: 240 pairs <= 4096
-        n = network.topology.n_nodes
-        assert len(network._route_cache) == n * (n - 1)
-        assert network._route_cache_cap == 0
-        before = dict(network._route_cache)
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    network.route(src, dst)
-        assert network._route_cache == before  # route() never grows it
-        assert network._route_cache_evictions == 0
-
-    def test_large_fabrics_cap_and_evict(self, monkeypatch):
-        monkeypatch.setattr(Network, "ROUTE_PRECOMPUTE_MAX_PAIRS", 0)
-        monkeypatch.setattr(Network, "ROUTE_CACHE_CAP", 8)
+    def test_route_stores_the_topology_decision_on_first_use(self):
         network = Network(NocConfig())
         assert network._route_cache == {}
-        assert network._route_cache_cap == 8
-        n = network.topology.n_nodes
-        decisions = {}
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    decisions[(src, dst)] = network.route(src, dst)
-        assert len(network._route_cache) <= 8
-        assert network._route_cache_evictions > 0
-        # Evicted entries recompute to the same deterministic decision.
-        for (src, dst), decision in list(decisions.items())[:32]:
-            assert network.route(src, dst) == decision
+        decision = network.route(0, 15)
+        assert decision == network.topology.route(0, 15)
+        assert network._route_cache == {(0, 15): decision}
+        assert network.route(0, 15) is decision

@@ -733,6 +733,30 @@ class TestFlightRecorder:
         finally:
             service.shutdown(drain=False, timeout=10.0)
 
+    def test_corrupt_envelopes_of_either_kind_dump_a_flight_record(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import checkpoint
+
+        flight_dir = tmp_path / "flight"
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(flight_dir))
+        spec = RunSpec(scheme="baseline", **QUICK)
+        run_spec(spec)
+        entry = runner._disk_path(spec)
+        checkpoint.save_checkpoint("k", 1, {"state": 1})
+        ckpt, _ = checkpoint.checkpoint_paths("k")
+        for path, load in (
+            (entry, lambda: runner._disk_load(spec)),
+            (ckpt, lambda: checkpoint.load_checkpoint("k")),
+        ):
+            path.write_bytes(path.read_bytes()[:-1])  # truncated
+            with correlation_scope("c-corrupt"):
+                assert load() is None
+            [record] = flight.read_flight_records(flight_dir)
+            assert record["reason"] == "envelope_quarantine"
+            assert record["extra"] == {"path": str(path)}
+            assert record["corr"] == "c-corrupt"
+
 
 # --------------------------------------------------------------------------
 # inertness: the plane off and on produce identical physics

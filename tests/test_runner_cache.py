@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -464,6 +465,16 @@ class TestWatchdog:
         assert record["pid"] == os.getpid()
         assert record["cycle"] > 0
 
+    def test_failed_heartbeat_write_leaves_no_staging_file(
+        self, tmp_path, monkeypatch
+    ):
+        hb_dir = tmp_path / "hb"
+        # A directory where the heartbeat goes makes every publish fail.
+        (hb_dir / f"hb_{os.getpid()}.json").mkdir(parents=True)
+        monkeypatch.setenv("REPRO_HEARTBEAT_DIR", str(hb_dir))
+        run_spec(RunSpec(scheme="baseline", **QUICK))
+        assert list(hb_dir.glob("*.tmp")) == []
+
     def test_wedged_worker_is_killed_slow_one_is_not(self, tmp_path):
         """The watchdog kills a process whose heartbeat *cycle* freezes,
         and only that one — an advancing counter (merely slow) is safe."""
@@ -597,6 +608,83 @@ class TestCampaignJournal:
         assert out[spec].cycles > 0
 
 
+_HOLDER_CHILD = r"""
+import os, time
+from repro.experiments import runner
+
+def stalled_write(fd, data):  # take the lock, then never write
+    print("holding", flush=True)
+    time.sleep(60)
+
+os.write = stalled_write
+runner._journal_append("held", "running")
+"""
+
+_APPENDER_CHILD = r"""
+import os, threading
+from repro.experiments import runner
+
+def append(tag):
+    for i in range(100):
+        runner._journal_append(f"{tag}-{i}", "running", pad="x" * 3000)
+
+threads = [
+    threading.Thread(target=append, args=(f"{os.getpid()}-{n}",))
+    for n in range(2)
+]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+"""
+
+
+def _journal_child(code: str) -> subprocess.Popen:
+    """A fresh interpreter journaling into this test's cache directory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.Popen(
+        [sys.executable, "-c", code],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+class TestJournalLock:
+    def test_killed_holder_does_not_delay_the_next_append(self):
+        """A writer SIGKILLed while it holds the journal lock takes the
+        lock with it: the next append does not wait for it."""
+        child = _journal_child(_HOLDER_CHILD)
+        try:
+            ready, _, _ = select.select([child.stdout], [], [], 60.0)
+            assert ready, "the child never reached its write"
+            assert child.stdout.readline().strip() == "holding"
+        finally:
+            child.kill()
+            child.communicate()
+        started = time.monotonic()
+        runner._journal_append("next", "done")
+        assert time.monotonic() - started < 1.0
+        assert runner._journal_read() == {
+            "next": {"state": "done", "attempts": 0}
+        }
+
+    def test_concurrent_appends_land_whole_lines(self):
+        """4 processes x 2 threads x 100 appends of ~3 KB records leave
+        exactly 800 whole JSON lines."""
+        children = [_journal_child(_APPENDER_CHILD) for _ in range(4)]
+        for child in children:
+            _, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+        lines = runner._journal_path().read_text("utf-8").splitlines()
+        assert len(lines) == 800
+        records = [json.loads(line) for line in lines]
+        assert len({record["key"] for record in records}) == 800
+        assert all(len(record["pad"]) == 3000 for record in records)
+
+
 #: Every numeric environment setting and a call that reads it.
 NUMERIC_SETTINGS = {
     "REPRO_JOBS": default_jobs,
@@ -604,7 +692,6 @@ NUMERIC_SETTINGS = {
         RunSpec(scheme="baseline", **QUICK)
     ),
     "REPRO_SPEC_TIMEOUT": runner._spec_timeout,
-    "REPRO_LOCK_STALE_SECONDS": lambda: runner._journal_lock().stale_seconds,
     "REPRO_QUARANTINE_AFTER": runner._quarantine_after,
     "REPRO_WATCHDOG_SECONDS": runner.watchdog_seconds,
     "REPRO_CHECKPOINT_INTERVAL": checkpoint.checkpoint_interval,

@@ -1,10 +1,10 @@
 """Tests for the always-on campaign service (:mod:`repro.service`).
 
 Covers the admission layer (token buckets, queue-depth backpressure,
-structured ``Overloaded`` sheds), the work-stealing scheduler (priority
-ordering, retries, crash-loop quarantine, result streaming), the
-cross-process file lock, and the stdlib HTTP frontend — all with the
-same tiny specs the runner tests use, so the whole suite stays fast.
+structured ``Overloaded`` sheds), the one-heap scheduler (priority
+ordering, retries, crash-loop quarantine, result streaming) and the
+stdlib HTTP frontend — all with the same tiny specs the runner tests
+use, so the whole suite stays fast.
 """
 
 import contextlib
@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.lockfile import FileLock, LockTimeout
 from repro.experiments.runner import (
     RunSpec,
     clear_cache,
@@ -210,57 +209,6 @@ class TestAdmissionController:
             "client": "c",
             "detail": "d",
         }
-
-
-# --------------------------------------------------------------------------
-# the cross-process file lock
-# --------------------------------------------------------------------------
-
-
-class TestFileLock:
-    def test_mutual_exclusion_and_timeout(self, tmp_path):
-        path = tmp_path / "x.lock"
-        first = FileLock(path, timeout=1.0)
-        second = FileLock(path, timeout=0.2, poll_interval=0.01)
-        first.acquire()
-        with pytest.raises(LockTimeout):
-            second.acquire()
-        first.release()
-        second.acquire()  # released -> immediately acquirable
-        second.release()
-
-    def test_stale_lock_is_taken_over(self, tmp_path):
-        path = tmp_path / "x.lock"
-        holder = FileLock(path, timeout=0.5)
-        holder.acquire()  # simulate a SIGKILLed holder: never released
-        old = time.time() - 120.0
-        os.utime(path, (old, old))
-        taker = FileLock(path, stale_seconds=1.0, timeout=2.0)
-        taker.acquire()
-        assert taker.takeovers == 1
-        assert taker.held
-        taker.release()
-        assert not path.exists()
-
-    def test_fresh_lock_is_not_stolen(self, tmp_path):
-        path = tmp_path / "x.lock"
-        holder = FileLock(path, timeout=0.5)
-        holder.acquire()
-        taker = FileLock(
-            path, stale_seconds=60.0, timeout=0.2, poll_interval=0.01
-        )
-        with pytest.raises(LockTimeout):
-            taker.acquire()
-        assert taker.takeovers == 0
-        holder.release()
-
-    def test_context_manager_releases_on_error(self, tmp_path):
-        path = tmp_path / "x.lock"
-        with pytest.raises(RuntimeError):
-            with FileLock(path):
-                assert path.exists()
-                raise RuntimeError("boom")
-        assert not path.exists()
 
 
 # --------------------------------------------------------------------------
@@ -645,6 +593,26 @@ class TestServiceHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 404
+
+    def test_unknown_submit_keys_are_rejected_by_name(self, http_service):
+        """A typo'd ``priorty`` must not queue the job at the default
+        priority: the whole submission is refused before admission."""
+        service, _, port = http_service
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/submit",
+            data=json.dumps(
+                {"specs": [dict(scheme="baseline", **QUICK)], "priorty": 1}
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"] == "bad_request"
+        assert "priorty" in body["detail"]
+        assert service.jobs == {}
 
     def test_shed_is_fast_structured_and_carries_retry_after(self):
         service = CampaignService(workers=1, rate=0.01, burst=1.0).start()
