@@ -204,7 +204,7 @@ class CmpSystem:
         self.algorithm = scheme.make_algorithm(config.line_size)
         # -- the shared kernel ------------------------------------------------
         #: One clock for everything: the network registers its phases first
-        #: (frame/arrivals/routers/NIs/delivery), the CMP layer appends
+        #: (arrivals/routers/NIs/delivery), the CMP layer appends
         #: ``cmp.events`` and ``cmp.tiles`` below.
         self.kernel = SimKernel()
         # -- network --------------------------------------------------------

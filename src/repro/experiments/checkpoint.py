@@ -3,11 +3,11 @@
 A checkpoint is the live :class:`~repro.cmp.system.CmpSystem`, pickled
 whole, stored with its spec key and the pid watermark (the next packet
 id, which a restore raises this process's counter past).  Restoring is
-unpickling it: nothing is rebuilt from the spec.  The envelope, its
-atomic publish and the quarantine of a corrupt file are the runner's
+unpickling it: nothing is rebuilt from the spec.  The envelope and the
+quarantine of a corrupt file are the runner's
 (:func:`~repro.experiments.runner._seal`,
-:func:`~repro.experiments.runner._unseal`,
-:func:`~repro.experiments.runner._publish_atomic`), under the magic
+:func:`~repro.experiments.runner._unseal`), the atomic publish is
+:func:`repro.publish.publish_atomic`, under the magic
 ``RDK1`` instead of the disk cache's ``RDC1``, so the two file kinds can
 never be confused.  The envelope carries no format version: it is filed
 under the spec key, which hashes every ``repro`` source file, so changed
@@ -47,7 +47,6 @@ from typing import Dict, Optional, Tuple
 from repro.cmp.system import CmpSystem
 from repro.experiments.runner import (
     _env_number,
-    _publish_atomic,
     _quarantine,
     _seal,
     _unseal,
@@ -55,6 +54,7 @@ from repro.experiments.runner import (
     spec_key,
 )
 from repro.noc.flit import ensure_pid_floor, pid_watermark
+from repro.publish import publish_atomic
 
 #: Checkpoint envelope magic ("RDK" = repro disco kernel state).
 CHECKPOINT_MAGIC = b"RDK1"
@@ -126,7 +126,7 @@ def save_checkpoint(key: str, cycle: int, state) -> Path:
         os.replace(current, previous)  # last-two retention
     except FileNotFoundError:  # first save, or a concurrent rotation
         pass
-    _publish_atomic(current, blob)
+    publish_atomic(current, blob)
     return current
 
 

@@ -34,9 +34,10 @@ The cache directory has one write protocol.  Disk-cache entries and
 checkpoints are sealed envelopes (:func:`_seal`/:func:`_unseal`: a
 4-byte magic per file kind, SHA-256, pickle); an envelope that fails
 validation is quarantined (renamed ``*.corrupt``) once and recomputed.
-Results, checkpoints, heartbeats and the service's port file are all
-published by :func:`_publish_atomic`, and journal appends are single
-writes under a POSIX record lock (:func:`_journal_append`).
+Results, checkpoints, heartbeats, the service's port file and flight
+records are all published by :func:`repro.publish.publish_atomic`, and
+journal appends are single writes under a POSIX record lock
+(:func:`_journal_append`).
 
 Crash safety (see :mod:`repro.experiments.checkpoint`): a campaign keeps
 an append-only JSONL journal (``campaign.journal.jsonl`` in the cache
@@ -61,7 +62,6 @@ import os
 import pickle
 import random
 import signal
-import tempfile
 import threading
 import time
 import warnings
@@ -75,6 +75,7 @@ from repro.cmp.config import SystemConfig
 from repro.cmp.schemes import make_scheme
 from repro.cmp.system import CmpSystem, SimulationResult
 from repro.noc.reliability import InvariantViolation
+from repro.publish import publish_atomic
 from repro.telemetry import flight
 from repro.telemetry.events import emit
 from repro.telemetry.log import (
@@ -370,7 +371,7 @@ def _disk_store(spec: RunSpec, result: SimulationResult) -> None:
     if not disk_cache_enabled():
         return
     try:
-        _publish_atomic(_disk_path(spec), _seal(_CACHE_MAGIC, result))
+        publish_atomic(_disk_path(spec), _seal(_CACHE_MAGIC, result))
     except OSError:  # pragma: no cover - read-only cache dir
         pass
 
@@ -426,38 +427,6 @@ def _quarantine(path: Path) -> None:
     except OSError:  # pragma: no cover - concurrent quarantine/cleanup
         return
     emit("envelope_quarantine", path=str(path))
-
-
-def _publish_atomic(target: Path, blob: bytes) -> None:
-    """Publish ``blob`` at ``target`` atomically (tmp + fsync +
-    ``os.replace``); results, checkpoints, heartbeats and the service's
-    port file all go through here.
-
-    Every writer stages into its own ``mkstemp`` file (unique per
-    writer, so two processes — or two hosts sharing the directory —
-    never touch the same staging file), fsyncs it so a host crash cannot
-    publish a torn blob, and renames it onto ``target``.  Concurrent
-    writers of the same deterministic result race harmlessly: last
-    rename wins with identical bytes, and a reader always sees either a
-    complete old blob or a complete new one — never a partial write,
-    never a ``.corrupt`` quarantine from a mid-publish read.  The staging
-    file is removed on any failure so aborted publishes cannot
-    accumulate.
-    """
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def result_digest(result: SimulationResult) -> str:
@@ -879,8 +848,9 @@ def _progress_hook(spec: RunSpec):
     with the last simulated cycle: the watchdog distinguishes *wedged*
     (cycle frozen) from merely *slow* (cycle still advancing), so a
     loaded machine is never punished.  Writes go through
-    :func:`_publish_atomic`.  SIGKILL (the watchdog's verdict for a wedged
-    worker) gives no chance to dump after the fact, so the worker also
+    :func:`repro.publish.publish_atomic`.  SIGKILL (the watchdog's
+    verdict for a wedged worker) gives no chance to dump after the
+    fact, so the worker also
     persists its flight ring *ahead* of death, with ``reason="inflight"``,
     the bound correlation id and the last sampled simulated cycle.  The
     file surviving the kill is the postmortem artifact the chaos drill
@@ -909,7 +879,7 @@ def _progress_hook(spec: RunSpec):
             if corr:
                 record["corr"] = corr
             try:
-                _publish_atomic(
+                publish_atomic(
                     directory / f"hb_{os.getpid()}.json",
                     json.dumps(record).encode(),
                 )

@@ -2,12 +2,15 @@
 
 One :class:`FaultController` binds to one :class:`~repro.noc.network.Network`
 via :meth:`Network.attach_faults` and is driven entirely through the
-explicit hook points the network exposes — there is no monkeypatching:
+explicit hook points the network exposes — there is no monkeypatching.
+The controller is also a kernel component: ``attach_faults`` registers
+it in the ``net.faults`` phase, ahead of every other fabric phase, and
+its ``tick`` runs ``on_cycle`` every cycle.
 
 ===============================  =========================================
 hook (caller)                     fault kinds served
 ===============================  =========================================
-``on_cycle`` (net.frame)          credit theft, VC wedges, scheduled
+``on_cycle`` (tick, net.faults)   credit theft, VC wedges, scheduled
                                   faults, credit resync / wedge recovery
 ``on_send`` (Network.send)        integrity fingerprinting
 ``on_link_flit`` (ArrivalQueue)   payload corruption on link traversal
@@ -130,7 +133,16 @@ class FaultController:
         self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
         return event
 
-    # -- per-cycle hook (net.frame phase) ------------------------------------
+    # -- per-cycle hook (net.faults phase) -----------------------------------
+    def has_work(self) -> bool:
+        return True  # busy every cycle while attached
+
+    def tick(self, cycle: int) -> int:
+        """The kernel visit: this cycle's faults fire before any link
+        arrival lands or any router moves."""
+        self.on_cycle(cycle, self.network)
+        return cycle + 1
+
     def on_cycle(self, cycle: int, network: "Network") -> None:
         degraded = network.degraded
         restores = self._credit_restores.pop(cycle, None)

@@ -49,7 +49,6 @@ class NocConfig:
     vc_depth: int = 8
     flit_bytes: int = 8
     flow_control: FlowControl = FlowControl.WORMHOLE
-    ejection_bandwidth: int = 1  # flits per cycle per node
     topology: str = "mesh"
     concentration: int = 4  # terminals per hub (cmesh only)
     max_line_bytes: int = 64  # largest cache line the fabric carries
@@ -98,8 +97,6 @@ class NocConfig:
             raise ValueError("vc_depth must be positive")
         if self.flit_bytes < 1:
             raise ValueError("flit_bytes must be positive")
-        if self.ejection_bandwidth < 1:
-            raise ValueError("ejection_bandwidth must be at least 1")
         if self.concentration < 1:
             raise ValueError("concentration must be at least 1")
         if self.max_line_bytes < 1:

@@ -5,24 +5,27 @@ network builds the topology object once, and that object's ``route`` is
 the fabric's one routing.
 
 The network no longer hand-walks its routers each cycle — it registers
-components on a :class:`repro.sim.SimKernel` in five ordered phases:
+components on a :class:`repro.sim.SimKernel` in four ordered phases:
 
-- ``net.frame`` — start-of-cycle housekeeping (ejection-token refill);
 - ``net.arrivals`` — link arrivals land in their target VCs;
 - ``net.routers`` — the 3-stage router pipelines;
 - ``net.nis`` — injection streaming and pending ejection deliveries;
 - ``net.delivery`` — same-tile (local) deliveries.
+
+``attach_faults`` adds a fifth, ``net.faults``, ahead of them all: the
+fault controller's per-cycle injection fires first in every cycle.
 
 The kernel owns the global clock; a :class:`CmpSystem` passes its own
 kernel in so cores, banks and the memory controller tick on the same clock
 in phases appended after these.  ``Network.tick()`` remains as a
 convenience that steps the whole kernel by one cycle.
 
-The network's own state is plain Python: per-node ejection tokens are a
-list that ``net.frame`` refills only where tokens were spent, and route
-decisions are memoized (every pair precomputed on fabrics up to 64
-nodes, a bounded FIFO cache beyond).  Routers hold their VC state
-themselves (:mod:`repro.noc.router`).
+The network's own state is plain Python.  Links are one delay line
+(:class:`ArrivalQueue`): every flit a router launches lands in the next
+cycle.  Ejection needs no state of its own: switch allocation grants at
+most one flit per output port per cycle, so a node ejects at most one
+flit per cycle.  Route decisions are memoized per (node, destination)
+pair.  Routers hold their VC state themselves (:mod:`repro.noc.router`).
 
 Three pluggable hooks are configured by the CMP scheme layer:
 
@@ -46,7 +49,7 @@ from repro.noc.interface import NetworkInterface
 from repro.noc.router import InputVC, Router
 from repro.noc.reliability import InvariantMonitor, ReliabilityLayer
 from repro.noc.stats import NetworkStats
-from repro.sim import CallbackComponent, SimKernel
+from repro.sim import SimKernel
 from repro.sim.stats import DegradedStats, RecoveredStats, TelemetryStats
 from repro.telemetry.sampler import TimeSeriesSampler
 from repro.telemetry.tracer import PacketTracer
@@ -71,55 +74,59 @@ def _default_priority(packet: Packet) -> int:
 
 
 class ArrivalQueue:
-    """Link arrivals scheduled for future cycles (a kernel component).
+    """The links: a one-cycle delay line (a kernel component).
 
-    Every link has the same latency, so batches are created in due order
-    and ``_due``'s first key is always the earliest: the queue sleeps
-    until it, and ``schedule`` wakes it for a new batch.  When a batch
-    lands, the routers its head flits land in are woken in the same
-    cycle (``net.routers`` sweeps after ``net.arrivals``).  A body flit
-    lands in a VC its packet already holds; a router with a bound VC
-    asks for the next cycle after every visit, so the kernel has already
-    queued it for this cycle.
+    Every link has the same one-cycle latency and only a router's switch
+    traversal launches flits, so the flits in flight are one launch list
+    plus the cycle it was launched in.  A flit launched in cycle t lands
+    in t + 1, whichever phase launched it: a visit in the launch cycle
+    lands nothing and asks for the next.  When the list lands, the
+    routers its head flits land in are woken in the same cycle
+    (``net.routers`` sweeps after ``net.arrivals``).  A body flit lands
+    in a VC its packet already holds; a router with a bound VC asks for
+    the next cycle after every visit, so the kernel has already queued
+    it for this cycle.
     """
 
-    __slots__ = ("network", "_due")
+    __slots__ = ("network", "_launched", "_launch_cycle")
 
     def __init__(self, network: "Network"):
         self.network = network
-        self._due: Dict[int, List[Tuple[InputVC, Packet, bool, bool]]] = {}
+        self._launched: List[Tuple[InputVC, Packet, bool, bool]] = []
+        self._launch_cycle = -1
 
     def schedule(
         self,
-        due: int,
         target_vc: InputVC,
         packet: Packet,
         is_head: bool,
         is_tail: bool,
     ) -> None:
-        """Launch a flit that lands at ``due``.  Batches must be created
-        in due order (every link has the same latency), so that ``_due``'s
-        first key is its earliest."""
-        batch = self._due.get(due)
-        if batch is None:
-            batch = self._due[due] = []
-            self.network.kernel.wake(self, due)
-        batch.append((target_vc, packet, is_head, is_tail))
+        """Launch a flit toward ``target_vc``; it lands next cycle."""
+        now = self.network.kernel.cycle
+        if now != self._launch_cycle:
+            if self._launched:
+                # Last cycle's flits are due now, and a launcher swept
+                # ahead of ``net.arrivals`` got here first: land them
+                # before this cycle's launches join the line.
+                self.tick(now)
+            self._launch_cycle = now
+            self.network.kernel.wake(self)
+        self._launched.append((target_vc, packet, is_head, is_tail))
 
     def has_work(self) -> bool:
-        return bool(self._due)
+        return bool(self._launched)
 
     def pending(self) -> int:
         """Total flits still in flight on links."""
-        return sum(len(batch) for batch in self._due.values())
+        return len(self._launched)
 
     def in_flight_counts(self) -> Dict[InputVC, int]:
         """In-flight flit count per target VC (the invariant monitor
         checks these against each VC's ``incoming`` credit view)."""
         counts: Dict[InputVC, int] = {}
-        for batch in self._due.values():
-            for target_vc, _packet, _head, _tail in batch:
-                counts[target_vc] = counts.get(target_vc, 0) + 1
+        for target_vc, _packet, _head, _tail in self._launched:
+            counts[target_vc] = counts.get(target_vc, 0) + 1
         return counts
 
     def purge_packet(self, packet: Packet) -> int:
@@ -128,30 +135,25 @@ class ArrivalQueue:
         Decrements the target VCs' ``incoming`` credits so flow control
         stays conserved; returns the flit count removed.
         """
-        removed = 0
-        for due_cycle in list(self._due):
-            batch = self._due[due_cycle]
-            kept = []
-            for item in batch:
-                target_vc, arriving, _is_head, _is_tail = item
-                if arriving is packet:
-                    if target_vc.incoming > 0:
-                        target_vc.incoming -= 1
-                    removed += 1
-                else:
-                    kept.append(item)
-            if len(kept) != len(batch):
-                if kept:
-                    self._due[due_cycle] = kept
-                else:
-                    del self._due[due_cycle]
+        kept = []
+        for item in self._launched:
+            target_vc, arriving, _is_head, _is_tail = item
+            if arriving is packet:
+                if target_vc.incoming > 0:
+                    target_vc.incoming -= 1
+            else:
+                kept.append(item)
+        removed = len(self._launched) - len(kept)
+        self._launched = kept
         return removed
 
     def tick(self, cycle: int) -> Optional[int]:
-        due = self._due
-        arrivals = due.pop(cycle, None)
-        if arrivals is None:
-            return next(iter(due), None)
+        arrivals = self._launched
+        if cycle == self._launch_cycle:
+            return cycle + 1 if arrivals else None
+        if not arrivals:
+            return None
+        self._launched = []
         network = self.network
         network.stats.buffer_writes += len(arrivals)
         faults = network.faults
@@ -182,7 +184,7 @@ class ArrivalQueue:
                 # Link-traversal fault hook: payload corruption strikes a
                 # flit as it lands in the downstream buffer.
                 faults.on_link_flit(cycle, target_vc, packet, is_head)
-        return next(iter(due), None)
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ArrivalQueue({self.pending()} flits in flight)"
@@ -261,18 +263,6 @@ class Network:
         ]
         self.arrival_queue = ArrivalQueue(self)
         self.local_deliveries = LocalDeliveryQueue(self)
-        # Ejection tokens start full; the frame step only refills nodes
-        # that actually spent tokens (``_eject_spent``) instead of
-        # rewriting the whole array every cycle.
-        bandwidth = config.ejection_bandwidth
-        self._eject_tokens: List[int] = [bandwidth] * self.topology.n_nodes
-        self._eject_spent: List[int] = []
-        #: The start-of-cycle step: it runs in a cycle that follows spent
-        #: ejection tokens (``eject_flit`` wakes it), and every cycle
-        #: while a fault controller is attached.
-        self._frame = CallbackComponent(
-            self._frame_start, label="net.frame", has_work_fn=self._frame_due
-        )
         self._delivery_handler: Optional[DeliveryHandler] = None
         #: Fault-injection controller (:mod:`repro.faults`); ``None`` keeps
         #: every hook a cheap attribute test with zero behavioural impact.
@@ -309,7 +299,6 @@ class Network:
 
     def _register_components(self) -> None:
         kernel = self.kernel
-        kernel.register(self._frame, phase="net.frame")
         kernel.register(self.arrival_queue, phase="net.arrivals")
         for router in self.routers:
             kernel.register(router, phase="net.routers")
@@ -360,22 +349,6 @@ class Network:
                 f"ring of {self.sampler.capacity} windows"
             )
 
-    def _frame_due(self) -> bool:
-        return bool(self._eject_spent) or self.faults is not None
-
-    def _frame_start(self, cycle: int) -> None:
-        spent = self._eject_spent
-        if spent:
-            bandwidth = self.config.ejection_bandwidth
-            tokens = self._eject_tokens
-            for node in spent:
-                tokens[node] = bandwidth
-            self._eject_spent = []
-        if self.faults is not None:
-            # Per-cycle fault hook: scheduled faults fire, random
-            # credit/wedge faults are sampled, stolen credits resync.
-            self.faults.on_cycle(cycle, self)
-
     def _fabric_occupancy(self) -> float:
         """Buffered + in-flight flits across every router VC (the default
         occupancy gauge of the telemetry sampler)."""
@@ -422,13 +395,15 @@ class Network:
 
     def attach_faults(self, controller: "FaultController") -> None:
         """Wire a fault-injection controller into the explicit hook points
-        (injection, link arrivals, ejection, per-cycle sampling).  A
+        (injection, link arrivals, ejection) and register it as the
+        ``net.faults`` component, swept first in every cycle.  A
         zero-fault plan is guaranteed inert: the hooks only observe."""
         if self.faults is not None:
             raise RuntimeError("a fault controller is already attached")
         controller.bind(self)
         self.faults = controller
-        self.kernel.wake(self._frame)
+        self.kernel.add_phase("net.faults", before="net.arrivals")
+        self.kernel.register(controller, phase="net.faults")
 
     # -- packet movement -------------------------------------------------------
     def route(self, node: int, dst: int):
@@ -472,19 +447,6 @@ class Network:
             self.local_deliveries.schedule(self.cycle + delay, packet)
             return
         self.nis[packet.src].inject(packet)
-
-    def can_eject(self, node: int) -> bool:
-        return self._eject_tokens[node] > 0
-
-    def eject_flit(self, node: int, packet: Packet, is_tail: bool) -> None:
-        self._eject_tokens[node] -= 1
-        spent = self._eject_spent
-        if not spent:
-            self.kernel.wake(self._frame)  # refill at the next cycle's start
-        spent.append(node)
-        self.stats.flits_ejected += 1
-        if is_tail:
-            self.nis[node].complete_ejection(packet)
 
     def deliver(self, node: int, packet: Packet) -> None:
         if self.reliability is not None and not self.reliability.on_deliver(

@@ -24,7 +24,10 @@ may not send).  Arbitration is one pass over the candidates: the highest
 ``packet_priority`` wins, and among equals the VC whose ``rr_key``
 (``port * stride + vc_index``, precomputed per VC when the router is
 built) comes first at or after the output port's round-robin pointer.
-A lone requester is granted without arbitrating.
+A lone requester is granted without arbitrating.  The local port is an
+output port like the others: one flit per cycle, so a node ejects at
+most one flit per cycle, and an ejecting VC is refused only by the
+engine lock, a wedge or store-and-forward.
 
 :class:`Router` exposes the hook points the DISCO router
 overrides: ``_post_switch_allocation`` (this cycle's SA losers — the
@@ -54,24 +57,7 @@ VC_ROUTING = 1
 VC_VA = 2
 VC_ACTIVE = 3
 
-#: Cycles a flit spends on an inter-router link.
-LINK_LATENCY = 1
-
 _by_scan_key = attrgetter("scan_key")
-
-#: Resolved lazily (import cycle): the stock ``Network.can_eject``, so the
-#: SA hot path can tell "unmodified ejection policy" (inlinable token
-#: check) from a subclass override or a test/fault monkey-patch.
-_BASE_CAN_EJECT = None
-
-
-def _base_can_eject():
-    global _BASE_CAN_EJECT
-    if _BASE_CAN_EJECT is None:
-        from repro.noc.network import Network
-
-        _BASE_CAN_EJECT = Network.can_eject
-    return _BASE_CAN_EJECT
 
 
 class InputVC:
@@ -345,25 +331,65 @@ class Router:
     def tick(self, cycle: int) -> Optional[int]:
         """One cycle: SA/ST first, then VA, then RC (stage separation).
 
-        A single pass over the bound VCs snapshots each stage's work list,
-        then the stages run in pipeline order — identical to three separate
-        scans because a VC is in exactly one state at scan time and stage
-        processing never moves a VC into an *earlier* stage's set within
-        the same cycle.
+        A single pass over the bound VCs sorts them by stage and, for an
+        ACTIVE VC with a flit buffered, applies the switch allocator's
+        request test (:meth:`_can_send` inlined; a test checks that the
+        two agree for every such VC).  The stages then run in pipeline
+        order — identical to three separate scans because a VC is in
+        exactly one state at scan time and stage processing never moves
+        a VC into an *earlier* stage's set within the same cycle.  A lone
+        requester wins without arbitrating; contested, multi-port and
+        blocked requests go to :meth:`_switch_allocation`.
 
         Asks for the next cycle while a VC is bound and sleeps otherwise:
         a router holding only reserved VCs or flits in flight has nothing
         to move until a head flit lands, and the landing wakes it.
         """
-        sa = va = rc = None
+        saf = self._saf
+        jobs_block = self._jobs_block
+        single: Optional[List[InputVC]] = None  # all requesters, one port
+        requests: Optional[Dict[int, List[InputVC]]] = None
+        blocked = va = rc = None
         for vc in self._bound:
             state = vc.state
             if state == VC_ACTIVE:
-                if vc.flits_present:
-                    if sa is None:
-                        sa = [vc]
+                if not vc.flits_present:
+                    continue
+                job = vc.engine_job
+                if job is not None and (jobs_block or job.committed):
+                    ok = False  # the DISCO engine holds the packet
+                elif vc.wedged_until > cycle:
+                    ok = False  # fault-injected wedge (repro.faults)
+                elif saf and vc.flits_received < vc.packet.size_flits:
+                    ok = False
+                else:
+                    # Only the local port has no downstream VC, and
+                    # ejection needs no credit: the allocator grants one
+                    # flit per output port per cycle.
+                    t = vc.out_vc
+                    ok = t is None or (
+                        t.depth - t.flits_present - t.incoming - t.credit_debt
+                    ) > 0
+                if not ok:
+                    if blocked is None:
+                        blocked = [vc]
                     else:
-                        sa.append(vc)
+                        blocked.append(vc)
+                    continue
+                out_port = vc.out_port
+                if requests is not None:
+                    group = requests.get(out_port)
+                    if group is None:
+                        requests[out_port] = [vc]
+                    else:
+                        group.append(vc)
+                elif single is None:
+                    single = [vc]
+                elif single[0].out_port == out_port:
+                    single.append(vc)
+                else:
+                    requests = {single[0].out_port: single, out_port: [vc]}
+                    single = None
             elif state == VC_VA:
                 if va is None:
                     va = [vc]
@@ -374,8 +400,13 @@ class Router:
                     rc = [vc]
                 else:
                     rc.append(vc)
-        if sa is not None:
-            self._switch_allocation(sa)
+        if single is not None and len(single) == 1:
+            winner = single[0]
+            self._sa_rr[winner.out_port] = (winner.rr_key + 1) % self._rr_span
+            self._send_flit(winner)
+            single = None
+        if single is not None or requests is not None or blocked is not None:
+            self._switch_allocation(single, requests, blocked)
         waiting = None
         if va is not None:
             waiting = self._vc_allocation(va)
@@ -386,87 +417,28 @@ class Router:
         return cycle + 1 if self._bound else None
 
     # .. stage 3+2b: switch allocation and traversal ..........................
-    def _switch_allocation(self, active: List[InputVC]) -> None:
-        """Partition the requesters, arbitrate, send the winners.
+    def _switch_allocation(
+        self,
+        single: Optional[List[InputVC]],
+        requests: Optional[Dict[int, List[InputVC]]],
+        blocked: Optional[List[InputVC]],
+    ) -> None:
+        """Arbitrate this cycle's requesters, send the winners, and hand
+        the losers and then the blocked VCs to the SA hook.
 
-        The per-VC send test is :meth:`_can_send` inlined; a test checks
-        that the partition's verdict equals :meth:`_can_send` for every
-        VC."""
-        network = self.network
-        now = network.kernel.cycle
-        saf = self._saf
-        jobs_block = self._jobs_block
-        # The ejection verdict is resolved at the first local-port
-        # requester.  The eject-token pool only changes when a flit is
-        # actually sent, after the partition, so the stock policy's verdict
-        # holds for every local VC; a replaced ``can_eject`` (subclass or
-        # test/fault monkey-patch) is consulted per VC.
-        eject_ok: Optional[bool] = None
-        eject_call = None
-        single: Optional[List[InputVC]] = None  # all requesters, one port
-        requests: Optional[Dict[int, List[InputVC]]] = None
-        blocked: Optional[List[InputVC]] = None
-        for vc in active:
-            out_port = vc.out_port
-            job = vc.engine_job
-            if job is not None and (jobs_block or job.committed):
-                ok = False  # the DISCO engine holds the packet
-            elif vc.wedged_until > now:
-                ok = False  # fault-injected wedge (repro.faults)
-            elif saf and vc.flits_received < vc.packet.size_flits:
-                ok = False
-            elif out_port == PORT_LOCAL:
-                if eject_ok is not None:
-                    ok = eject_ok
-                elif eject_call is not None:
-                    ok = eject_call(self.node)
-                else:
-                    eject_fn = network.can_eject
-                    if getattr(eject_fn, "__func__", None) is _base_can_eject():
-                        ok = eject_ok = network._eject_tokens[self.node] > 0
-                    else:
-                        eject_call = eject_fn
-                        ok = eject_fn(self.node)
-            else:
-                t = vc.out_vc
-                ok = (
-                    t.depth - t.flits_present - t.incoming - t.credit_debt
-                ) > 0
-            if not ok:
-                if blocked is None:
-                    blocked = [vc]
-                else:
-                    blocked.append(vc)
-            elif requests is not None:
-                group = requests.get(out_port)
-                if group is None:
-                    requests[out_port] = [vc]
-                else:
-                    group.append(vc)
-            elif single is None:
-                single = [vc]
-            elif single[0].out_port == out_port:
-                single.append(vc)
-            else:
-                requests = {single[0].out_port: single, out_port: [vc]}
-                single = None
-
+        :meth:`tick` partitions the VCs with a flit to send and grants a
+        lone requester itself: ``single`` holds two or more requesters
+        that all ask for one output port, ``requests`` maps each output
+        port to its requesters when they ask for several, and
+        ``blocked`` the VCs :meth:`_can_send` refuses."""
         losers: Optional[List[InputVC]] = None
         if single is not None:
-            # One output port requested (80,731 of the 139,124 SA calls of
-            # canneal/baseline at 800 accesses per core, 58%; 37% request
-            # several ports, 5% none): no cross-port input conflicts are
-            # possible, so the used-input filtering reduces to a single
-            # arbitration.
-            if len(single) == 1:
-                winner = single[0]
-                self._sa_rr[winner.out_port] = (
-                    winner.rr_key + 1
-                ) % self._rr_span
-            else:
-                winner = self._arbitrate(single[0].out_port, single, 0)
-                single.remove(winner)
-                losers = single
+            # One output port requested: no cross-port input conflicts
+            # are possible, so the used-input filtering reduces to a
+            # single arbitration.
+            winner = self._arbitrate(single[0].out_port, single, 0)
+            single.remove(winner)
+            losers = single
             self._send_flit(winner)
         elif requests is not None:
             # Output ports in ascending order; an input port sends at most
@@ -497,7 +469,7 @@ class Router:
                 losers = None
 
         if losers is not None:
-            network.stats.sa_losses += len(losers)
+            self.network.stats.sa_losses += len(losers)
         if self._sa_hook:
             if blocked is not None:
                 losers = blocked if losers is None else losers + blocked
@@ -520,7 +492,7 @@ class Router:
             if vc.flits_received < packet.size_flits:
                 return False
         if vc.out_port == PORT_LOCAL:
-            return self.network.can_eject(self.node)
+            return True  # one grant per output port per cycle
         target = vc.out_vc
         assert target is not None
         return target.free_slots() > 0
@@ -581,18 +553,14 @@ class Router:
             if is_tail:
                 tracer.on_tail_sent(cycle, packet, self.node, vc.out_port)
         if vc.out_port == PORT_LOCAL:
-            network.eject_flit(self.node, packet, is_tail)
+            stats.flits_ejected += 1
+            if is_tail:
+                network.nis[self.node].complete_ejection(packet)
         else:
             target = vc.out_vc
             target.incoming += 1
             stats.link_flits += 1
-            network.arrival_queue.schedule(
-                network.kernel.cycle + LINK_LATENCY,
-                target,
-                packet,
-                is_head,
-                is_tail,
-            )
+            network.arrival_queue.schedule(target, packet, is_head, is_tail)
         if is_tail:
             if vc.flits_present != 0:
                 raise RuntimeError(

@@ -22,7 +22,7 @@ import sys
 import threading
 from pathlib import Path
 
-from repro.experiments.runner import _publish_atomic
+from repro.publish import publish_atomic
 from repro.service.http import serve
 from repro.service.scheduler import CampaignService
 from repro.telemetry.log import ensure_level, get_logger
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     if args.port_file:
         # Atomic publish so a supervisor polling the file never reads a
         # half-written port number.
-        _publish_atomic(Path(args.port_file), str(port).encode())
+        publish_atomic(Path(args.port_file), str(port).encode())
 
     stop = threading.Event()
 

@@ -1,8 +1,9 @@
 """The component protocol the kernel schedules.
 
 A *component* is anything with per-cycle behaviour: a router, a network
-interface, the arrival queue, a tile, the CMP event queue.  The kernel
-makes one call per visit:
+interface, the arrival queue, a tile, the CMP event queue, an attached
+fault controller.  A bare callable becomes one through
+:class:`CallbackComponent`.  The kernel makes one call per visit:
 
 - ``tick(cycle)`` — do this cycle's work and return the next cycle the
   component needs: ``cycle + 1`` while it is busy, a later deadline
@@ -50,39 +51,24 @@ class Component(Protocol):
 
 
 class CallbackComponent:
-    """Adapt a bare callable into a :class:`Component`.
-
-    Useful for per-cycle housekeeping steps that are not objects in their
-    own right (e.g. the network's start-of-cycle token refill).  Runs
-    every cycle unless ``has_work_fn`` says it is idle after a run; then
-    it sleeps until woken, so whoever makes ``has_work_fn`` true again
-    must wake it.  Without ``has_work_fn`` it is busy on every visit,
-    which the ledger's per-visit kernel cost loop (``sim.noop_wake_ns``)
-    relies on.
+    """Adapt a bare callable into a :class:`Component` that is busy on
+    every visit: it runs the callable and asks for the next cycle.  The
+    ledger's per-visit kernel cost loop (``sim.noop_wake_ns``) is built
+    from these.
     """
 
-    __slots__ = ("label", "_fn", "_has_work_fn")
+    __slots__ = ("label", "_fn")
 
-    def __init__(
-        self,
-        fn: Callable[[int], None],
-        label: str = "callback",
-        has_work_fn: Optional[Callable[[], bool]] = None,
-    ):
+    def __init__(self, fn: Callable[[int], None], label: str = "callback"):
         self._fn = fn
         self.label = label
-        self._has_work_fn = has_work_fn
 
     def has_work(self) -> bool:
-        if self._has_work_fn is not None:
-            return self._has_work_fn()
         return True
 
-    def tick(self, cycle: int) -> Optional[int]:
+    def tick(self, cycle: int) -> int:
         self._fn(cycle)
-        if self._has_work_fn is None or self._has_work_fn():
-            return cycle + 1
-        return None
+        return cycle + 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CallbackComponent({self.label})"

@@ -2,10 +2,10 @@
 
 A :class:`SimKernel` owns the global cycle counter and an ordered list of
 *phases*; each phase holds the components ticked during it.  The stage
-ordering the hand-written loops used to encode positionally (network
-frame setup → arrival delivery → routers → NIs → local delivery → CMP
-events → tiles) is explicit, named, and extensible: a subsystem joins
-the simulation by registering components, not by editing the loop.
+ordering the hand-written loops used to encode positionally (arrival
+delivery → routers → NIs → local delivery → CMP events → tiles) is
+explicit, named, and extensible: a subsystem joins the simulation by
+registering components, not by editing the loop.
 
 Scheduling is **event-driven**: instead of polling every component every
 cycle, the kernel keeps a timestamp-ordered wakeup heap plus one active
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.component import Component
 from repro.sim.stats import StatsRegistry
@@ -73,11 +73,18 @@ def component_label(component: Component) -> str:
 _BYTE_BITS = tuple(
     tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)
 )
+#: The same for a set's second byte (bits 8-15).
+_HIGH_BYTE_BITS = tuple(tuple(bit + 8 for bit in bits) for bits in _BYTE_BITS)
 
 
-def _set_bits(bits: int) -> List[int]:
-    """Indexes of the set bits of ``bits``, lowest first (a byte at a
-    time: cheaper than peeling bits off a large int one by one)."""
+def _set_bits(bits: int) -> Sequence[int]:
+    """Indexes of the set bits of ``bits``, lowest first.
+
+    A set below 2**16 (every phase of a 4x4 system) is two table
+    lookups; a wider one goes a byte at a time, which is cheaper than
+    peeling bits off a large int one by one."""
+    if bits < 65536:
+        return _BYTE_BITS[bits & 255] + _HIGH_BYTE_BITS[bits >> 8]
     indexes = []
     base = 0
     for byte in bits.to_bytes((bits.bit_length() + 7) >> 3, "little"):
@@ -245,9 +252,11 @@ class SimKernel:
         *current* cycle if the component's phase has not been swept yet;
         anything else (including wakes scheduled in the past) rounds up
         to the next cycle.  The earliest legal cycle is an OR into the
-        phase's active set, a later one a heap entry.  Duplicate wakes
-        coalesce; spurious ones are harmless because a tick with no work
-        changes nothing.
+        phase's active set, a later one a heap entry.  Without ``cycle``
+        the wake is that OR alone: the set holds this cycle's visits
+        until its phase is swept and the next cycle's from then on.
+        Duplicate wakes coalesce; spurious ones are harmless because a
+        tick with no work changes nothing.
         """
         reg = self._reg_of.get(id(component))
         if reg is None:
@@ -261,11 +270,14 @@ class SimKernel:
                 f"{component_label(component)}"
             )
         phase = reg.phase
+        if cycle is None:
+            phase.due |= reg.bit
+            return
         sweeping = self._sweep_index
         earliest = self.cycle
         if sweeping is None or phase.index <= sweeping:
             earliest += 1
-        if cycle is None or cycle <= earliest:
+        if cycle <= earliest:
             phase.due |= reg.bit
         else:
             self._schedule(reg, cycle)

@@ -6,8 +6,9 @@ line ("worker process died") and a stale heartbeat file.  The flight
 recorder turns that into a postmortem artifact: each process keeps a
 bounded ring of recent structured events (scheduler decisions, progress
 samples with the simulated cycle, kernel phase timings, the last N log
-records) and dumps it as one atomically-written JSON file next to the
-heartbeat files.
+records) and dumps it as one JSON file next to the heartbeat files,
+published like every other file the runner writes
+(:func:`repro.publish.publish_atomic`: staged, fsynced, renamed).
 
 SIGKILL is unsurvivable from inside, so the worker-side recorder does
 not *react* to death — it **persists ahead of it**: the runner's
@@ -47,13 +48,13 @@ import json
 import logging
 import multiprocessing
 import os
-import tempfile
 import threading
 import time
 from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.publish import publish_atomic
 from repro.telemetry.log import CorrelationFilter, current_correlation
 
 #: Ring capacities — small enough that an inflight dump costs microseconds,
@@ -150,18 +151,9 @@ class FlightRecorder:
         payload.update(self.snapshot())
         path = directory / f"flight_{pid}.json"
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(directory), suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, default=str)
-            os.replace(tmp_name, path)
+            blob = json.dumps(payload, sort_keys=True, default=str)
+            publish_atomic(path, blob.encode("utf-8"))
         except (OSError, TypeError):
-            try:
-                os.unlink(tmp_name)  # noqa: SIM105 - best effort
-            except (OSError, UnboundLocalError):
-                pass
             return None
         return path
 

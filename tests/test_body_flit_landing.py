@@ -76,7 +76,9 @@ def landings(monkeypatch):
 
     def checked_tick(self, cycle):
         kernel = self.network.kernel
-        for target_vc, packet, is_head, _is_tail in self._due.get(cycle, ()):
+        # A visit lands the launch list unless it is the launch cycle.
+        landing = self._launched if cycle != self._launch_cycle else ()
+        for target_vc, packet, is_head, _is_tail in landing:
             if is_head:
                 continue
             assert target_vc.packet is packet, (
@@ -240,9 +242,8 @@ def test_link_landing_is_accept_flit(incoming):
         1, 1, incoming
     )
     reference.accept_flit(ref_packet, False)
-    cycle = network.cycle + 1
-    network.arrival_queue.schedule(cycle, vc, packet, False, False)
-    network.arrival_queue.tick(cycle)
+    network.arrival_queue.schedule(vc, packet, False, False)
+    network.arrival_queue.tick(network.cycle + 1)
     assert _fields(vc) == {**_fields(reference), "packet": packet}
 
 
@@ -271,11 +272,12 @@ def test_body_flits_do_not_wake_their_router():
     vc = router.inputs[1][1]
     packet = Packet(PacketType.RESPONSE, 5, 6, line=bytes(64))
     queue = network.arrival_queue
-    queue.schedule(1, vc, packet, True, False)
-    queue.schedule(2, vc, packet, False, False)
+    queue.schedule(vc, packet, True, False)  # launched in cycle 0
     queue.tick(1)
     assert router in woken
     woken.clear()
+    network.cycle = 1
+    queue.schedule(vc, packet, False, False)
     queue.tick(2)
     assert router not in woken
     assert vc.flits_received == 2

@@ -24,8 +24,12 @@ import pytest
 from repro.compression import base as compression_base
 from repro.compression.base import CachedCompressor
 from repro.compression.registry import get_algorithm
+from repro.core import DiscoConfig, disco_priority, make_disco_router_factory
 from repro.experiments import checkpoint, runner
 from repro.experiments.runner import QUICK_ACCESSES, RunSpec, run_spec, spec_key
+from repro.faults import CampaignSpec, FaultController, FaultPlan
+from repro.noc import Network
+from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 from tests.test_golden_large_mesh import LARGE_MESH_DIGESTS
 from tests.test_golden_mesh import GOLDEN_DIGESTS, result_digest
 
@@ -114,6 +118,61 @@ class TestRoundTripInvariance:
         assert paused.run(pause_at=800) is None
         result = _round_trip(paused).run()
         assert result_digest(result) == LARGE_MESH_DIGESTS["disco"]
+
+
+class TestFaultedNetworkRoundTrip:
+    """A fabric with the network's observers attached — the fault
+    controller (the ``net.faults`` component), retransmission and the
+    invariant monitor in squash mode — pickled mid-run and resumed
+    finishes where the uninterrupted run does."""
+
+    @staticmethod
+    def _run(pause_at=None, cycles=600):
+        spec = CampaignSpec(retransmission=True)
+        network = Network(
+            spec.noc_config(),
+            router_factory=make_disco_router_factory(DiscoConfig()),
+        )
+        network.packet_priority = disco_priority
+        plan = FaultPlan(
+            seed=2, wedge_rate=0.01, credit_rate=0.02, end_cycle=cycles
+        )
+        network.attach_faults(FaultController(plan, raise_on_violation=False))
+        traffic = SyntheticTraffic(
+            network, TrafficConfig(injection_rate=0.06, seed=1)
+        )
+        for _ in range(cycles):
+            traffic.step()
+            if traffic.network.cycle == pause_at:
+                traffic = pickle.loads(
+                    pickle.dumps(traffic, pickle.HIGHEST_PROTOCOL)
+                )
+        network = traffic.network
+        network.run_until_quiescent(max_cycles=20_000)
+        return traffic, network
+
+    @staticmethod
+    def _outcome(traffic, network):
+        return (
+            network.cycle,
+            network.kernel.stats.snapshot(),
+            network.faults.by_kind,
+            # Packet ids come from a process-wide counter: compare the rest.
+            [
+                (p.src, p.dst, p.injected_cycle, p.ejected_cycle, p.line)
+                for p in traffic.delivered
+            ],
+        )
+
+    def test_resumed_run_matches_the_uninterrupted_one(self):
+        expected = self._outcome(*self._run())
+        traffic, network = self._run(pause_at=300)
+        assert self._outcome(traffic, network) == expected
+        assert network.kernel.components("net.faults") == [network.faults]
+        assert network.reliability is not None and network.monitor is not None
+        by_kind = network.faults.by_kind
+        assert by_kind.get("wedge") and by_kind.get("credit")
+        assert len(traffic.delivered) == traffic.generated
 
 
 class TestSharedMemo:

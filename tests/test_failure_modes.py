@@ -45,8 +45,9 @@ class TestNetworkFailures:
         network = Network(NocConfig())
         network.set_delivery_handler(lambda n, p: None)
         network.send(Packet(PacketType.REQUEST, 0, 15))
-        # Sabotage: revoke ejection bandwidth forever.
-        network.can_eject = lambda node: False
+        # Sabotage: wedge every input VC of the destination router forever.
+        for vc in network.routers[15].all_vcs:
+            vc.wedged_until = 1 << 60
         with pytest.raises(RuntimeError) as excinfo:
             network.run_until_quiescent(max_cycles=2000)
         # The exception alone must triage the wedge: which router, which

@@ -149,9 +149,9 @@ class TestVirtualNetworks:
         original = ArrivalQueue.schedule
 
         # Every link hop a router sends goes through the arrival queue.
-        def spy(self, due, target_vc, packet, is_head, is_tail):
+        def spy(self, target_vc, packet, is_head, is_tail):
             seen_vcs[packet.ptype.vnet].add(target_vc.vc_index)
-            original(self, due, target_vc, packet, is_head, is_tail)
+            original(self, target_vc, packet, is_head, is_tail)
 
         monkeypatch.setattr(ArrivalQueue, "schedule", spy)
         packets = [
@@ -164,6 +164,95 @@ class TestVirtualNetworks:
         assert not seen_vcs[0] & seen_vcs[1]
         for vnet, vcs in seen_vcs.items():
             assert vcs == set(network.config.vnet_vcs(vnet))
+
+
+class TestDelayLine:
+    """The links are a one-cycle delay line: a flit launched in cycle t
+    lands in t + 1, whichever phase launched it, and a visit of the
+    arrival queue in the launch cycle lands nothing."""
+
+    def test_router_launches_land_next_cycle(self, monkeypatch):
+        launched = {}  # id(flit) -> (launch cycle, phase swept)
+        landings = []
+        schedule = ArrivalQueue.schedule
+        tick = ArrivalQueue.tick
+
+        def recording_schedule(self, target_vc, packet, is_head, is_tail):
+            schedule(self, target_vc, packet, is_head, is_tail)
+            kernel = self.network.kernel
+            phase = kernel._phases[kernel._sweep_index].name
+            launched[id(self._launched[-1])] = (kernel.cycle, phase)
+
+        def recording_tick(self, cycle):
+            in_flight = list(self._launched)
+            at = tick(self, cycle)
+            still = {id(flit) for flit in self._launched}
+            for flit in in_flight:
+                if id(flit) not in still:
+                    landings.append((launched.pop(id(flit)), cycle))
+            return at
+
+        monkeypatch.setattr(ArrivalQueue, "schedule", recording_schedule)
+        monkeypatch.setattr(ArrivalQueue, "tick", recording_tick)
+        network = make_network()
+        SyntheticTraffic(
+            network, TrafficConfig(injection_rate=0.1, seed=3)
+        ).run(200)
+        assert landings and not launched
+        for (launch, phase), landed in landings:
+            assert phase == "net.routers"
+            assert landed == launch + 1
+
+    def test_a_launch_outside_a_sweep_lands_next_cycle(self):
+        network = make_network(width=2, height=2)
+        queue = network.arrival_queue
+        vc = network.routers[3].inputs[1][0]
+        packet = Packet(PacketType.REQUEST, 0, 3)
+        vc.incoming += 1  # the credit a sending router takes
+        queue.schedule(vc, packet, True, True)
+        # A visit in the launch cycle lands nothing and asks for the next.
+        assert queue.tick(network.cycle) == network.cycle + 1
+        assert vc.packet is None and queue.pending() == 1
+        network.tick()
+        assert vc.packet is packet and queue.pending() == 0
+        assert vc.incoming == 0
+
+    def test_a_launch_ahead_of_arrivals_lands_next_cycle(self):
+        network = make_network(width=2, height=2)
+        queue = network.arrival_queue
+        early_vc = network.routers[3].inputs[1][0]
+        late_vc = network.routers[2].inputs[1][0]
+        early = Packet(PacketType.REQUEST, 0, 3)
+        late = Packet(PacketType.REQUEST, 0, 2)
+
+        class Launcher:
+            """Launches ``late`` from a phase swept before
+            ``net.arrivals``, in its first visit."""
+
+            def __init__(self):
+                self.done = False
+
+            def has_work(self):
+                return not self.done
+
+            def tick(self, cycle):
+                if not self.done:
+                    self.done = True
+                    queue.schedule(late_vc, late, True, True)
+                return None
+
+        # ``early`` leaves in cycle 0, outside a sweep; the launcher's
+        # first visit (cycle 1) launches ``late`` while ``early`` is
+        # still in flight.
+        queue.schedule(early_vc, early, True, True)
+        network.kernel.add_phase("test.launch", before="net.arrivals")
+        network.kernel.register(Launcher(), phase="test.launch")
+        network.tick()
+        assert network.cycle == 1
+        assert early_vc.packet is early
+        assert late_vc.packet is None and queue.pending() == 1
+        network.tick()
+        assert late_vc.packet is late and queue.pending() == 0
 
 
 class TestQuiescence:

@@ -37,7 +37,7 @@ def test_n_nodes():
         {"vc_depth": 0},
         {"flit_bytes": 0},
         {"height": 0},
-        {"ejection_bandwidth": 0},
+        {"retx_max_retries": 0},
         {"concentration": 0},
         {"max_line_bytes": 0},
         # Unknown fabric names.

@@ -651,6 +651,29 @@ class TestFlightRecorder:
         assert latest["events"][-1]["cycle"] == 99
         assert len(flight.read_flight_records()) == 1
 
+    @pytest.mark.parametrize("blocker", ["file_as_directory", "dir_as_target"])
+    def test_failed_dump_returns_none_and_leaves_no_tmp(
+        self, tmp_path, monkeypatch, blocker
+    ):
+        """A flight record that cannot be written is dropped, not raised,
+        and its staging file goes with it.  Either the directory cannot
+        be made (a file holds its path) or the record cannot be renamed
+        into place (a non-empty directory holds its name), which fails
+        after the staging file was written."""
+        if blocker == "file_as_directory":
+            (tmp_path / "occupied").write_text("a file")
+            directory = tmp_path / "occupied" / "flight"
+        else:
+            directory = tmp_path / "flight"
+            target = directory / f"flight_{os.getpid()}.json"
+            target.mkdir(parents=True)
+            (target / "keep").write_text("x")
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(directory))
+        recorder = flight.FlightRecorder(role="worker")
+        recorder.record("progress", cycle=1)
+        assert recorder.dump("inflight") is None
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_log_tail_is_teed_when_enabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path / "flight"))
         flight.reset_for_tests()

@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.noc import Network, NocConfig
 from repro.noc.flit import Packet, PacketType
@@ -14,6 +16,7 @@ from repro.sim import (
     StatsRegistry,
     merge_snapshots,
 )
+from repro.sim.kernel import _set_bits
 from tests.tick_all import TickAllKernel
 
 
@@ -136,12 +139,6 @@ class TestKernelScheduling:
         assert comp.has_work()
         assert comp.tick(7) == 8  # runs every cycle
         assert ticks == [7]
-        gated = CallbackComponent(
-            ticks.append, label="gated", has_work_fn=lambda: False
-        )
-        assert not gated.has_work()
-        assert gated.tick(9) is None  # idle after the run: sleeps
-        assert ticks == [7, 9]
 
     def test_describe_mentions_phases(self):
         kernel = SimKernel()
@@ -152,6 +149,23 @@ class TestKernelScheduling:
         text = kernel.describe()
         assert "net.routers" in text
         assert "passive" in text
+
+
+def _bit_loop(bits):
+    return [index for index in range(bits.bit_length()) if bits >> index & 1]
+
+
+class TestSetBits:
+    """The sweep order of an active set: its set bits, lowest first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=(1 << 1024) - 1))
+    def test_equals_a_bit_loop(self, bits):
+        assert list(_set_bits(bits)) == _bit_loop(bits)
+
+    @pytest.mark.parametrize("bits", [0, 255, 256, 65535, 65536, 65537])
+    def test_table_edges(self, bits):
+        assert list(_set_bits(bits)) == _bit_loop(bits)
 
 
 class TestInstrumentation:
@@ -468,13 +482,32 @@ class TestNetworkOnKernel:
     def test_network_registers_phases_in_order(self):
         network = Network(NocConfig(width=2, height=2))
         assert network.kernel.phases() == (
-            "net.frame",
             "net.arrivals",
             "net.routers",
             "net.nis",
             "net.delivery",
         )
         assert "network" in network.kernel.stats
+
+    def test_attached_faults_are_swept_first(self):
+        from repro.faults import FaultController, FaultPlan
+
+        network = Network(NocConfig(width=2, height=2))
+        controller = FaultController(FaultPlan(seed=1))
+        network.attach_faults(controller)
+        assert network.kernel.phases() == (
+            "net.faults",
+            "net.arrivals",
+            "net.routers",
+            "net.nis",
+            "net.delivery",
+        )
+        assert network.kernel.components("net.faults") == [controller]
+        seen = []
+        controller.on_cycle = lambda cycle, net: seen.append(cycle)
+        for _ in range(3):
+            network.tick()
+        assert seen == [1, 2, 3]
 
     def test_network_counters_via_registry(self):
         network = Network(NocConfig(width=2, height=2))
@@ -493,9 +526,7 @@ class TestNetworkOnKernel:
         packet = Packet(PacketType.RESPONSE, 0, 3, line=b"\x00" * 64)
         packet.injected_cycle = 0
         vc = network.routers[3].all_vcs[0]
-        network.arrival_queue.schedule(
-            network.cycle + 1, vc, packet, is_head=True, is_tail=False
-        )
+        network.arrival_queue.schedule(vc, packet, is_head=True, is_tail=False)
         with pytest.raises(RuntimeError) as excinfo:
             network.run_until_quiescent(max_cycles=200)
         message = str(excinfo.value)
@@ -506,11 +537,10 @@ class TestNetworkOnKernel:
 
     def test_wedge_snapshot_reports_inflight_link_flits(self):
         network = Network(NocConfig(width=2, height=2))
-        packet = Packet(PacketType.REQUEST, 0, 3)
-        vc = network.routers[3].all_vcs[0]
-        # Scheduled far in the future: stays "in flight" past the deadline.
-        network.arrival_queue.schedule(
-            network.cycle + 10_000, vc, packet, is_head=True, is_tail=True
-        )
-        with pytest.raises(RuntimeError, match="link flits in flight: 1"):
+        network.set_delivery_handler(lambda node, p: None)
+        # More traffic than the drain budget moves: flits are still on
+        # the links when the deadline passes.
+        for _ in range(40):
+            network.send(Packet(PacketType.RESPONSE, 0, 3, line=bytes(64)))
+        with pytest.raises(RuntimeError, match="link flits in flight: [1-9]"):
             network.run_until_quiescent(max_cycles=100)

@@ -9,10 +9,10 @@ next wake (``None`` for an idle component: it has nothing to wait for).
 These tests wake components the run does not need at several mid-run
 cycles and require the final results to equal an undisturbed run's.
 They cover every component kind a run registers: routers (plain and
-DISCO), NIs, the arrival and local-delivery queues, the frame step, the
-CMP event queue and tiles in the quick disco and baseline specs; the
-retransmission layer, the invariant monitor and the fault-driven frame
-step in a fault campaign; the telemetry sampler in a sampled run.
+DISCO), NIs, the arrival and local-delivery queues, the CMP event queue
+and tiles in the quick disco and baseline specs; the retransmission
+layer, the invariant monitor and the fault controller in a fault
+campaign; the telemetry sampler in a sampled run.
 """
 
 import copy
@@ -113,7 +113,7 @@ def _observable(result):
 
 CMP_KINDS = {
     "NetworkInterface", "ArrivalQueue", "LocalDeliveryQueue",
-    "CallbackComponent", "EventQueue", "Tile",
+    "EventQueue", "Tile",
 }
 
 
@@ -200,8 +200,8 @@ def test_fault_campaign_is_unchanged(disturb, monkeypatch):
         "LocalDeliveryQueue",
     }
     if disturb.who == "all":
-        # Never idle here: the monitor, the frame step (a fault
-        # controller is attached) and the retransmission layer (some
-        # packet always awaits its ack until the drain ends).
-        kinds |= {"InvariantMonitor", "CallbackComponent", "ReliabilityLayer"}
+        # Never idle here: the monitor, the fault controller and the
+        # retransmission layer (some packet always awaits its ack until
+        # the drain ends).
+        kinds |= {"InvariantMonitor", "FaultController", "ReliabilityLayer"}
     assert disturb.kinds == kinds

@@ -1,12 +1,12 @@
 """The switch allocator's inlined send test is ``Router._can_send``.
 
-``Router._switch_allocation`` splits the VCs with a flit to send into
-requesters and blocked VCs with an inlined copy of ``Router._can_send``.
-These tests wrap the allocator on runs that reach every branch of that
-test: the DISCO engine lock, fault-injected wedges, store-and-forward's
-whole-packet rule, a replaced ``Network.can_eject`` and plain credits.
-For every VC of every call they check that the partition's verdict
-equals ``_can_send``, computed before the allocator runs.
+``Router.tick`` splits the VCs with a flit to send into requesters and
+blocked VCs with an inlined copy of ``Router._can_send``.  These tests
+wrap the tick on runs that reach every branch of that test: the DISCO
+engine lock, fault-injected wedges, store-and-forward's whole-packet
+rule, plain credits and the local port, which needs none.  For every
+ACTIVE VC with a flit buffered they check that the partition's verdict
+equals ``_can_send``, computed before the tick runs.
 
 The verdict is read back through the SA hook, which the allocator calls
 with this cycle's losers followed by its blocked VCs; ``sa_losses`` says
@@ -22,7 +22,7 @@ from repro.experiments import runner
 from repro.experiments.runner import QUICK_ACCESSES, RunSpec
 from repro.faults import CampaignSpec, FaultPlan, run_fault_campaign
 from repro.noc import FlowControl, Network, NocConfig
-from repro.noc.router import Router
+from repro.noc.router import VC_ACTIVE, Router
 from repro.noc.topology import PORT_LOCAL
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 from tests.test_golden_mesh import GOLDEN_DIGESTS
@@ -39,24 +39,22 @@ def _blocked_reason(router, vc):
         and vc.flits_received < vc.packet.size_flits
     ):
         return "saf"
-    if vc.out_port == PORT_LOCAL:
-        return "eject"
     return "credit"
 
 
 @pytest.fixture
 def verdicts(monkeypatch):
-    """Check every ``_switch_allocation`` call; count blocked VCs by the
-    reason ``_can_send`` refused them."""
+    """Check every ``Router.tick`` call; count blocked VCs by the reason
+    ``_can_send`` refused them, and requesters (local-port ones apart)."""
     seen = Counter()
-    switch_allocation = Router._switch_allocation
+    tick = Router.tick
 
-    def checked(self, active):
-        expected = [self._can_send(vc) for vc in active]
-        reasons = [
-            None if ok else _blocked_reason(self, vc)
-            for vc, ok in zip(active, expected)
+    def checked(self, cycle):
+        active = [
+            vc for vc in self._bound
+            if vc.state == VC_ACTIVE and vc.flits_present
         ]
+        expected = [self._can_send(vc) for vc in active]
         stats = self.network.stats
         grants, losses = stats.sa_grants, stats.sa_losses
         hook_on = self._sa_hook
@@ -71,23 +69,29 @@ def verdicts(monkeypatch):
         self._sa_hook = True
         self._post_switch_allocation = capture
         try:
-            switch_allocation(self, active)
+            at = tick(self, cycle)
         finally:
             self._sa_hook = hook_on
             del self._post_switch_allocation
         lost = stats.sa_losses - losses
         blocked = {id(vc) for vc in reported[lost:]}
         assert len(blocked) == len(reported) - lost
-        for vc, ok, reason in zip(active, expected, reasons):
+        for vc, ok in zip(active, expected):
             assert (id(vc) not in blocked) == ok, (
                 f"router {self.node} port {vc.port} vc {vc.vc_index}: "
                 f"_can_send says {ok}, the partition disagrees"
             )
-            seen[reason or "requester"] += 1
+            if not ok:
+                seen[_blocked_reason(self, vc)] += 1
+            elif vc.out_port == PORT_LOCAL:
+                seen["local"] += 1
+            else:
+                seen["requester"] += 1
         assert stats.sa_grants - grants + lost == expected.count(True)
         seen["calls"] += 1
+        return at
 
-    monkeypatch.setattr(Router, "_switch_allocation", checked)
+    monkeypatch.setattr(Router, "tick", checked)
     return seen
 
 
@@ -107,7 +111,7 @@ def test_golden_disco_spec(verdicts):
     result = runner._simulate(spec)
     assert runner.result_digest(result) == GOLDEN_DIGESTS["disco"]
     assert verdicts["engine"] > 0 and verdicts["credit"] > 0
-    assert verdicts["requester"] > 0
+    assert verdicts["requester"] > 0 and verdicts["local"] > 0
 
 
 def test_store_and_forward(verdicts):
@@ -117,17 +121,6 @@ def test_store_and_forward(verdicts):
         )
     )
     assert verdicts["saf"] > 0 and verdicts["requester"] > 0
-
-
-def test_replaced_can_eject(verdicts):
-    network = Network(NocConfig())
-    stock = network.can_eject
-    # Every node refuses ejection one cycle in three, on top of tokens.
-    network.can_eject = lambda node: (
-        stock(node) and (network.cycle + node) % 3 != 0
-    )
-    _traffic(network)
-    assert verdicts["eject"] > 0 and verdicts["requester"] > 0
 
 
 def test_fault_run_with_wedged_vcs(verdicts):
