@@ -2,53 +2,25 @@
 
 Paper: DISCO beats CC by ~12 % and CNC by ~10.1 % on average.  The shape
 assertions check orderings and ballpark factors, not absolute numbers.
-
-Wall-clock trajectory: every run appends to ``bench_results/BENCH_fig5.json``
-(see :func:`common.append_bench_fig5`), which pins the pre-event-kernel
-tick-all baseline (45.954 s cold) that speedups are quoted against.
 """
 
-import time
-
-from common import (
-    BENCH_ACCESSES,
-    BENCH_WORKLOADS,
-    append_bench_fig5,
-    once,
-    save_and_print,
-)
+from common import BENCH_ACCESSES, BENCH_WORKLOADS, once, save_and_print
 
 from repro.experiments.fig5 import fig5, render
-from repro.experiments.runner import simulated_runs
 
 
 def test_fig5(benchmark):
-    before = simulated_runs()
-    start = time.perf_counter()
     result = once(
         benchmark,
         lambda: fig5(
             workloads=BENCH_WORKLOADS, accesses_per_core=BENCH_ACCESSES
         ),
     )
-    wall = time.perf_counter() - start
     save_and_print('fig5', render(result))
-    append_bench_fig5(
-        config="bench",
-        wall_seconds=wall,
-        cache_hit=simulated_runs() == before,
-        extra={
-            "workloads": list(result.workloads),
-            "accesses_per_core": BENCH_ACCESSES,
-            "average": result.average,
-            "disco_vs_cc": result.improvement_of_disco_over("cc"),
-            "disco_vs_cnc": result.improvement_of_disco_over("cnc"),
-        },
-    )
     avg = result.average
     # DISCO outperforms CC on average (paper: ~12%).
     assert avg["disco"] < avg["cc"]
-    assert result.improvement_of_disco_over("cc") > 0.03
+    assert result.gain("disco", "cc") > 0.03
     # All compressing schemes land near the ideal (within ~25%).
     for scheme in ("cc", "cnc", "disco"):
         assert 0.7 <= avg[scheme] <= 1.3

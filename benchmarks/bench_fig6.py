@@ -19,11 +19,11 @@ def test_fig6(benchmark):
     )
     save_and_print('fig6', render(result))
     for algorithm in ("fpc", "sc2"):
-        fig = result.per_algorithm[algorithm]
-        assert fig.improvement_of_disco_over("cc") > 0.03
-        assert fig.improvement_of_disco_over("cnc") > 0.0
+        grid = result[algorithm]
+        assert grid.gain("disco", "cc") > 0.03
+        assert grid.gain("disco", "cnc") > 0.0
     # DISCO's edge over CNC grows with algorithm latency (SC2 > FPC gap,
     # the paper's headline Fig. 6 observation).
-    sc2_gain = result.improvement("sc2", "cnc")
-    fpc_gain = result.improvement("fpc", "cnc")
+    sc2_gain = result["sc2"].gain("disco", "cnc")
+    fpc_gain = result["fpc"].gain("disco", "cnc")
     assert sc2_gain >= fpc_gain - 0.02

@@ -7,7 +7,7 @@ and more exposure of CC's per-access penalty.
 
 from common import save_and_print, BENCH_FIG8_MESHES, BENCH_FIG8_WORKLOADS, BENCH_ACCESSES, once
 
-from repro.experiments.fig8 import fig8, render
+from repro.experiments.fig8 import fig8, overlap_share, render
 
 
 def test_fig8(benchmark):
@@ -20,14 +20,15 @@ def test_fig8(benchmark):
         ),
     )
     save_and_print('fig8', render(result))
-    gains = [result.disco_gain_over_cc(mesh) for mesh in result.meshes]
+    gains = [grid.gain("disco", "cc") for grid in result.values()]
     # DISCO wins at every scale, clearly at 4x4 and 8x8 (paper: 10%/22%).
     assert all(g > 0.0 for g in gains)
     assert gains[1] > 0.05 and gains[2] > 0.05
     # The paper's growth *mechanism* — the share of decompressions hidden
-    # inside router queueing — must grow with mesh size.  (The headline
-    # gain itself stays flat here because this DISCO's bank-side fallback
-    # keeps its capacity/serialization advantages congestion-independent;
-    # see EXPERIMENTS.md for the analysis of this deviation.)
-    overlaps = [result.overlap_share[mesh] for mesh in result.meshes]
+    # inside router queueing — must grow with mesh size.  The headline
+    # gain itself falls here (16.0% -> 13.6% -> 9.7% at bench scale), and
+    # why is open: disabling the bank-side fill fallback
+    # (DiscoConfig.compress_at_fill) makes it fall faster, so the
+    # fallback is not the cause (see EXPERIMENTS.md).
+    overlaps = [overlap_share(grid) for grid in result.values()]
     assert overlaps[-1] > overlaps[0]

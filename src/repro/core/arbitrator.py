@@ -48,11 +48,6 @@ class DiscoArbitrator:
         self.engine = engine
         self.considered = 0
         self.dispatched = 0
-        # Congestion EMA for the adaptive-threshold extension.  The
-        # nominal point is the fixed thresholds' design congestion; with
-        # adaptation off the shift is always zero.
-        self._congestion_ema = 0.0
-        self._nominal_congestion = max(config.cc_threshold, 0.0)
 
     # -- step 1: the packet filter ------------------------------------------
     def _mode_for(self, vc: "InputVC") -> Optional[str]:
@@ -84,24 +79,9 @@ class DiscoArbitrator:
         return remote + self.config.alpha * local - self.config.beta * hops
 
     def _threshold(self, mode: str) -> float:
-        base = (
-            self.config.cc_threshold
-            if mode == JOB_COMPRESS
-            else self.config.cd_threshold
-        )
-        if not self.config.adaptive_thresholds:
-            return base
-        # Congestion-aware variant (the extension §3.2 defers): a busy
-        # router lowers its bar — waits will be long, so committing the
-        # engine is safe; a quiet router raises it.
-        shift = self.config.adaptation_gain * (
-            self._congestion_ema - self._nominal_congestion
-        )
-        return base - shift
-
-    def _observe_congestion(self, sample: float) -> None:
-        rate = self.config.adaptation_rate
-        self._congestion_ema += rate * (sample - self._congestion_ema)
+        if mode == JOB_COMPRESS:
+            return self.config.cc_threshold
+        return self.config.cd_threshold
 
     # -- steps 1+2+3 glue --------------------------------------------------------
     def consider(self, candidates: Iterable["InputVC"], cycle: int) -> int:
@@ -120,8 +100,6 @@ class DiscoArbitrator:
                 continue
             self.considered += 1
             conf = self.confidence(vc, mode)
-            if self.config.adaptive_thresholds and mode == JOB_COMPRESS:
-                self._observe_congestion(conf)
             if conf > self._threshold(mode):
                 # Tie-break deterministically by (port, vc index): the
                 # scan key is unique per VC, so the VC is never compared.

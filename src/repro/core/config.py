@@ -39,8 +39,6 @@ class DiscoConfig:
     non_blocking:
         §3.2 step-3: keep a schedulable shadow packet in the VC and abort
         the engine if the switch grants it mid-(de)compression.
-    engines_per_router:
-        Concurrent engine jobs per router (the paper evaluates one).
     compress_at_fill:
         Compress blocks that arrive uncompressed at an LLC bank / must be
         decompressed for the memory controller using the local engine
@@ -58,28 +56,12 @@ class DiscoConfig:
     beta: float = 1.0
     separate_compression: bool = True
     non_blocking: bool = True
-    engines_per_router: int = 1
     compress_at_fill: bool = True
-    #: The paper fixes CCth/CDth offline "for simplicity" and notes their
-    #: best values depend on the congestion condition.  This optional
-    #: extension implements the congestion-aware variant the paper defers:
-    #: each arbitrator keeps an EMA of local congestion and shifts both
-    #: thresholds so compression stays selective when the router is quiet
-    #: and eager when it is backed up.
-    adaptive_thresholds: bool = False
-    #: EMA smoothing factor for the congestion estimate (0 < a <= 1).
-    adaptation_rate: float = 0.05
-    #: Threshold shift per unit of (EMA congestion - nominal congestion).
-    adaptation_gain: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.engines_per_router < 1:
-            raise ValueError("need at least one engine per router")
         for name in ("gamma", "alpha", "beta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if not 0.0 < self.adaptation_rate <= 1.0:
-            raise ValueError("adaptation_rate must be in (0, 1]")
 
     def resolved_compression_cycles(self) -> int:
         if self.compression_cycles is not None:

@@ -99,7 +99,8 @@ class DiscoCompressorEngine:
 
     # -- capacity ------------------------------------------------------------
     def has_capacity(self) -> bool:
-        return len(self.jobs) < self.config.engines_per_router
+        """One job at a time: the paper evaluates one engine per router."""
+        return not self.jobs
 
     # -- job admission ---------------------------------------------------------
     def can_accept(self, vc: "InputVC", mode: str) -> bool:

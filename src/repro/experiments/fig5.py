@@ -9,33 +9,27 @@ overhead" (§4.2).  The paper reports DISCO beating CC by ~12 % and CNC by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.experiments.report import format_table, geomean, normalize
-from repro.experiments.runner import (
-    DEFAULT_WORKLOADS,
-    FIGURE_ACCESSES,
-    RunSpec,
-    run_specs,
-)
+from repro.experiments.report import Grid, run_grids
+from repro.experiments.runner import DEFAULT_WORKLOADS, FIGURE_ACCESSES
 
 SCHEMES = ("baseline", "cc", "cnc", "disco")
 REFERENCE = "ideal"
 
 
-@dataclass
-class Fig5Result:
-    """Normalized latency per (workload, scheme) plus aggregates."""
-
-    algorithm: str
-    workloads: List[str]
-    normalized: Dict[str, Dict[str, float]]  # workload -> scheme -> value
-    average: Dict[str, float]  # scheme -> geomean
-
-    def improvement_of_disco_over(self, other: str) -> float:
-        """Fractional latency reduction of DISCO vs another scheme."""
-        return 1.0 - self.average["disco"] / self.average[other]
+def panel(
+    workloads: Sequence[str], algorithm: str, accesses_per_core: int
+) -> Dict[str, Dict[str, object]]:
+    """One algorithm's rows, a workload each (Figs. 5-7)."""
+    return {
+        workload: dict(
+            workload=workload,
+            algorithm=algorithm,
+            accesses_per_core=accesses_per_core,
+        )
+        for workload in workloads
+    }
 
 
 def fig5(
@@ -44,68 +38,28 @@ def fig5(
     accesses_per_core: int = FIGURE_ACCESSES,
     schemes: Sequence[str] = SCHEMES,
     verbose: bool = False,
-) -> Fig5Result:
-    grid = {
-        (workload, scheme): RunSpec(
-            scheme=scheme,
-            workload=workload,
-            algorithm=algorithm,
-            accesses_per_core=accesses_per_core,
-        )
-        for workload in workloads
-        for scheme in (REFERENCE, *schemes)
-    }
-    results = run_specs(list(grid.values()), verbose=verbose)
-    normalized: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        raw = {
-            scheme: results[grid[workload, scheme]].avg_miss_latency
-            for scheme in (REFERENCE, *schemes)
-        }
-        normalized[workload] = normalize(raw, REFERENCE)
-    average = {
-        scheme: geomean(normalized[w][scheme] for w in workloads)
-        for scheme in (REFERENCE, *schemes)
-    }
-    return Fig5Result(
-        algorithm=algorithm,
-        workloads=list(workloads),
-        normalized=normalized,
-        average=average,
-    )
+) -> Grid:
+    panels = {algorithm: panel(workloads, algorithm, accesses_per_core)}
+    return run_grids(panels, schemes, REFERENCE, verbose=verbose)[algorithm]
 
 
-def render(result: Optional[Fig5Result] = None, **kwargs) -> str:
+def render(result: Optional[Grid] = None, **kwargs) -> str:
     result = result or fig5(**kwargs)
-    schemes = [s for s in result.average]  # REFERENCE first, then schemes
-    rows = []
-    for workload in result.workloads:
-        rows.append(
-            [workload] + [result.normalized[workload][s] for s in schemes]
-        )
-    rows.append(["geomean"] + [result.average[s] for s in schemes])
-    table = format_table(
-        ["workload"] + list(schemes),
-        rows,
-        title=(
-            f"Fig. 5: normalized avg data-access latency "
-            f"({result.algorithm} compression; ideal = 1.0)"
-        ),
+    text = result.table(
+        f"Fig. 5: normalized avg data-access latency "
+        f"({result.key} compression; ideal = 1.0)"
     )
-    summary = ""
     if "disco" in result.average and "cc" in result.average:
-        summary += (
-            f"\nDISCO vs CC:  "
-            f"{100 * result.improvement_of_disco_over('cc'):+.1f}% "
+        text += (
+            f"\nDISCO vs CC:  {100 * result.gain('disco', 'cc'):+.1f}% "
             f"(paper: ~12%)"
         )
     if "disco" in result.average and "cnc" in result.average:
-        summary += (
-            f"\nDISCO vs CNC: "
-            f"{100 * result.improvement_of_disco_over('cnc'):+.1f}% "
+        text += (
+            f"\nDISCO vs CNC: {100 * result.gain('disco', 'cnc'):+.1f}% "
             f"(paper: ~10.1%)"
         )
-    return table + summary
+    return text
 
 
 if __name__ == "__main__":  # pragma: no cover - manual entry point

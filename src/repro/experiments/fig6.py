@@ -10,27 +10,14 @@ algorithms (two-level compression pays the long latency twice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.fig5 import Fig5Result, fig5
-from repro.experiments.report import format_table
-from repro.experiments.runner import (
-    DEFAULT_WORKLOADS,
-    FIGURE_ACCESSES,
-    RunSpec,
-    run_specs,
-)
+from repro.experiments.fig5 import REFERENCE, panel
+from repro.experiments.report import Grid, run_grids
+from repro.experiments.runner import DEFAULT_WORKLOADS, FIGURE_ACCESSES
 
 ALGORITHMS = ("fpc", "sc2")
-
-
-@dataclass
-class Fig6Result:
-    per_algorithm: Dict[str, Fig5Result]
-
-    def improvement(self, algorithm: str, other: str) -> float:
-        return self.per_algorithm[algorithm].improvement_of_disco_over(other)
+SCHEMES = ("cc", "cnc", "disco")
 
 
 def fig6(
@@ -38,56 +25,28 @@ def fig6(
     algorithms: Sequence[str] = ALGORITHMS,
     accesses_per_core: int = FIGURE_ACCESSES,
     verbose: bool = False,
-) -> Fig6Result:
-    # One batch across every algorithm so the pool sees the whole figure's
-    # worth of independent simulations at once.
-    run_specs(
-        [
-            RunSpec(
-                scheme=scheme,
-                workload=workload,
-                algorithm=algorithm,
-                accesses_per_core=accesses_per_core,
-            )
-            for algorithm in algorithms
-            for workload in workloads
-            for scheme in ("ideal", "cc", "cnc", "disco")
-        ],
-        verbose=verbose,
-    )
-    per_algorithm = {
-        algorithm: fig5(
-            workloads=workloads,
-            algorithm=algorithm,
-            accesses_per_core=accesses_per_core,
-            schemes=("cc", "cnc", "disco"),
-            verbose=verbose,
-        )
+) -> Dict[str, Grid]:
+    """One Fig. 5 panel per algorithm, keyed by algorithm."""
+    panels = {
+        algorithm: panel(workloads, algorithm, accesses_per_core)
         for algorithm in algorithms
     }
-    return Fig6Result(per_algorithm=per_algorithm)
+    return run_grids(panels, SCHEMES, REFERENCE, verbose=verbose)
 
 
-def render(result: Optional[Fig6Result] = None, **kwargs) -> str:
-    result = result or fig6(**kwargs)
+def render(result: Optional[Dict[str, Grid]] = None, **kwargs) -> str:
+    if result is None:
+        result = fig6(**kwargs)
     blocks: List[str] = []
-    for algorithm, fig in result.per_algorithm.items():
-        schemes = ["ideal", "cc", "cnc", "disco"]
-        rows = [
-            [w] + [fig.normalized[w][s] for s in schemes]
-            for w in fig.workloads
-        ]
-        rows.append(["geomean"] + [fig.average[s] for s in schemes])
+    for algorithm, grid in result.items():
         blocks.append(
-            format_table(
-                ["workload"] + schemes,
-                rows,
-                title=f"Fig. 6 ({algorithm}): normalized latency (ideal = 1.0)",
+            grid.table(
+                f"Fig. 6 ({algorithm}): normalized latency (ideal = 1.0)"
             )
         )
         blocks.append(
-            f"DISCO vs CC:  {100 * fig.improvement_of_disco_over('cc'):+.1f}%   "
-            f"DISCO vs CNC: {100 * fig.improvement_of_disco_over('cnc'):+.1f}%"
+            f"DISCO vs CC:  {100 * grid.gain('disco', 'cc'):+.1f}%   "
+            f"DISCO vs CNC: {100 * grid.gain('disco', 'cnc'):+.1f}%"
             + (
                 "   (paper, SC2: 15.5% / 16.7%)"
                 if algorithm == "sc2"

@@ -14,15 +14,10 @@ path (little for DISCO to win); at 8x8 the 64-node network dominates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.report import format_table, geomean, normalize
-from repro.experiments.runner import (
-    FIGURE_ACCESSES,
-    RunSpec,
-    run_specs,
-)
+from repro.experiments.report import Grid, format_table, run_grids
+from repro.experiments.runner import FIGURE_ACCESSES
 
 #: Mesh sizes of Fig. 8 (width, height).
 MESHES: Tuple[Tuple[int, int], ...] = ((2, 2), (4, 4), (8, 8))
@@ -40,88 +35,57 @@ SCHEMES = ("cc", "disco")
 REFERENCE = "ideal"
 
 
-@dataclass
-class Fig8Result:
-    workloads: List[str]
-    meshes: List[Tuple[int, int]]
-    # mesh -> scheme -> geomean normalized latency
-    average: Dict[Tuple[int, int], Dict[str, float]]
-    # mesh -> fraction of DISCO decompressions hidden inside router
-    # queueing (vs charged at the ejection NI) — the §3.2 overlap share
-    overlap_share: Dict[Tuple[int, int], float] = None  # type: ignore
-
-    def disco_gain_over_cc(self, mesh: Tuple[int, int]) -> float:
-        row = self.average[mesh]
-        return 1.0 - row["disco"] / row["cc"]
-
-
 def fig8(
     workloads: Sequence[str] = SCALABILITY_WORKLOADS,
     meshes: Sequence[Tuple[int, int]] = MESHES,
     accesses_per_core: int = FIGURE_ACCESSES,
     verbose: bool = False,
-) -> Fig8Result:
-    grid = {
-        ((width, height), workload, scheme): RunSpec(
-            scheme=scheme,
-            workload=workload,
-            width=width,
-            height=height,
-            accesses_per_core=accesses_per_core,
-            l2_sets_per_bank=_BANK_SETS.get((width, height), 32),
-            l2_hit_latency=_BANK_LATENCY.get((width, height), 4),
-        )
-        for width, height in meshes
-        for workload in workloads
-        for scheme in (REFERENCE, *SCHEMES)
-    }
-    results = run_specs(list(grid.values()), verbose=verbose)
-    average: Dict[Tuple[int, int], Dict[str, float]] = {}
-    overlap_share: Dict[Tuple[int, int], float] = {}
-    for width, height in meshes:
-        normalized_rows: Dict[str, Dict[str, float]] = {}
-        mesh = (width, height)
-        hidden = exposed = 0
-        for workload in workloads:
-            raw: Dict[str, float] = {}
-            for scheme in (REFERENCE, *SCHEMES):
-                result = results[grid[mesh, workload, scheme]]
-                raw[scheme] = result.avg_miss_latency
-                if scheme == "disco":
-                    counters = result.counters_measured
-                    hidden += counters["router_decompressions"]
-                    exposed += counters["ni_decompressions"]
-            normalized_rows[workload] = normalize(raw, REFERENCE)
-        average[mesh] = {
-            scheme: geomean(
-                normalized_rows[w][scheme] for w in workloads
+) -> Dict[Tuple[int, int], Grid]:
+    """One panel per mesh, keyed by (width, height)."""
+    panels = {
+        (width, height): {
+            workload: dict(
+                workload=workload,
+                width=width,
+                height=height,
+                accesses_per_core=accesses_per_core,
+                l2_sets_per_bank=_BANK_SETS.get((width, height), 32),
+                l2_hit_latency=_BANK_LATENCY.get((width, height), 4),
             )
-            for scheme in (REFERENCE, *SCHEMES)
+            for workload in workloads
         }
-        total = hidden + exposed
-        overlap_share[mesh] = hidden / total if total else 0.0
-    return Fig8Result(
-        workloads=list(workloads),
-        meshes=list(meshes),
-        average=average,
-        overlap_share=overlap_share,
-    )
+        for width, height in meshes
+    }
+    return run_grids(panels, SCHEMES, REFERENCE, verbose=verbose)
 
 
-def render(result: Optional[Fig8Result] = None, **kwargs) -> str:
-    result = result or fig8(**kwargs)
-    rows = []
-    for mesh in result.meshes:
-        row = result.average[mesh]
-        rows.append(
-            [
-                f"{mesh[0]}x{mesh[1]} ({mesh[0] * mesh[1]} banks)",
-                row["cc"],
-                row["disco"],
-                f"{100 * result.disco_gain_over_cc(mesh):+.1f}%",
-                f"{100 * result.overlap_share[mesh]:.0f}%",
-            ]
-        )
+def overlap_share(grid: Grid) -> float:
+    """Share of DISCO decompressions hidden inside router queueing (vs
+    charged at the ejection NI) — the §3.2 overlap."""
+    hidden = exposed = 0
+    for row in grid.rows:
+        counters = grid.results[row, "disco"].counters_measured
+        hidden += counters["router_decompressions"]
+        exposed += counters["ni_decompressions"]
+    total = hidden + exposed
+    return hidden / total if total else 0.0
+
+
+def render(
+    result: Optional[Dict[Tuple[int, int], Grid]] = None, **kwargs
+) -> str:
+    if result is None:
+        result = fig8(**kwargs)
+    rows = [
+        [
+            f"{width}x{height} ({width * height} banks)",
+            grid.average["cc"],
+            grid.average["disco"],
+            f"{100 * grid.gain('disco', 'cc'):+.1f}%",
+            f"{100 * overlap_share(grid):.0f}%",
+        ]
+        for (width, height), grid in result.items()
+    ]
     table = format_table(
         ["mesh", "cc (norm)", "disco (norm)", "gain vs cc", "overlap"],
         rows,

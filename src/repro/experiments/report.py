@@ -1,8 +1,13 @@
-"""Plain-text result tables (the harness prints what the paper plots)."""
+"""Figure grids and plain-text result tables (the harness prints what
+the paper plots)."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+
+from repro.cmp.system import SimulationResult
+from repro.experiments.runner import RunSpec, run_specs
 
 
 def normalize(
@@ -26,6 +31,93 @@ def geomean(values: Iterable[float]) -> float:
             raise ValueError("geomean requires positive values")
         product *= value
     return product ** (1.0 / len(values))
+
+
+def avg_miss_latency(result: SimulationResult) -> float:
+    """The paper's performance metric: average on-chip data-access
+    latency."""
+    return result.avg_miss_latency
+
+
+@dataclass
+class Grid:
+    """One panel of a figure: every scheme run on every row, each row
+    normalized to its reference run, and each scheme's geomean."""
+
+    key: Hashable
+    rows: List[str]
+    #: Column order, the reference first.
+    schemes: List[str]
+    results: Dict[Tuple[str, str], SimulationResult]  # (row, scheme)
+    normalized: Dict[str, Dict[str, float]]  # row -> scheme -> value
+    average: Dict[str, float]  # scheme -> geomean over rows
+
+    def gain(self, scheme: str, over: str) -> float:
+        """Fractional reduction of ``scheme``'s geomean against ``over``'s."""
+        return 1.0 - self.average[scheme] / self.average[over]
+
+    def table_rows(
+        self, name: Callable[[str], str] = str, total: str = "geomean"
+    ) -> List[List[object]]:
+        """One table row per grid row (labelled ``name(row)``), then the
+        geomeans (labelled ``total``)."""
+        lines: List[List[object]] = [
+            [name(row), *(self.normalized[row][s] for s in self.schemes)]
+            for row in self.rows
+        ]
+        lines.append([total, *(self.average[s] for s in self.schemes)])
+        return lines
+
+    def table(self, title: str, label: str = "workload") -> str:
+        return format_table(
+            [label, *self.schemes], self.table_rows(), title=title
+        )
+
+
+def run_grids(
+    panels: Mapping[Hashable, Mapping[str, Mapping[str, object]]],
+    schemes: Sequence[str],
+    reference: str,
+    value: Callable[[SimulationResult], float] = avg_miss_latency,
+    verbose: bool = False,
+) -> Dict[Hashable, Grid]:
+    """The computation behind every §4.2 figure, one grid per panel.
+
+    ``panels`` maps a panel key to its rows and each row to the
+    :class:`RunSpec` fields (all but ``scheme``) that its runs share.
+    Each row runs ``reference`` and every one of ``schemes``; every
+    (panel, row, scheme) spec resolves in a single :func:`run_specs`
+    batch, so the pool sees the whole figure at once.  Each row's
+    ``value`` per scheme is normalized to the reference's.
+    """
+    columns = [reference, *(s for s in schemes if s != reference)]
+    specs = {
+        (key, row, scheme): RunSpec(scheme=scheme, **fields)
+        for key, rows in panels.items()
+        for row, fields in rows.items()
+        for scheme in columns
+    }
+    resolved = run_specs(list(specs.values()), verbose=verbose)
+    grids: Dict[Hashable, Grid] = {}
+    for key, rows in panels.items():
+        results = {
+            (row, scheme): resolved[specs[key, row, scheme]]
+            for row in rows
+            for scheme in columns
+        }
+        normalized = {
+            row: normalize(
+                {s: value(results[row, s]) for s in columns}, reference
+            )
+            for row in rows
+        }
+        average = {
+            s: geomean(normalized[row][s] for row in rows) for s in columns
+        }
+        grids[key] = Grid(
+            key, list(rows), columns, results, normalized, average
+        )
+    return grids
 
 
 def render_heatmap(

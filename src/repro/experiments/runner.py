@@ -16,9 +16,9 @@ and simulations embarrassingly parallel:
   re-running a figure is free and any code change invalidates stale
   results automatically.  Disable with ``REPRO_DISK_CACHE=0``; clear with
   :func:`clear_disk_cache` (or just delete the directory).
-- **Parallel fan-out**: :func:`run_specs` / :func:`run_matrix` dispatch
-  uncached specs over a process pool (workers default to the CPU count;
-  pin with ``REPRO_JOBS``, ``REPRO_JOBS=1`` forces serial).  Determinism
+- **Parallel fan-out**: :func:`run_specs` dispatches uncached specs over
+  a process pool (workers default to the CPU count; pin with
+  ``REPRO_JOBS``, ``REPRO_JOBS=1`` forces serial).  Determinism
   guarantees the parallel results are bit-identical to serial runs — the
   acceptance tests assert it field for field.
 
@@ -69,7 +69,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace as _dc_replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cmp.config import SystemConfig
 from repro.cmp.schemes import make_scheme
@@ -115,7 +115,7 @@ DEFAULT_WORKLOADS = (
 FIGURE_ACCESSES = 1500
 QUICK_ACCESSES = 300
 
-#: Default warmup fraction (cold-start exclusion).
+#: Warmup fraction of every run a spec describes (cold-start exclusion).
 WARMUP_FRACTION = 0.25
 
 #: Sample size used to train statistical algorithms (SC², FVC) per run.
@@ -202,12 +202,8 @@ class RunSpec:
     height: int = 4
     accesses_per_core: int = FIGURE_ACCESSES
     seed: int = 7
-    warmup_fraction: float = WARMUP_FRACTION
     l2_sets_per_bank: int = 32
     l2_hit_latency: int = 4
-    #: Working-set multiplier (for weak-scaling studies; Fig. 8 uses the
-    #: paper's strong scaling — fixed workload and total cache).
-    ws_scale: float = 1.0
     #: Fabric shape ("mesh", "torus", "ring", "cmesh"); the wrap-around
     #: fabrics get the escape VCs their route needs.
     topology: str = "mesh"
@@ -248,15 +244,7 @@ class RunSpec:
         return base
 
     def profile(self):
-        profile = get_profile(self.workload)
-        if self.ws_scale != 1.0:
-            profile = _dc_replace(
-                profile,
-                working_set_lines=max(
-                    64, int(profile.working_set_lines * self.ws_scale)
-                ),
-            )
-        return profile
+        return get_profile(self.workload)
 
 
 # --------------------------------------------------------------------------
@@ -311,8 +299,7 @@ _CACHE: Dict[RunSpec, SimulationResult] = {}
 
 #: Count of fresh simulations this process has performed (cache misses
 #: that reached :func:`_simulate`, plus specs fanned out to pool
-#: workers).  Benchmarks snapshot it around a run to tell a cold
-#: measurement from a cache hit — see ``benchmarks/common.py``.
+#: workers); a snapshot around a batch tells a cold run from a cache hit.
 _SIMULATED = 0
 
 
@@ -549,7 +536,7 @@ def build_system(spec: RunSpec) -> CmpSystem:
         config,
         make_scheme(spec.scheme, algorithm=spec.algorithm),
         traces,
-        warmup_fraction=spec.warmup_fraction,
+        warmup_fraction=WARMUP_FRACTION,
     )
     # SC²'s and FVC's offline sampling phase: train the statistical
     # algorithm on a workload sample (the same training in every scheme).
@@ -1396,31 +1383,3 @@ def _dispatch(
             threads.shutdown(cancel_futures=True)
         executor.close()
     return [spec for spec in misses if spec not in out and spec not in failures]
-
-
-def run_matrix(
-    schemes: Iterable[str],
-    workloads: Iterable[str],
-    verbose: bool = False,
-    jobs: Optional[int] = None,
-    **spec_kwargs,
-) -> Dict[str, Dict[str, SimulationResult]]:
-    """Run scheme x workload (in parallel); returns
-    ``results[scheme][workload]``."""
-    schemes = list(schemes)
-    workloads = list(workloads)
-    grid = {
-        (scheme, workload): RunSpec(
-            scheme=scheme, workload=workload, **spec_kwargs
-        )
-        for scheme in schemes
-        for workload in workloads
-    }
-    resolved = run_specs(list(grid.values()), jobs=jobs, verbose=verbose)
-    return {
-        scheme: {
-            workload: resolved[grid[(scheme, workload)]]
-            for workload in workloads
-        }
-        for scheme in schemes
-    }

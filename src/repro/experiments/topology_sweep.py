@@ -19,15 +19,10 @@ free and the sweep shares its ideal/mesh runs with fig5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.experiments.report import format_table, geomean, normalize
-from repro.experiments.runner import (
-    QUICK_ACCESSES,
-    RunSpec,
-    run_specs,
-)
+from repro.experiments.report import Grid, format_table, run_grids
+from repro.experiments.runner import QUICK_ACCESSES
 
 SCHEMES = ("cc", "cnc", "disco")
 REFERENCE = "ideal"
@@ -42,24 +37,6 @@ TOPOLOGIES = ("mesh", "torus", "ring")
 SWEEP_WORKLOADS = ("blackscholes", "bodytrack", "streamcluster")
 
 
-@dataclass
-class TopologySweepResult:
-    """Normalized latency per (topology, workload, scheme)."""
-
-    algorithm: str
-    topologies: List[str]
-    workloads: List[str]
-    #: topology -> workload -> scheme -> latency / ideal-of-that-topology
-    normalized: Dict[str, Dict[str, Dict[str, float]]]
-    #: topology -> scheme -> geomean over workloads
-    average: Dict[str, Dict[str, float]]
-
-    def disco_gain_over(self, other: str, topology: str) -> float:
-        """Fractional latency reduction of DISCO vs ``other`` on one fabric."""
-        table = self.average[topology]
-        return 1.0 - table["disco"] / table[other]
-
-
 def topology_sweep(
     topologies: Sequence[str] = TOPOLOGIES,
     workloads: Sequence[str] = SWEEP_WORKLOADS,
@@ -67,76 +44,49 @@ def topology_sweep(
     accesses_per_core: int = QUICK_ACCESSES,
     schemes: Sequence[str] = SCHEMES,
     verbose: bool = False,
-) -> TopologySweepResult:
-    grid = {
-        (topology, workload, scheme): RunSpec(
-            scheme=scheme,
-            workload=workload,
-            algorithm=algorithm,
-            accesses_per_core=accesses_per_core,
-            topology=topology,
-        )
-        for topology in topologies
-        for workload in workloads
-        for scheme in (REFERENCE, *schemes)
-    }
-    results = run_specs(list(grid.values()), verbose=verbose)
-    normalized: Dict[str, Dict[str, Dict[str, float]]] = {}
-    average: Dict[str, Dict[str, float]] = {}
-    for topology in topologies:
-        normalized[topology] = {}
-        for workload in workloads:
-            raw = {
-                scheme: results[
-                    grid[topology, workload, scheme]
-                ].avg_miss_latency
-                for scheme in (REFERENCE, *schemes)
-            }
-            normalized[topology][workload] = normalize(raw, REFERENCE)
-        average[topology] = {
-            scheme: geomean(
-                normalized[topology][w][scheme] for w in workloads
+) -> Dict[str, Grid]:
+    """One panel per fabric, keyed by topology name."""
+    panels = {
+        topology: {
+            workload: dict(
+                workload=workload,
+                algorithm=algorithm,
+                accesses_per_core=accesses_per_core,
+                topology=topology,
             )
-            for scheme in (REFERENCE, *schemes)
+            for workload in workloads
         }
-    return TopologySweepResult(
-        algorithm=algorithm,
-        topologies=list(topologies),
-        workloads=list(workloads),
-        normalized=normalized,
-        average=average,
-    )
+        for topology in topologies
+    }
+    return run_grids(panels, schemes, REFERENCE, verbose=verbose)
 
 
-def render(result: Optional[TopologySweepResult] = None, **kwargs) -> str:
-    result = result or topology_sweep(**kwargs)
-    schemes = [REFERENCE, *[s for s in SCHEMES if s in
-                            next(iter(result.average.values()))]]
-    rows = []
-    for topology in result.topologies:
-        for workload in result.workloads:
-            rows.append(
-                [f"{topology}/{workload}"]
-                + [result.normalized[topology][workload][s] for s in schemes]
-            )
-        rows.append(
-            [f"{topology} geomean"]
-            + [result.average[topology][s] for s in schemes]
+def render(result: Optional[Dict[str, Grid]] = None, **kwargs) -> str:
+    if result is None:
+        result = topology_sweep(**kwargs)
+    first = next(iter(result.values()))
+    algorithm = first.results[first.rows[0], REFERENCE].algorithm
+    rows = [
+        line
+        for topology, grid in result.items()
+        for line in grid.table_rows(
+            lambda workload: f"{topology}/{workload}", f"{topology} geomean"
         )
+    ]
     table = format_table(
-        ["topology/workload"] + list(schemes),
+        ["topology/workload", *first.schemes],
         rows,
         title=(
             f"Topology sweep: normalized avg data-access latency "
-            f"({result.algorithm} compression; per-fabric ideal = 1.0)"
+            f"({algorithm} compression; per-fabric ideal = 1.0)"
         ),
     )
     summary_lines = []
-    for topology in result.topologies:
+    for topology, grid in result.items():
         gains = ", ".join(
-            f"vs {other} {100 * result.disco_gain_over(other, topology):+.1f}%"
+            f"vs {other} {100 * grid.gain('disco', other):+.1f}%"
             for other in ("cc", "cnc")
-            if other in result.average[topology]
+            if other in grid.average
         )
         summary_lines.append(f"DISCO on {topology}: {gains}")
     return table + "\n" + "\n".join(summary_lines)

@@ -87,7 +87,7 @@ class TestEngineAdmission:
         assert router.engine.can_accept(vc, JOB_DECOMPRESS)
 
     def test_capacity_limit(self):
-        network = make_disco_network(engines_per_router=1)
+        network = make_disco_network()
         router = network.routers[5]
         vc_a = stage_packet(router, data_packet(), port=PORT_WEST, flits=4)
         vc_b = stage_packet(router, data_packet(), port=PORT_EAST, flits=4,

@@ -85,6 +85,6 @@ def test_whole_packet_only_mode():
 
 
 def test_engine_capacity_respected():
-    network, _ = build_disco(rate=0.08, engines_per_router=1)
+    network, _ = build_disco(rate=0.08)
     for router in network.routers:
         assert len(router.engine.jobs) <= 1

@@ -5,11 +5,21 @@ the machinery (memoization, normalization, rendering), not figure quality;
 the benchmarks run the calibrated sizes.
 """
 
+import importlib
+import sys
+
 import pytest
 
-from repro.experiments import RunSpec, clear_cache, format_table, normalize, run_spec
+from repro.experiments import (
+    RunSpec,
+    clear_cache,
+    format_table,
+    normalize,
+    run_grids,
+    run_spec,
+    runner,
+)
 from repro.experiments.report import geomean
-from repro.experiments.runner import run_matrix
 from repro.experiments.table1 import measure_ratio, render as render_t1, table1
 from repro.experiments.table2 import render as render_t2, table2_rows, verify_table2
 
@@ -57,12 +67,35 @@ class TestRunner:
         assert a is not b
         assert a.scheme == "baseline" and b.scheme == "cc"
 
-    def test_run_matrix_shape(self):
-        results = run_matrix(
-            ["baseline"], ["swaptions", "blackscholes"], **TINY
+    def test_run_grids_shape(self):
+        workloads = ("swaptions", "blackscholes")
+        grids = run_grids(
+            {"tiny": {w: dict(workload=w, **TINY) for w in workloads}},
+            ["baseline"],
+            "ideal",
         )
-        assert set(results) == {"baseline"}
-        assert set(results["baseline"]) == {"swaptions", "blackscholes"}
+        assert list(grids) == ["tiny"]
+        grid = grids["tiny"]
+        assert grid.key == "tiny"
+        assert grid.rows == list(workloads)
+        assert grid.schemes == ["ideal", "baseline"]
+        assert set(grid.results) == {
+            (w, s) for w in workloads for s in ("ideal", "baseline")
+        }
+        for (workload, scheme), result in grid.results.items():
+            assert (result.workload, result.scheme) == (workload, scheme)
+        for w in workloads:
+            assert grid.normalized[w]["baseline"] == (
+                grid.results[w, "baseline"].avg_miss_latency
+                / grid.results[w, "ideal"].avg_miss_latency
+            )
+        assert grid.average["ideal"] == 1.0
+        assert grid.average["baseline"] == geomean(
+            grid.normalized[w]["baseline"] for w in workloads
+        )
+        assert grid.gain("baseline", "ideal") == pytest.approx(
+            1.0 - grid.average["baseline"]
+        )
 
     def test_sc2_training_applied(self):
         spec = RunSpec(
@@ -124,11 +157,14 @@ class TestFigureSmokes:
         assert len(runner._CACHE) == cached_before
 
     def test_fig8_tiny(self):
-        from repro.experiments.fig8 import fig8, render
+        from repro.experiments.fig8 import fig8, overlap_share, render
 
         result = fig8(workloads=("swaptions",), meshes=((2, 2),),
                       accesses_per_core=120)
-        assert (2, 2) in result.average
+        assert list(result) == [(2, 2)]
+        grid = result[2, 2]
+        assert grid.schemes == ["ideal", "cc", "disco"]
+        assert 0.0 <= overlap_share(grid) <= 1.0
         assert "2x2" in render(result)
 
     def test_overhead_render(self):
@@ -137,3 +173,43 @@ class TestFigureSmokes:
         report = overhead()
         text = render(report)
         assert "17.2%" in text  # the paper reference is printed alongside
+
+
+def _count_batches(monkeypatch):
+    """Record each ``run_specs`` call made through any experiments module
+    (every module that imported the name is patched)."""
+    calls = []
+    real = runner.run_specs
+
+    def counted(specs, **kwargs):
+        calls.append(len(specs))
+        return real(specs, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (
+            name.startswith("repro.experiments")
+            and getattr(module, "run_specs", None) is real
+        ):
+            monkeypatch.setattr(module, "run_specs", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "figure, kwargs, specs",
+    [
+        ("fig5", dict(workloads=("swaptions",)), 5),
+        ("fig6", dict(workloads=("swaptions",)), 8),
+        ("fig7", dict(workloads=("swaptions",)), 4),
+        ("fig8", dict(workloads=("swaptions",), meshes=((2, 2),)), 3),
+        ("topology_sweep", dict(workloads=("swaptions",)), 12),
+    ],
+)
+def test_each_figure_is_one_batch(figure, kwargs, specs, monkeypatch):
+    """A figure resolves every run it renders in one ``run_specs`` call,
+    so the pool sees the whole figure at once."""
+    module = importlib.import_module(f"repro.experiments.{figure}")
+    calls = _count_batches(monkeypatch)
+    result = getattr(module, figure)(accesses_per_core=120, **kwargs)
+    text = module.render(result)
+    assert calls == [specs]
+    assert "DISCO" in text

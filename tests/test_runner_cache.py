@@ -23,13 +23,13 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import checkpoint, runner
+from repro.experiments.report import run_grids
 from repro.experiments.runner import (
     RunnerError,
     RunSpec,
     clear_cache,
     clear_disk_cache,
     default_jobs,
-    run_matrix,
     run_spec,
     run_specs,
     spec_key,
@@ -281,19 +281,22 @@ class TestParallel:
         run_specs([spec], jobs=2)
         assert calls == [spec]
 
-    def test_run_matrix_shape(self):
-        results = run_matrix(
-            ["baseline", "disco"],
-            ["x264", "canneal"],
-            jobs=2,
-            accesses_per_core=40,
-        )
-        assert set(results) == {"baseline", "disco"}
-        for scheme in results:
-            assert set(results[scheme]) == {"x264", "canneal"}
-            for result in results[scheme].values():
-                assert result.scheme == scheme
-                assert result.cycles > 0
+    def test_run_grids_shape(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        workloads = ("x264", "canneal")
+        grid = run_grids(
+            {"quick": {
+                w: dict(workload=w, accesses_per_core=40) for w in workloads
+            }},
+            ["disco"],
+            "baseline",
+        )["quick"]
+        assert set(grid.results) == {
+            (w, s) for w in workloads for s in ("baseline", "disco")
+        }
+        for (workload, scheme), result in grid.results.items():
+            assert (result.workload, result.scheme) == (workload, scheme)
+            assert result.cycles > 0
 
     def test_default_jobs_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")

@@ -13,7 +13,6 @@ import pytest
 from repro.cmp import CmpSystem, SystemConfig, make_scheme
 from repro.cmp.bank import DIR_M
 from repro.cmp.schemes import SCHEME_NAMES
-from repro.core import DiscoConfig
 from repro.noc.config import FlowControl, NocConfig
 from repro.workloads import PARSEC_BENCHMARKS, generate_traces, get_profile
 
@@ -102,14 +101,10 @@ def test_full_system_with_vct_flow_control():
     assert result.network.compressions >= result.network.separate_compressions
 
 
-def test_full_system_with_adaptive_thresholds_and_high_sharing():
+def test_full_system_with_high_sharing():
     config = SystemConfig.scaled_4x4()
-    scheme = make_scheme(
-        "disco",
-        disco=DiscoConfig(adaptive_thresholds=True, adaptation_rate=0.1),
-    )
     traces = generate_traces(get_profile("canneal"), 16, 200, seed=13)
-    system = CmpSystem(config, scheme, traces)
+    system = CmpSystem(config, make_scheme("disco"), traces)
     system.run()
     check_invariants(system)
 
