@@ -45,9 +45,10 @@ def fig5(
 
 def render(result: Optional[Grid] = None, **kwargs) -> str:
     result = result or fig5(**kwargs)
+    algorithm = result.results[result.rows[0], REFERENCE].algorithm
     text = result.table(
         f"Fig. 5: normalized avg data-access latency "
-        f"({result.key} compression; ideal = 1.0)"
+        f"({algorithm} compression; ideal = 1.0)"
     )
     if "disco" in result.average and "cc" in result.average:
         text += (

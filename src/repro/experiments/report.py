@@ -44,7 +44,6 @@ class Grid:
     """One panel of a figure: every scheme run on every row, each row
     normalized to its reference run, and each scheme's geomean."""
 
-    key: Hashable
     rows: List[str]
     #: Column order, the reference first.
     schemes: List[str]
@@ -68,9 +67,9 @@ class Grid:
         lines.append([total, *(self.average[s] for s in self.schemes)])
         return lines
 
-    def table(self, title: str, label: str = "workload") -> str:
+    def table(self, title: str) -> str:
         return format_table(
-            [label, *self.schemes], self.table_rows(), title=title
+            ["workload", *self.schemes], self.table_rows(), title=title
         )
 
 
@@ -114,9 +113,7 @@ def run_grids(
         average = {
             s: geomean(normalized[row][s] for row in rows) for s in columns
         }
-        grids[key] = Grid(
-            key, list(rows), columns, results, normalized, average
-        )
+        grids[key] = Grid(list(rows), columns, results, normalized, average)
     return grids
 
 

@@ -297,17 +297,6 @@ def spec_key(spec: RunSpec) -> str:
 #: Per-process memo.
 _CACHE: Dict[RunSpec, SimulationResult] = {}
 
-#: Count of fresh simulations this process has performed (cache misses
-#: that reached :func:`_simulate`, plus specs fanned out to pool
-#: workers); a snapshot around a batch tells a cold run from a cache hit.
-_SIMULATED = 0
-
-
-def simulated_runs() -> int:
-    """Fresh (non-cached) simulations performed so far in this process."""
-    return _SIMULATED
-
-
 def cache_dir() -> Path:
     """Disk-cache directory (``REPRO_CACHE_DIR`` overrides the default)."""
     override = os.environ.get("REPRO_CACHE_DIR")
@@ -622,8 +611,6 @@ def run_spec(spec: RunSpec, verbose: bool = False) -> SimulationResult:
     """Run (or recall) one simulation: memo -> disk -> simulate."""
     result = Executor.lookup(spec)
     if result is None:
-        global _SIMULATED
-        _SIMULATED += 1
         result = _simulate(spec, verbose=verbose)
         _store(spec, result, verbose)
     return result
@@ -1138,9 +1125,6 @@ class Executor:
                 with self._lock:
                     generation = self.generation
                     future = self.start().submit(*call)
-                    if spec is not None:
-                        global _SIMULATED
-                        _SIMULATED += 1
                 _journal_append(key, "running")
                 value = future.result(timeout=_spec_timeout())
                 if spec is not None:

@@ -76,7 +76,6 @@ class TestRunner:
         )
         assert list(grids) == ["tiny"]
         grid = grids["tiny"]
-        assert grid.key == "tiny"
         assert grid.rows == list(workloads)
         assert grid.schemes == ["ideal", "baseline"]
         assert set(grid.results) == {
