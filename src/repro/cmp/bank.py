@@ -177,7 +177,7 @@ class HomeBank:
         line = self.array.lookup(trans.addr)
         if line is not None:
             latency = self.system.config.l2_hit_latency
-            if scheme.store_compressed and not scheme.send_compressed_from_bank:
+            if scheme.store_compressed and not scheme.use_disco_routers:
                 # Someone has to decompress before the response leaves the
                 # bank (CC/CNC pay for it; ideal gets it for free).
                 self.side_stats.decompressions += 1
@@ -185,7 +185,7 @@ class HomeBank:
             data = line.data
             payload = (
                 line.compressed_payload
-                if scheme.send_compressed_from_bank
+                if scheme.use_disco_routers
                 else None
             )
             self.system.schedule(latency, self._respond, trans, data, payload)
@@ -251,7 +251,7 @@ class HomeBank:
                 payload = packet.compressed
                 stored_bytes = payload.size_bytes
             elif (
-                scheme.send_compressed_from_bank
+                scheme.use_disco_routers
                 and packet is not None
                 and scheme.disco is not None
                 and not scheme.disco.compress_at_fill
@@ -282,12 +282,12 @@ class HomeBank:
     def _evict_to_memory(self, victim: BankLine) -> None:
         scheme = self.system.scheme
         payload = None
-        if scheme.store_compressed and not scheme.send_compressed_from_bank:
+        if scheme.store_compressed and not scheme.use_disco_routers:
             # CC/CNC/ideal decompress the victim at the bank (off the
             # requesting core's critical path; the energy is still real).
             if victim.compressed_payload is not None:
                 self.side_stats.decompressions += 1
-        elif scheme.send_compressed_from_bank:
+        elif scheme.use_disco_routers:
             payload = victim.compressed_payload
         self.system.send_message(
             Message(
@@ -373,7 +373,7 @@ class HomeBank:
         stored = self.array.lookup(msg.addr, touch=False)
         payload = None
         if (
-            self.system.scheme.send_compressed_from_bank
+            self.system.scheme.use_disco_routers
             and stored is not None
         ):
             payload = stored.compressed_payload

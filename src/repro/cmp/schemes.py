@@ -43,17 +43,13 @@ class SchemePolicy:
     algorithm_name: str
     store_compressed: bool
     bank_read_decompress_cycles: int
-    bank_fill_compress_cycles: int
     ni_compression: bool
-    send_compressed_from_bank: bool
+    #: DISCO routers (de)compress in flight, so banks send and write back
+    #: lines in their compressed form.
     use_disco_routers: bool
     compression_cycles: int
     decompression_cycles: int
     disco: Optional[DiscoConfig] = None
-
-    @property
-    def compresses(self) -> bool:
-        return self.store_compressed
 
     def make_algorithm(self, line_size: int = 64) -> CompressionAlgorithm:
         return get_algorithm(self.algorithm_name, line_size=line_size)
@@ -74,9 +70,7 @@ def make_scheme(
             algorithm_name=algorithm,
             store_compressed=False,
             bank_read_decompress_cycles=0,
-            bank_fill_compress_cycles=0,
             ni_compression=False,
-            send_compressed_from_bank=False,
             use_disco_routers=False,
             compression_cycles=comp,
             decompression_cycles=decomp,
@@ -87,9 +81,7 @@ def make_scheme(
             algorithm_name=algorithm,
             store_compressed=True,
             bank_read_decompress_cycles=0,
-            bank_fill_compress_cycles=0,
             ni_compression=False,
-            send_compressed_from_bank=False,
             use_disco_routers=False,
             compression_cycles=comp,
             decompression_cycles=decomp,
@@ -100,9 +92,7 @@ def make_scheme(
             algorithm_name=algorithm,
             store_compressed=True,
             bank_read_decompress_cycles=decomp,
-            bank_fill_compress_cycles=comp,
             ni_compression=False,
-            send_compressed_from_bank=False,
             use_disco_routers=False,
             compression_cycles=comp,
             decompression_cycles=decomp,
@@ -113,9 +103,7 @@ def make_scheme(
             algorithm_name=algorithm,
             store_compressed=True,
             bank_read_decompress_cycles=decomp,
-            bank_fill_compress_cycles=comp,
             ni_compression=True,
-            send_compressed_from_bank=False,
             use_disco_routers=False,
             compression_cycles=comp,
             decompression_cycles=decomp,
@@ -129,9 +117,7 @@ def make_scheme(
             algorithm_name=algorithm,
             store_compressed=True,
             bank_read_decompress_cycles=0,
-            bank_fill_compress_cycles=0,
             ni_compression=False,
-            send_compressed_from_bank=True,
             use_disco_routers=True,
             compression_cycles=comp,
             decompression_cycles=decomp,

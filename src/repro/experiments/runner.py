@@ -46,10 +46,9 @@ quarantined); ``run_specs(resume=True)`` (or ``REPRO_RESUME=1``) seeds
 each spec's interruption count from it: done specs come from the caches,
 partially-run ones restore from their latest checkpoint, crash-looped
 ones are quarantined by the retry rule.
-With ``REPRO_WATCHDOG_SECONDS`` set, pool workers write per-pid
-heartbeat files carrying their simulated cycle, and a watchdog thread
-SIGKILLs any worker whose cycle counter freezes past the stall budget —
-wedged, as opposed to merely slow.
+With ``REPRO_WATCHDOG_SECONDS`` set, the executor arms the stall
+watchdog of :mod:`repro.experiments.supervision` with its pool, and each
+run keeps a heartbeat file while it is in flight.
 """
 
 from __future__ import annotations
@@ -266,9 +265,11 @@ def _source_fingerprint() -> str:
         digest = hashlib.sha256()
         root = Path(__file__).resolve().parent.parent  # src/repro
         try:
-            for path in sorted(root.rglob("*.py")):
-                digest.update(path.relative_to(root).as_posix().encode())
-                digest.update(path.read_bytes())
+            for top, _, names in sorted(os.walk(root)):
+                for name in sorted(n for n in names if n.endswith(".py")):
+                    path = Path(top, name)
+                    digest.update(path.relative_to(root).as_posix().encode())
+                    digest.update(path.read_bytes())
         except OSError:  # pragma: no cover - zip/frozen installs
             pass
         _SOURCE_FINGERPRINT = digest.hexdigest()
@@ -323,13 +324,14 @@ def clear_disk_cache() -> int:
     removed = 0
     directory = cache_dir()
     if directory.is_dir():
-        for pattern in ("*.pkl", "*.pkl.corrupt"):
-            for path in directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
+        for path in directory.iterdir():
+            if not path.name.endswith((".pkl", ".pkl.corrupt")):
+                continue
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:  # pragma: no cover - concurrent cleanup
+                pass
     return removed
 
 
@@ -544,7 +546,7 @@ def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
         ensure_level(logging.INFO)
     # Crash-safe plumbing — all of it collapses to None/no-op under the
     # default environment, keeping the hot path byte-identical.
-    from repro.experiments import checkpoint as _checkpoint
+    from repro.experiments import checkpoint as _checkpoint, supervision
 
     session = _checkpoint.session_for(spec)
     system = session.restore() if session is not None else None
@@ -572,7 +574,7 @@ def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
     )
     timeout = _spec_timeout()
     deadline = time.monotonic() + timeout if timeout is not None else None
-    progress = _progress_hook(spec)
+    progress = supervision.progress_hook(spec)
     start = time.perf_counter()
     try:
         result = system.run(
@@ -596,6 +598,7 @@ def _simulate_in_scope(spec: RunSpec, verbose: bool) -> SimulationResult:
         )
         raise
     finally:
+        supervision.end_heartbeat()
         if session is not None:
             session.close()
     if session is not None:
@@ -801,232 +804,6 @@ def _quarantine_after() -> int:
     return max(1, _env_number("REPRO_QUARANTINE_AFTER", int, 3))
 
 
-# --------------------------------------------------------------------------
-# heartbeats + watchdog (progress supervision for pool workers)
-# --------------------------------------------------------------------------
-
-
-def heartbeat_dir() -> Optional[Path]:
-    """Worker heartbeat directory (``REPRO_HEARTBEAT_DIR``), or ``None``
-    when supervision is off — the one reader of that variable."""
-    directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-    return Path(directory) if directory else None
-
-
-def _progress_hook(spec: RunSpec):
-    """The run's progress callback, throttled to about one call a
-    second, or ``None`` when supervision and the flight recorder are
-    both off.
-
-    It writes this process's heartbeat file (``REPRO_HEARTBEAT_DIR``)
-    with the last simulated cycle: the watchdog distinguishes *wedged*
-    (cycle frozen) from merely *slow* (cycle still advancing), so a
-    loaded machine is never punished.  Writes go through
-    :func:`repro.publish.publish_atomic`.  SIGKILL (the watchdog's
-    verdict for a wedged worker) gives no chance to dump after the
-    fact, so the worker also
-    persists its flight ring *ahead* of death, with ``reason="inflight"``,
-    the bound correlation id and the last sampled simulated cycle.  The
-    file surviving the kill is the postmortem artifact the chaos drill
-    asserts on.
-    """
-    directory = heartbeat_dir()
-    inflight = flight.enabled()
-    if directory is None and not inflight:
-        return None
-    key = spec_key(spec)
-    state = {"last": 0.0}
-
-    def _progress(system: CmpSystem) -> None:
-        now = time.monotonic()
-        if now - state["last"] < 1.0:
-            return
-        state["last"] = now
-        if directory is not None:
-            record = {
-                "pid": os.getpid(),
-                "key": key,
-                "cycle": system.cycle,
-                "ts": time.time(),
-            }
-            corr = current_correlation()
-            if corr:
-                record["corr"] = corr
-            try:
-                publish_atomic(
-                    directory / f"hb_{os.getpid()}.json",
-                    json.dumps(record).encode(),
-                )
-            except OSError:
-                pass
-        if inflight:
-            emit(
-                "inflight",
-                key=key,
-                scheme=spec.scheme,
-                workload=spec.workload,
-                cycle=system.cycle,
-            )
-
-    return _progress
-
-
-def clean_stale_heartbeats(directory: Optional[Path] = None) -> int:
-    """Remove heartbeat files left behind by dead workers; returns the
-    count removed.
-
-    A SIGKILLed worker (watchdog kill, OOM, chaos drill) never unlinks
-    its ``hb_<pid>.json``, and a fresh watchdog pass would otherwise read
-    the orphan as a frozen cycle counter and try to "kill" a pid that is
-    long gone — or worse, one the OS has since recycled.  Runner startup
-    (and service startup) sweeps the directory first: a file whose pid no
-    longer exists, or that does not parse, is deleted.  A pid that exists
-    but belongs to another user (``EPERM``) is treated as alive — never
-    delete evidence about a process we cannot inspect.
-    """
-    directory = directory or heartbeat_dir()
-    if directory is None:
-        return 0
-    removed = 0
-    try:
-        beats = list(directory.glob("hb_*.json"))
-    except OSError:
-        return 0
-    for path in beats:
-        stale = False
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            pid = int(record["pid"])
-        except (OSError, ValueError, KeyError, TypeError):
-            stale = True  # unparseable: a torn write from a dying worker
-        else:
-            if pid == os.getpid():
-                continue  # our own live heartbeat
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                stale = True
-            except PermissionError:
-                continue  # alive under another uid
-            except OSError:
-                stale = True
-        if stale:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
-
-
-def watchdog_seconds() -> Optional[float]:
-    """Stall threshold for the pool watchdog (``REPRO_WATCHDOG_SECONDS``;
-    unset, 0 or negative disables) — the one reader of that variable."""
-    value = _env_number("REPRO_WATCHDOG_SECONDS", float, 0.0)
-    return value if value > 0 else None
-
-
-class _Watchdog:
-    """Supervises pool workers through their heartbeat files.
-
-    A worker whose cycle counter stops advancing for ``stall_seconds`` is
-    wedged (deadlocked, livelocked, stuck outside the run loop) — as
-    opposed to slow, which keeps the counter moving — and is SIGKILLed.
-    The kill surfaces as ``BrokenProcessPool``: an interruption, which
-    the executor's caller recovers (plus any checkpoint).
-    """
-
-    def __init__(self, directory: Path, stall_seconds: float):
-        self.directory = directory
-        self.stall = stall_seconds
-        self.killed: List[int] = []
-        self._seen: Dict[int, Tuple[int, float]] = {}
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._watch, name="repro-watchdog", daemon=True
-        )
-
-    def start(self) -> "_Watchdog":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _watch(self) -> None:
-        poll = min(1.0, self.stall / 2)
-        while not self._stop.wait(poll):
-            self._scan()
-
-    def _scan(self) -> None:
-        now = time.monotonic()
-        try:
-            beats = list(self.directory.glob("hb_*.json"))
-        except OSError:
-            return
-        for path in beats:
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                pid = int(record["pid"])
-                cycle = int(record["cycle"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            last = self._seen.get(pid)
-            if last is None or last[0] != cycle:
-                self._seen[pid] = (cycle, now)
-                continue
-            if now - last[1] < self.stall:
-                continue
-            # Cycle counter frozen past the stall budget: wedged worker.
-            self._seen.pop(pid, None)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            if pid == os.getpid():
-                continue  # a stale file must never self-terminate
-            try:
-                os.kill(pid, getattr(signal, "SIGKILL", signal.SIGTERM))
-            except OSError:
-                continue
-            self.killed.append(pid)
-            # The victim's last inflight flight dump survives the kill;
-            # record the supervisor's side of the story next to it (the
-            # worker's corr rides in the heartbeat record).
-            emit(
-                "watchdog_kill",
-                victim_pid=pid,
-                cycle=cycle,
-                key=record.get("key"),
-                stalled_seconds=now - last[1],
-                corr=record.get("corr"),
-            )
-
-
-def _start_watchdog() -> Tuple[Optional[_Watchdog], bool]:
-    """Arm worker supervision when configured: point workers at a
-    heartbeat directory (unless the caller pinned one) and start the
-    stall watchdog.  Returns ``(watchdog, env_was_set_here)``."""
-    stall = watchdog_seconds()
-    if stall is None:
-        return None, False
-    directory = heartbeat_dir()
-    set_here = directory is None
-    if set_here:
-        directory = cache_dir() / "heartbeats"
-        os.environ["REPRO_HEARTBEAT_DIR"] = str(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        pass
-    # SIGKILLed workers from an earlier campaign leave orphan heartbeat
-    # files behind; sweep them before arming so the fresh watchdog never
-    # reasons about (or signals) a recycled pid.
-    clean_stale_heartbeats(directory)
-    return _Watchdog(directory, stall).start(), set_here
-
-
 def _store(spec: RunSpec, result: SimulationResult, verbose: bool) -> None:
     _CACHE[spec] = result
     _disk_store(spec, result)
@@ -1086,7 +863,7 @@ class Executor:
         self.generation = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.RLock()
-        self._watchdog: Tuple[Optional[_Watchdog], bool] = (None, False)
+        self._watchdog = None  # the stall watchdog, armed with the pool
         self._abandoned = False
 
     @staticmethod
@@ -1143,14 +920,16 @@ class Executor:
         return DONE, value
 
     def start(self) -> ProcessPoolExecutor:
-        """The live pool, spawned now if there is none: the watchdog first,
-        so workers inherit its heartbeat directory, then workers forked
-        from the calling thread (a worker forked from a dispatch thread
-        inherits that thread's malloc arena and peaks about 1 MB higher)."""
+        """The live pool, spawned now if there is none, with the watchdog
+        if it is configured; workers fork from the calling thread (a
+        worker forked from a dispatch thread inherits that thread's malloc
+        arena and peaks about 1 MB higher)."""
+        from repro.experiments.supervision import start_watchdog
+
         with self._lock:
             if self._pool is None:
-                if self._watchdog[0] is None:
-                    self._watchdog = _start_watchdog()
+                if self._watchdog is None:
+                    self._watchdog = start_watchdog()
                 self._pool = ProcessPoolExecutor(
                     self.workers, initializer=_pool_worker_init
                 )
@@ -1197,12 +976,9 @@ class Executor:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait and not self._abandoned, cancel_futures=True)
-        watchdog, set_here = self._watchdog
-        self._watchdog = (None, False)
+        watchdog, self._watchdog = self._watchdog, None
         if watchdog is not None:
             watchdog.stop()
-        if set_here:
-            os.environ.pop("REPRO_HEARTBEAT_DIR", None)
 
 
 def _profile_destination(profile_out: Optional[str]) -> Optional[str]:

@@ -52,12 +52,10 @@ from repro.experiments.runner import (
     RETRY,
     Executor,
     RunSpec,
-    clean_stale_heartbeats,
     default_jobs,
-    heartbeat_dir,
     result_digest,
-    watchdog_seconds,
 )
+from repro.experiments import supervision
 from repro.faults.campaign import run_campaign_payload
 from repro.service.admission import (
     AdmissionController,
@@ -161,7 +159,7 @@ class CampaignService:
             raise RuntimeError("service already started")
         # Sweep heartbeat orphans from previous (SIGKILLed) incarnations
         # before any supervision arms (the executor arms it with the pool).
-        swept = clean_stale_heartbeats()
+        swept = supervision.clean_stale_heartbeats()
         if swept:
             _LOG.info("startup: removed %d stale heartbeat files", swept)
         self._accepting = True
@@ -239,21 +237,9 @@ class CampaignService:
         return self._accepting
 
     def heartbeat_lags(self) -> Dict[int, float]:
-        """Seconds since each worker's heartbeat file was refreshed."""
-        directory = heartbeat_dir()
-        if directory is None:
-            return {}
-        lags: Dict[int, float] = {}
-        try:
-            for path in directory.glob("hb_*.json"):
-                try:
-                    pid = int(path.stem.split("_", 1)[1])
-                except (IndexError, ValueError):
-                    continue
-                lags[pid] = round(time.time() - path.stat().st_mtime, 3)
-        except OSError:
-            return lags
-        return lags
+        """Seconds since each in-flight run's heartbeat was written."""
+        beats = supervision.read_heartbeats()
+        return {beat.pid: round(beat.age, 3) for beat in beats if beat.pid}
 
     def ready(self) -> Tuple[bool, Dict]:
         """Readiness + detail: accepting, with queue headroom, workers
@@ -282,7 +268,8 @@ class CampaignService:
                 f"queue depth {depth} at/over bound "
                 f"{self.admission.max_queue_depth}"
             )
-        stale = self._stale_heartbeats()
+        beats = supervision.stale_heartbeats()
+        stale = sorted((beat.pid, beat.age) for beat in beats if beat.pid)
         if stale:
             reasons.append(
                 "stale heartbeat pids: "
@@ -304,19 +291,9 @@ class CampaignService:
         detail["ready"] = ok
         return ok, detail
 
-    def _stale_heartbeats(self) -> List[Tuple[int, float]]:
-        """Heartbeat pids older than the watchdog budget (or 60s when no
-        watchdog is armed) — the readiness probe's staleness evidence."""
-        budget = watchdog_seconds() or 60.0
-        return sorted(
-            (pid, age)
-            for pid, age in self.heartbeat_lags().items()
-            if age > budget
-        )
-
     def _heartbeat_summary(self) -> Dict:
-        """Worker heartbeat freshness (rides the PR 7 heartbeat files)."""
-        directory, lags = heartbeat_dir(), self.heartbeat_lags()
+        """Heartbeat freshness of the runs in flight."""
+        directory, lags = supervision.heartbeat_dir(), self.heartbeat_lags()
         summary = {
             "dir": str(directory) if directory else None,
             "workers": len(lags),

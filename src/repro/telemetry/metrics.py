@@ -362,7 +362,7 @@ def build_service_registry(service) -> MetricsRegistry:
 
     lag = registry.gauge(
         "repro_worker_heartbeat_lag_seconds",
-        "seconds since each pool worker's heartbeat file was refreshed",
+        "seconds since each running worker's heartbeat file was written",
     )
     for pid, age in service.heartbeat_lags().items():
         lag.set(age, pid=str(pid))

@@ -300,15 +300,24 @@ class TestEnvelopes:
 
 _CHILD = """\
 import sys
-from repro.experiments.runner import RunSpec, run_spec, QUICK_ACCESSES
+from repro.experiments.runner import RunSpec, run_spec, spec_key, QUICK_ACCESSES
 spec = RunSpec(scheme="disco", workload="blackscholes",
                accesses_per_core=QUICK_ACCESSES)
+print("key:" + spec_key(spec), flush=True)
 result = run_spec(spec)
 from tests.test_golden_mesh import result_digest
 print("digest:" + result_digest(result))
 from repro.experiments.checkpoint import restores
 print("restores:" + str(restores()))
 """
+
+
+def _key_drift(child_key: str, key: str) -> str:
+    return (
+        f"the child keys the spec {child_key or '(no key printed)'}, this "
+        f"process {key}: spec_key hashes the source tree, which changed "
+        f"between the two imports, so the checkpoint is filed elsewhere"
+    )
 
 
 class TestKillResume:
@@ -326,13 +335,18 @@ class TestKillResume:
         child = subprocess.Popen(
             [sys.executable, "-c", _CHILD],
             env=env,
-            stdout=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
+            text=True,
         )
         spec = RunSpec(scheme="disco", **QUICK)
-        ckpt = (
-            tmp_path / "cache" / "checkpoints" / f"{spec_key(spec)}.ckpt"
-        )
+        key = spec_key(spec)
+        child_key = child.stdout.readline().strip().removeprefix("key:")
+        if child_key != key:
+            child.kill()
+            child.wait()
+            pytest.fail(_key_drift(child_key, key))
+        ckpt = tmp_path / "cache" / "checkpoints" / f"{key}.ckpt"
         deadline = time.monotonic() + 120
         while not ckpt.exists():
             if child.poll() is not None:
@@ -346,6 +360,7 @@ class TestKillResume:
             time.sleep(0.02)
         child.send_signal(signal.SIGKILL)
         child.wait()
+        child.stdout.close()
 
         env["REPRO_RESUME"] = "1"
         resumed = subprocess.run(
@@ -361,6 +376,7 @@ class TestKillResume:
             for line in resumed.stdout.splitlines()
             if ":" in line
         )
+        assert lines["key"] == key, _key_drift(lines["key"], key)
         assert int(lines["restores"]) >= 1, resumed.stdout
         assert lines["digest"] == GOLDEN_DIGESTS["disco"], (
             "resumed run diverged from the golden digest"

@@ -66,7 +66,7 @@ class TestSchemes:
         assert cnc.ni_compression and cnc.bank_read_decompress_cycles > 0
         disco = make_scheme("disco")
         assert disco.bank_read_decompress_cycles == 0
-        assert disco.use_disco_routers and disco.send_compressed_from_bank
+        assert disco.use_disco_routers
         ideal = make_scheme("ideal")
         assert ideal.store_compressed
         assert ideal.bank_read_decompress_cycles == 0

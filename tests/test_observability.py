@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import runner, supervision
 from repro.experiments.runner import (
     QUICK_ACCESSES,
     RunSpec,
@@ -1038,7 +1038,7 @@ class TestServiceEndpoints:
             ok, detail = service.ready()
             assert ok, detail["reasons"]
             assert detail["heartbeats"]["workers"] == 1
-            assert runner.watchdog_seconds() is None
+            assert supervision.watchdog_seconds() is None
         finally:
             service.shutdown(drain=False, timeout=10.0)
 

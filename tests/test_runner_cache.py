@@ -14,6 +14,7 @@ import os
 import pickle
 import select
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -22,9 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import checkpoint, runner
+from repro.experiments import checkpoint, runner, supervision
 from repro.experiments.report import run_grids
 from repro.experiments.runner import (
+    DONE,
+    Executor,
     RunnerError,
     RunSpec,
     clear_cache,
@@ -460,13 +463,30 @@ class TestWatchdog:
     def test_heartbeats_carry_the_simulated_cycle(
         self, tmp_path, monkeypatch
     ):
+        """A run's heartbeat carries its simulated cycle while the run is
+        in flight, and is gone once the run returns."""
         hb_dir = tmp_path / "hb"
         monkeypatch.setenv("REPRO_HEARTBEAT_DIR", str(hb_dir))
+        beat = hb_dir / f"hb_{os.getpid()}.json"
+        records = []
+        hook = supervision.progress_hook
+
+        def reading_hook(spec):
+            progress = hook(spec)
+
+            def _progress(system):
+                progress(system)
+                if beat.exists():
+                    records.append(json.loads(beat.read_text("utf-8")))
+
+            return _progress
+
+        monkeypatch.setattr(supervision, "progress_hook", reading_hook)
         run_spec(RunSpec(scheme="baseline", **QUICK))
-        [beat] = list(hb_dir.glob("hb_*.json"))
-        record = json.loads(beat.read_text(encoding="utf-8"))
-        assert record["pid"] == os.getpid()
-        assert record["cycle"] > 0
+        assert records, "no heartbeat while the run was in flight"
+        assert records[0]["pid"] == os.getpid()
+        assert records[0]["cycle"] > 0
+        assert list(hb_dir.glob("hb_*.json")) == []
 
     def test_failed_heartbeat_write_leaves_no_staging_file(
         self, tmp_path, monkeypatch
@@ -497,7 +517,7 @@ class TestWatchdog:
 
         beat(wedged.pid, 42)
         cycle = [0]
-        dog = runner._Watchdog(hb_dir, stall_seconds=0.4).start()
+        dog = supervision._Watchdog(hb_dir, stall_seconds=0.4).start()
         try:
             deadline = time.monotonic() + 10
             while wedged.poll() is None:
@@ -514,6 +534,36 @@ class TestWatchdog:
                     proc.kill()
                 proc.wait()
         assert dog.killed == [wedged.pid]
+
+    def test_idle_worker_is_not_killed(self, monkeypatch):
+        """A finished run leaves no heartbeat, so a pool worker that idles
+        past the budget is not mistaken for a wedged one."""
+        monkeypatch.setenv("REPRO_WATCHDOG_SECONDS", "1")
+        spec = RunSpec(scheme="baseline", width=2, height=2, **QUICK)
+        executor = Executor(2)
+        try:
+            assert executor.attempt(spec)[0] == DONE
+            time.sleep(3)
+            assert executor._watchdog.killed == []
+            assert list(supervision.heartbeat_dir().glob("hb_*.json")) == []
+            assert executor.attempt(spec)[0] == DONE
+            assert executor.generation == 0
+        finally:
+            executor.close()
+
+    def test_heartbeat_dir_is_derived_per_host(self, monkeypatch):
+        """Parent and workers derive one directory per host from the
+        environment they share: an executor exports nothing to it."""
+        assert supervision.heartbeat_dir() is None  # watchdog off
+        monkeypatch.setenv("REPRO_WATCHDOG_SECONDS", "30")
+        assert supervision.heartbeat_dir() == (
+            runner.cache_dir() / "heartbeats" / socket.gethostname()
+        )
+        environ = dict(os.environ)
+        executor = Executor(1)
+        executor.start()
+        executor.close()
+        assert dict(os.environ) == environ
 
 
 class TestRetryBackoff:
@@ -696,7 +746,7 @@ NUMERIC_SETTINGS = {
     ),
     "REPRO_SPEC_TIMEOUT": runner._spec_timeout,
     "REPRO_QUARANTINE_AFTER": runner._quarantine_after,
-    "REPRO_WATCHDOG_SECONDS": runner.watchdog_seconds,
+    "REPRO_WATCHDOG_SECONDS": supervision.watchdog_seconds,
     "REPRO_CHECKPOINT_INTERVAL": checkpoint.checkpoint_interval,
 }
 
@@ -796,7 +846,7 @@ class TestStaleHeartbeatCleanup:
         )
         (beats / "hb_1.json").write_text(json.dumps({"pid": 1, "cycle": 1}))
         (beats / "hb_torn.json").write_text('{"pid": 12')  # torn write
-        removed = runner.clean_stale_heartbeats(beats)
+        removed = supervision.clean_stale_heartbeats(beats)
         assert removed == 2  # the dead pid and the torn file
         survivors = sorted(path.name for path in beats.glob("hb_*.json"))
         assert survivors == sorted(
@@ -804,12 +854,12 @@ class TestStaleHeartbeatCleanup:
         )
 
     def test_defaults_to_the_heartbeat_env_dir(self, tmp_path, monkeypatch):
-        assert runner.clean_stale_heartbeats() == 0  # env unset: no-op
+        assert supervision.clean_stale_heartbeats() == 0  # env unset: no-op
         beats = tmp_path / "hb"
         beats.mkdir()
         (beats / "hb_junk.json").write_text("not json")
         monkeypatch.setenv("REPRO_HEARTBEAT_DIR", str(beats))
-        assert runner.clean_stale_heartbeats() == 1
+        assert supervision.clean_stale_heartbeats() == 1
 
 
 _RACE_CHILD = r"""
