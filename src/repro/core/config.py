@@ -3,8 +3,8 @@
 The paper trains γ (Eq. 1), α and β (Eq. 2) plus the two thresholds CCth
 and CDth offline on workload traces and then fixes them ("these two
 parameters are assumed deterministic in NoC for simplicity").  The defaults
-here were tuned the same way on the synthetic PARSEC-like traces; the
-calibration sweep lives in ``benchmarks/bench_ablation.py``.
+here were tuned the same way on the synthetic PARSEC-like traces;
+``repro.experiments.ablation`` switches them off to show what they buy.
 """
 
 from __future__ import annotations

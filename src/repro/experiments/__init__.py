@@ -9,18 +9,17 @@ Each module reproduces one artifact of the evaluation section:
 - :mod:`repro.experiments.fig7` — energy, normalized to no-compression;
 - :mod:`repro.experiments.fig8` — scalability (2x2 / 4x4 / 8x8 meshes);
 - :mod:`repro.experiments.topology_sweep` — Fig. 5 on mesh, torus and ring;
-- :mod:`repro.experiments.overhead` — the §4.3 area overhead analysis.
+- :mod:`repro.experiments.overhead` — the §4.3 area overhead analysis;
+- :mod:`repro.experiments.ablation` — DISCO's mechanisms one at a time.
 
-The latency and energy figures are one computation: run each scheme beside
-a reference system, normalize every workload to the reference and take the
-geomean per scheme.  :func:`~repro.experiments.report.run_grids` performs
-it, one :class:`~repro.experiments.report.Grid` per panel, and resolves a
-whole figure in one :func:`run_specs` batch.  Batches go through
-:mod:`repro.experiments.runner`: simulations fan out over a process pool
-(``REPRO_JOBS``), and results are memoized in-process plus
-content-addressed on disk (``~/.cache/repro-disco``), so Fig. 5 and Fig. 7
-price the same runs — exactly as the paper derives both from one set of
-simulations — and re-rendering a figure is free.
+:mod:`repro.experiments.claims` (not imported here) checks the paper's
+claims against all of them and regenerates ``bench_results/``.  The
+latency and energy figures are one computation,
+:func:`~repro.experiments.report.run_grids`: each scheme runs beside a
+reference system in one :func:`run_specs` batch, on a process pool
+(``REPRO_JOBS``) through :mod:`repro.experiments.runner`, which memoizes
+results in-process and on disk (``~/.cache/repro-disco``), so Fig. 5 and
+Fig. 7 price the same runs, as the paper derives both from one set.
 """
 
 from repro.experiments.runner import (

@@ -4,8 +4,8 @@ baseline.
 Prices the *same simulations* Fig. 5 ran (the runner memoizes them) with
 the Orion/CACTI-style event model: NoC dynamic + leakage, NUCA dynamic +
 leakage, compressor dynamic + leakage, integrated over the steady-state
-(post-warmup) window.  The paper reports DISCO at ~73.3 % of baseline
-energy, beating CNC by ~9.1 % and CC by ~8.3 % on average.
+(post-warmup) window.  Its claims are the ``fig7.*`` rows of
+:mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro.energy.accounting import energy_of_result
 from repro.energy.params import EnergyParams
-from repro.experiments.fig5 import panel
+from repro.experiments.fig5 import panels
 from repro.experiments.report import Grid, run_grids
 from repro.experiments.runner import DEFAULT_WORKLOADS, FIGURE_ACCESSES
 
@@ -30,31 +30,26 @@ def fig7(
     verbose: bool = False,
 ) -> Grid:
     params = params or EnergyParams()
-    panels = {algorithm: panel(workloads, algorithm, accesses_per_core)}
     return run_grids(
-        panels,
-        SCHEMES,
-        REFERENCE,
+        panels(workloads, (algorithm,), accesses_per_core), SCHEMES, REFERENCE,
         value=lambda result: energy_of_result(result, params=params).total,
         verbose=verbose,
     )[algorithm]
 
 
-def render(result: Optional[Grid] = None, **kwargs) -> str:
-    result = result or fig7(**kwargs)
+def render(result: Grid) -> str:
+    from repro.experiments.claims import paper  # claims imports this module
+
     table = result.table(
         "Fig. 7: normalized memory-subsystem energy "
         "(no-compression baseline = 1.0)"
     )
     summary = (
-        f"\nDISCO / baseline: {result.average['disco']:.3f} (paper: ~0.733)\n"
+        f"\nDISCO / baseline: {result.average['disco']:.3f} "
+        f"(paper: {paper('fig7.disco')})\n"
         f"DISCO vs CC:  {100 * result.gain('disco', 'cc'):+.1f}% "
-        f"(paper: ~8.3%)\n"
+        f"(paper: {paper('fig7.disco_vs_cc')})\n"
         f"DISCO vs CNC: {100 * result.gain('disco', 'cnc'):+.1f}% "
-        f"(paper: ~9.1%)"
+        f"(paper: {paper('fig7.disco_vs_cnc')})"
     )
     return table + summary
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(render(verbose=True))

@@ -1,10 +1,10 @@
 """Fig. 8 — scalability of DISCO with CMP size (2x2 / 4x4 / 8x8 meshes).
 
 The paper scales the tiled CMP from 4 NUCA banks to 64 and reports the
-DISCO-vs-CC gain growing from insignificant at 2x2 through ~10 % at 4x4 to
-~22 % at 8x8: bigger meshes mean more hops, more queueing — and therefore
-both more exposure of per-access (de)compression latency for CC and more
-idle time for DISCO to hide its own in.
+DISCO-vs-CC gain growing with it (the ``fig8.*`` claims rows): bigger
+meshes mean more hops, more queueing — and therefore both more exposure
+of per-access (de)compression latency for CC and more idle time for DISCO
+to hide its own in.
 
 This is *strong* scaling, matching the paper's setup: the same workload
 and the same total NUCA capacity, distributed over more (and therefore
@@ -14,9 +14,9 @@ path (little for DISCO to win); at 8x8 the 64-node network dominates it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.experiments.report import Grid, format_table, run_grids
+from repro.experiments.report import Grid, Panels, format_table, run_grids
 from repro.experiments.runner import FIGURE_ACCESSES
 
 #: Mesh sizes of Fig. 8 (width, height).
@@ -35,19 +35,16 @@ SCHEMES = ("cc", "disco")
 REFERENCE = "ideal"
 
 
-def fig8(
+def panels(
     workloads: Sequence[str] = SCALABILITY_WORKLOADS,
     meshes: Sequence[Tuple[int, int]] = MESHES,
     accesses_per_core: int = FIGURE_ACCESSES,
-    verbose: bool = False,
-) -> Dict[Tuple[int, int], Grid]:
+) -> Panels:
     """One panel per mesh, keyed by (width, height)."""
-    panels = {
+    return {
         (width, height): {
             workload: dict(
-                workload=workload,
-                width=width,
-                height=height,
+                workload=workload, width=width, height=height,
                 accesses_per_core=accesses_per_core,
                 l2_sets_per_bank=_BANK_SETS.get((width, height), 32),
                 l2_hit_latency=_BANK_LATENCY.get((width, height), 4),
@@ -56,7 +53,11 @@ def fig8(
         }
         for width, height in meshes
     }
-    return run_grids(panels, SCHEMES, REFERENCE, verbose=verbose)
+
+
+def fig8(*, verbose: bool = False, **panel_args) -> Dict[Tuple[int, int], Grid]:
+    """One grid per mesh of :func:`panels`."""
+    return run_grids(panels(**panel_args), SCHEMES, REFERENCE, verbose=verbose)
 
 
 def overlap_share(grid: Grid) -> float:
@@ -71,11 +72,9 @@ def overlap_share(grid: Grid) -> float:
     return hidden / total if total else 0.0
 
 
-def render(
-    result: Optional[Dict[Tuple[int, int], Grid]] = None, **kwargs
-) -> str:
-    if result is None:
-        result = fig8(**kwargs)
+def render(result: Dict[Tuple[int, int], Grid]) -> str:
+    from repro.experiments.claims import paper  # claims imports this module
+
     rows = [
         [
             f"{width}x{height} ({width * height} banks)",
@@ -92,11 +91,8 @@ def render(
         title="Fig. 8: scalability of DISCO (normalized to ideal)",
     )
     return table + (
-        "\npaper: gain grows ~0% (2x2) -> ~10% (4x4) -> ~22% (8x8)."
+        f"\npaper: gain grows {paper('fig8.gain_2x2')} (2x2) -> "
+        f"{paper('fig8.gain_4x4')} (4x4) -> {paper('fig8.gain_8x8')} (8x8)."
         "\n'overlap' = share of DISCO decompressions hidden in router"
         "\nqueueing - the paper's growth mechanism (see EXPERIMENTS.md)."
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(render(verbose=True))

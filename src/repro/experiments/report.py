@@ -73,8 +73,25 @@ class Grid:
         )
 
 
+#: Panel key -> row -> the :class:`RunSpec` fields its runs share.
+Panels = Mapping[Hashable, Mapping[str, Mapping[str, object]]]
+
+
+def grid_specs(
+    panels: Panels, schemes: Sequence[str], reference: str
+) -> Dict[Tuple[Hashable, str, str], RunSpec]:
+    """Every (panel, row, scheme) run of a figure: each row runs
+    ``reference`` and every one of ``schemes``."""
+    return {
+        (key, row, scheme): RunSpec(scheme=scheme, **fields)
+        for key, rows in panels.items()
+        for row, fields in rows.items()
+        for scheme in [reference, *(s for s in schemes if s != reference)]
+    }
+
+
 def run_grids(
-    panels: Mapping[Hashable, Mapping[str, Mapping[str, object]]],
+    panels: Panels,
     schemes: Sequence[str],
     reference: str,
     value: Callable[[SimulationResult], float] = avg_miss_latency,
@@ -82,20 +99,12 @@ def run_grids(
 ) -> Dict[Hashable, Grid]:
     """The computation behind every §4.2 figure, one grid per panel.
 
-    ``panels`` maps a panel key to its rows and each row to the
-    :class:`RunSpec` fields (all but ``scheme``) that its runs share.
-    Each row runs ``reference`` and every one of ``schemes``; every
-    (panel, row, scheme) spec resolves in a single :func:`run_specs`
-    batch, so the pool sees the whole figure at once.  Each row's
-    ``value`` per scheme is normalized to the reference's.
+    Every run of :func:`grid_specs` resolves in a single
+    :func:`run_specs` batch, so the pool sees the whole figure at once.
+    Each row's ``value`` per scheme is normalized to the reference's.
     """
-    columns = [reference, *(s for s in schemes if s != reference)]
-    specs = {
-        (key, row, scheme): RunSpec(scheme=scheme, **fields)
-        for key, rows in panels.items()
-        for row, fields in rows.items()
-        for scheme in columns
-    }
+    specs = grid_specs(panels, schemes, reference)
+    columns = list(dict.fromkeys(scheme for _, _, scheme in specs))
     resolved = run_specs(list(specs.values()), verbose=verbose)
     grids: Dict[Hashable, Grid] = {}
     for key, rows in panels.items():

@@ -4,13 +4,13 @@ The latencies and hardware overheads come from the registry (they are
 input parameters, quoted from the cited papers); the *compression ratio*
 column is measured by running each implemented algorithm over the
 PARSEC-like line corpus, which is the reproduction's analogue of the
-published average ratios (FPC 1.5, SFPC 1.33, BDI 1.57, SC² 2.4).
+published average ratios (the ``table1.*`` claims rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.compression.registry import get_algorithm, get_timing
 from repro.experiments.report import format_table
@@ -77,8 +77,7 @@ def table1(
     return rows
 
 
-def render(rows: Optional[List[Table1Row]] = None) -> str:
-    rows = rows if rows is not None else table1()
+def render(rows: List[Table1Row]) -> str:
     return format_table(
         ["method", "comp (cyc)", "decomp (cyc)", "hw overhead", "ratio"],
         [
@@ -93,7 +92,3 @@ def render(rows: Optional[List[Table1Row]] = None) -> str:
         ],
         title="Table 1: compression scheme parameters (measured ratios)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(render())

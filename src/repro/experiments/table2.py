@@ -73,9 +73,3 @@ def render(config: SystemConfig = None) -> str:
         table2_rows(config),
         title="Table 2: baseline system parameters",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(render())
-    issues = verify_table2()
-    print("\nTable 2 check:", "OK" if not issues else issues)

@@ -9,19 +9,16 @@ ideal system *of the same fabric*) on each topology, so the numbers
 answer "how much of DISCO's overlap opportunity survives a fabric
 change?" rather than re-ranking fabrics against each other.
 
-Entry point::
-
-    PYTHONPATH=src python -m repro.experiments.topology_sweep
-
 Runs go through the shared cached parallel runner, so a re-render is
-free and the sweep shares its ideal/mesh runs with fig5.
+free.  ``python -m repro.experiments.claims`` writes the sweep to
+``bench_results/topology.txt``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.experiments.report import Grid, format_table, run_grids
+from repro.experiments.report import Grid, Panels, format_table, run_grids
 from repro.experiments.runner import QUICK_ACCESSES
 
 SCHEMES = ("cc", "cnc", "disco")
@@ -37,33 +34,32 @@ TOPOLOGIES = ("mesh", "torus", "ring")
 SWEEP_WORKLOADS = ("blackscholes", "bodytrack", "streamcluster")
 
 
-def topology_sweep(
+def panels(
     topologies: Sequence[str] = TOPOLOGIES,
     workloads: Sequence[str] = SWEEP_WORKLOADS,
     algorithm: str = "delta",
     accesses_per_core: int = QUICK_ACCESSES,
-    schemes: Sequence[str] = SCHEMES,
-    verbose: bool = False,
-) -> Dict[str, Grid]:
+) -> Panels:
     """One panel per fabric, keyed by topology name."""
-    panels = {
+    return {
         topology: {
-            workload: dict(
-                workload=workload,
-                algorithm=algorithm,
-                accesses_per_core=accesses_per_core,
-                topology=topology,
-            )
+            workload: dict(workload=workload, algorithm=algorithm,
+                           accesses_per_core=accesses_per_core,
+                           topology=topology)
             for workload in workloads
         }
         for topology in topologies
     }
-    return run_grids(panels, schemes, REFERENCE, verbose=verbose)
 
 
-def render(result: Optional[Dict[str, Grid]] = None, **kwargs) -> str:
-    if result is None:
-        result = topology_sweep(**kwargs)
+def topology_sweep(
+    *, schemes: Sequence[str] = SCHEMES, verbose: bool = False, **panel_args
+) -> Dict[str, Grid]:
+    """One grid per fabric of :func:`panels`."""
+    return run_grids(panels(**panel_args), schemes, REFERENCE, verbose=verbose)
+
+
+def render(result: Dict[str, Grid]) -> str:
     first = next(iter(result.values()))
     algorithm = first.results[first.rows[0], REFERENCE].algorithm
     rows = [
@@ -90,7 +86,3 @@ def render(result: Optional[Dict[str, Grid]] = None, **kwargs) -> str:
         )
         summary_lines.append(f"DISCO on {topology}: {gains}")
     return table + "\n" + "\n".join(summary_lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(render(verbose=True))

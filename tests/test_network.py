@@ -6,6 +6,7 @@ from repro.noc import Network, NocConfig
 from repro.noc.config import FlowControl
 from repro.noc.flit import Packet, PacketType
 from repro.noc.network import ArrivalQueue
+from repro.noc.topology import min_vcs_per_vnet
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 
 
@@ -34,10 +35,23 @@ class TestBasicDelivery:
         network = make_network()
         packet = Packet(PacketType.RESPONSE, 0, 15, line=b"\x00" * 64)
         send_and_drain(network, [packet])
-        latency = packet.ejected_cycle - packet.injected_cycle
-        # 6 hops x ~4 cycles + 9-flit serialization, at zero load.
-        assert 20 <= latency <= 45
         assert packet.hops_traversed == 6
+        assert packet.ejected_cycle - packet.injected_cycle == 30
+
+    @pytest.mark.parametrize("topology", ["mesh", "torus", "ring", "cmesh"])
+    def test_zero_load_latency_is_exact(self, topology):
+        """Alone on the fabric, a packet takes 4 + 3H + (F - 1) cycles
+        (H hops, F flits) to every destination from node 0."""
+        network = make_network(topology=topology,
+                               vcs_per_vnet=min_vcs_per_vnet(topology))
+        for dst in range(1, network.topology.n_nodes):
+            for kind, flits, line in ((PacketType.REQUEST, 1, None),
+                                      (PacketType.RESPONSE, 9, bytes(64))):
+                packet = Packet(kind, 0, dst, line=line)
+                send_and_drain(network, [packet])
+                assert packet.size_flits == flits
+                assert packet.ejected_cycle - packet.injected_cycle == (
+                    4 + 3 * packet.hops_traversed + flits - 1), dst
 
     def test_neighbor_vs_corner_latency(self):
         near = Packet(PacketType.REQUEST, 0, 1)

@@ -578,7 +578,8 @@ class TestRetryBackoff:
 
     def test_unparseable_value_falls_back_to_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "soon-ish")
-        assert 0.05 <= runner._retry_backoff() <= 0.15
+        with pytest.warns(RuntimeWarning, match="REPRO_RETRY_BACKOFF"):
+            assert 0.05 <= runner._retry_backoff() <= 0.15
 
     def test_spec_seeded_jitter_is_reproducible(self, monkeypatch):
         """Given a spec, the jitter comes from a generator seeded by its
