@@ -258,10 +258,13 @@ def _write(name: str, text: str) -> None:
 
 
 def main(argv: Sequence[str]) -> int:
+    usage = f"usage: python -m repro.experiments.claims [--full] [{' '.join(FIGURES)}]"
+    if "-h" in argv or "--help" in argv:
+        print(usage)
+        return 0
     figures = [arg for arg in argv if arg != "--full"]
     if not set(figures) <= set(FIGURES):
-        sys.exit("usage: python -m repro.experiments.claims [--full] "
-                 f"[{' '.join(FIGURES)}]")
+        sys.exit(usage)
     scale = FULL if "--full" in argv else BENCH
     names = list(dict.fromkeys(figures)) or tuple(MODULES)
     artifacts = build(scale, names)
