@@ -20,8 +20,8 @@ from repro.experiments import (
     runner,
 )
 from repro.experiments.report import geomean
-from repro.experiments.table1 import render as render_t1, table1
-from repro.experiments.table2 import render as render_t2, table2_rows
+from repro.experiments.table1 import measure_ratio, render as render_t1, table1
+from repro.experiments.table2 import render as render_t2, table2_rows, verify_table2
 
 TINY = dict(accesses_per_core=120)
 
@@ -106,6 +106,10 @@ class TestRunner:
 
 
 class TestTable1:
+    def test_measure_ratio_positive(self):
+        ratio = measure_ratio("delta", lines_per_profile=20)
+        assert 1.2 < ratio < 2.5
+
     def test_table1_rows_and_render(self):
         rows = table1(algorithms=("delta", "fpc"), lines_per_profile=15)
         assert [r.algorithm for r in rows] == ["delta", "fpc"]
@@ -119,6 +123,9 @@ class TestTable2:
         assert "4x4 mesh" in text
         assert "wormhole" in text
         assert "4MB" in text
+
+    def test_verify_passes_on_defaults(self):
+        assert verify_table2() == []
 
     def test_rows_structure(self):
         rows = table2_rows()
