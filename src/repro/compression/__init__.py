@@ -4,7 +4,9 @@ Every algorithm in this package operates on real cache-line payloads
 (``bytes`` objects, typically 64 bytes) and reports *exact* compressed sizes
 in bits, including all metadata (prefixes, base-select bits, headers).  All
 algorithms are lossless: ``decompress(compress(line)) == line`` always holds
-and is enforced by the test suite.
+and is enforced by the test suite.  The memoizing wrapper the simulator uses
+(:class:`CachedCompressor`) keeps only each line's size, so round trips go
+through the plain algorithms.
 
 The algorithms:
 

@@ -47,7 +47,9 @@ class CompressedLine:
     (prefixes, headers, base-select bits).  ``payload`` is an opaque,
     algorithm-specific representation sufficient to reconstruct the line;
     the original line is deliberately *not* stored so that round-trip tests
-    prove the encoding is really lossless.
+    prove the encoding is really lossless.  ``payload`` is ``None`` on the
+    size records :class:`CachedCompressor` hands the simulator, which
+    charges decompression as a latency and never decodes a line.
     """
 
     algorithm: str
@@ -134,6 +136,11 @@ class CompressionAlgorithm(ABC):
                 f"cannot decompress {compressed.algorithm!r} data "
                 f"with {self.name!r}"
             )
+        if compressed.payload is None:
+            raise ValueError(
+                f"a {compressed.algorithm!r} size record carries no payload; "
+                "decode with get_algorithm(name, cached=False)"
+            )
         if not compressed.compressible:
             return bytes(compressed.payload)
         return self._decode(compressed.payload)
@@ -148,6 +155,18 @@ class CompressionAlgorithm(ABC):
 #: functions of the line bytes, so a memo entry computed by one
 #: simulation is byte-identical for every other.
 _SHARED_CACHES: dict = {}
+
+
+@lru_cache(maxsize=None)
+def _size_record(
+    algorithm: str, original_size_bits: int, size_bits: int, compressible: bool
+) -> CompressedLine:
+    """The one payload-free record of an encoded size.  Every memo entry
+    of that size points at it (a frozen record is safe to share); a line
+    size bounds the distinct sizes, so the table stays small."""
+    return CompressedLine(
+        algorithm, original_size_bits, size_bits, None, compressible
+    )
 
 
 def _memo_for(shared_key) -> "OrderedDict[bytes, CompressedLine]":
@@ -165,7 +184,12 @@ class CachedCompressor(CompressionAlgorithm):
 
     Workload traces revisit the same line values constantly; caching the
     (deterministic) encoding keeps cycle-level simulation fast without
-    changing any result.  The cache is LRU-bounded.
+    changing any result.  The cache is LRU-bounded.  It keeps sizes, not
+    payloads: :meth:`compress` returns the shared size record of the
+    line's encoding (``payload is None``), which is all the simulator
+    reads — flits shipped and LLC segments filled.  A record cannot be
+    decoded; round trips belong to the plain algorithm
+    (``get_algorithm(name, cached=False)``).
 
     ``shared_key`` opts into a process-wide memo shared across wrapper
     instances (e.g. every run of the same algorithm in an experiment
@@ -192,7 +216,7 @@ class CachedCompressor(CompressionAlgorithm):
 
     def __getstate__(self) -> dict:
         # A shared memo belongs to the process, not to this wrapper: pickle
-        # its key, never its entries (up to ``capacity`` encoded lines).
+        # its key, never its entries (up to ``capacity`` lines).
         state = self.__dict__.copy()
         del state["_cache"]
         return state
@@ -207,7 +231,7 @@ class CachedCompressor(CompressionAlgorithm):
         raise NotImplementedError("CachedCompressor delegates compress()")
 
     def _decode(self, payload: Any) -> bytes:  # pragma: no cover
-        raise NotImplementedError("CachedCompressor delegates decompress()")
+        raise NotImplementedError("CachedCompressor keeps sizes, not payloads")
 
     def compress(self, line: bytes) -> CompressedLine:
         line = bytes(line)
@@ -217,14 +241,17 @@ class CachedCompressor(CompressionAlgorithm):
             self._cache.move_to_end(line)
             return cached
         self.misses += 1
-        result = self.inner.compress(line)
+        encoded = self.inner.compress(line)
+        result = _size_record(
+            encoded.algorithm,
+            encoded.original_size_bits,
+            encoded.size_bits,
+            encoded.compressible,
+        )
         self._cache[line] = result
         if len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
         return result
-
-    def decompress(self, compressed: CompressedLine) -> bytes:
-        return self.inner.decompress(compressed)
 
     def train(self, lines) -> Any:
         """Delegate training (SC2/FVC) and invalidate stale cached encodings."""

@@ -70,7 +70,9 @@ def get_algorithm(
     """Instantiate a compression algorithm by registry name.
 
     ``cached=True`` wraps the algorithm in a :class:`CachedCompressor`
-    (recommended for simulation; identical results, much faster).
+    for simulation: identical sizes, much faster, and each line's result
+    is a shared size record with no payload.  Round trips
+    (``decompress(compress(line))``) need ``cached=False``.
     """
     factory = _FACTORIES.get(name)
     if factory is None:

@@ -8,7 +8,11 @@ and simulations embarrassingly parallel:
 
 - **Memo cache** (per process): experiments that share runs — Fig. 5's
   latency view and Fig. 7's energy view of the identical simulations —
-  only pay once per process, as before.
+  only pay once per process, as before.  It keeps the newest
+  :data:`RESULT_WINDOW` results (LRU, under a lock: the service's
+  dispatcher threads share it), so a long-lived process stays bounded;
+  an evicted result comes back from the disk cache, the store of record,
+  or is recomputed bit-identically when that is off.
 - **Disk cache** (cross-process, content-addressed): results are pickled
   under ``~/.cache/repro-disco/`` (override with ``REPRO_CACHE_DIR``)
   keyed by a stable hash of the spec plus a code fingerprint
@@ -64,6 +68,7 @@ import signal
 import threading
 import time
 import warnings
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace as _dc_replace
@@ -295,8 +300,32 @@ def spec_key(spec: RunSpec) -> str:
 # the two cache levels
 # --------------------------------------------------------------------------
 
-#: Per-process memo.
-_CACHE: Dict[RunSpec, SimulationResult] = {}
+#: How many results the per-process memo keeps, the least recently used
+#: leaving first: more than the largest batch a caller reads back (the
+#: ``--full`` claims batch, 164 specs), few enough that an always-on
+#: service's parent stays below its pool workers' peak RSS.
+RESULT_WINDOW = 256
+
+#: Per-process memo, least recently used first; ``_CACHE_LOCK`` guards it.
+_CACHE: "OrderedDict[RunSpec, SimulationResult]" = OrderedDict()
+_CACHE_LOCK = threading.Lock()
+
+
+def _memo_get(spec: RunSpec) -> Optional[SimulationResult]:
+    with _CACHE_LOCK:
+        result = _CACHE.get(spec)
+        if result is not None:
+            _CACHE.move_to_end(spec)
+        return result
+
+
+def _memo_put(spec: RunSpec, result: SimulationResult) -> None:
+    with _CACHE_LOCK:
+        _CACHE[spec] = result
+        _CACHE.move_to_end(spec)
+        while len(_CACHE) > RESULT_WINDOW:
+            _CACHE.popitem(last=False)
+
 
 def cache_dir() -> Path:
     """Disk-cache directory (``REPRO_CACHE_DIR`` overrides the default)."""
@@ -315,7 +344,8 @@ def clear_cache() -> None:
 
     The disk cache is left alone; see :func:`clear_disk_cache`.
     """
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()
 
 
 def clear_disk_cache() -> int:
@@ -805,7 +835,7 @@ def _quarantine_after() -> int:
 
 
 def _store(spec: RunSpec, result: SimulationResult, verbose: bool) -> None:
-    _CACHE[spec] = result
+    _memo_put(spec, result)
     _disk_store(spec, result)
     if verbose:
         ensure_level(logging.INFO)
@@ -869,12 +899,12 @@ class Executor:
     @staticmethod
     def lookup(spec: RunSpec, key: Optional[str] = None) -> Optional[SimulationResult]:
         """Memo, then disk cache; a hit resolves journal ``key`` done."""
-        result = _CACHE.get(spec)
+        result = _memo_get(spec)
         if result is None:
             result = _disk_load(spec)
             if result is None:
                 return None
-            _CACHE[spec] = result
+            _memo_put(spec, result)
         _journal_append(key, "done")
         return result
 

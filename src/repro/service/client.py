@@ -15,6 +15,14 @@ import urllib.request
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
+def _error_body(exc: urllib.error.HTTPError) -> Dict:
+    """The service's JSON body of an error answer (``{}`` if none)."""
+    try:
+        return json.loads(exc.read() or b"{}")
+    except ValueError:
+        return {}
+
+
 class OverloadedError(RuntimeError):
     """The service shed this submission (HTTP 429)."""
 
@@ -52,12 +60,7 @@ class ServiceClient:
             ) as response:
                 return response.status, json.loads(response.read() or b"{}")
         except urllib.error.HTTPError as exc:
-            payload = {}
-            try:
-                payload = json.loads(exc.read() or b"{}")
-            except ValueError:
-                pass
-            return exc.code, payload
+            return exc.code, _error_body(exc)
 
     # -- API -----------------------------------------------------------------
     def submit(
@@ -110,11 +113,17 @@ class ServiceClient:
         return payload
 
     def stream(self, job_id: str) -> Iterator[Dict]:
-        """Yield the job's NDJSON events as the service emits them."""
+        """Yield the job's NDJSON events as the service emits them; an
+        unknown or retired job raises ``RuntimeError`` naming the HTTP
+        code and the service's JSON body."""
         url = f"{self.base_url}/stream/{job_id}"
-        with urllib.request.urlopen(url, timeout=self.timeout) as response:
-            if response.status != 200:
-                raise RuntimeError(f"stream failed ({response.status})")
+        try:
+            response = urllib.request.urlopen(url, timeout=self.timeout)
+        except urllib.error.HTTPError as exc:
+            raise RuntimeError(
+                f"stream failed ({exc.code}): {_error_body(exc)}"
+            ) from None
+        with response:
             for line in response:
                 line = line.strip()
                 if line:

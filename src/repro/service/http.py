@@ -14,7 +14,11 @@ over five routes:
                             as it completes, terminated by the ``done``
                             event — live result streaming, not
                             batch-at-end; SLO burn/recovery events ride
-                            the same stream
+                            the same stream.  Both job routes answer
+                            every unfinished job and the newest
+                            ``FINISHED_JOB_WINDOW`` finished ones (see
+                            :mod:`~repro.service.scheduler`); an older
+                            finished job answers ``404``
 ``GET /health/live``        200 while the dispatcher threads run
 ``GET /health/ready``       200 with queue headroom, 503 when saturated
                             or draining (load balancers stop routing);

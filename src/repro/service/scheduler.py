@@ -35,6 +35,14 @@ Every occurrence goes through one :class:`~repro.telemetry.events.Emitter`
 whose ``KINDS`` table declares its sinks — the :class:`ServiceStats`
 counters, windowed rates, queue-age samples, flight records and logs —
 so ``/stats``, ``/metrics``, the ``queue_full`` hint and the SLOs agree.
+
+Retention
+---------
+The job table keeps every unfinished job and the newest
+:data:`FINISHED_JOB_WINDOW` finished ones; an older finished job leaves
+it, and ``/status`` and ``/stream`` answer 404 for it.  With the
+runner's bounded result memo this keeps an always-on service's memory
+flat however many units it serves.
 """
 
 from __future__ import annotations
@@ -42,8 +50,9 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.runner import (
     DONE,
@@ -75,6 +84,10 @@ from repro.telemetry.log import correlation_scope, get_logger
 from repro.telemetry.slo import SLOSpec, SLOStatus, default_slos, evaluate
 
 _LOG = get_logger("repro.service")
+
+#: Finished jobs the service keeps addressable, the first finished
+#: leaving first; unfinished jobs always stay.
+FINISHED_JOB_WINDOW = 256
 
 
 @dataclass
@@ -132,7 +145,11 @@ class CampaignService:
         #: Every occurrence's one emit path (counters, rates, samples,
         #: flight records, logs).
         self.events = Emitter(self.stats)
+        #: Every unfinished job and the newest ``FINISHED_JOB_WINDOW``
+        #: finished ones, by id; ``_finished`` holds those finished ids in
+        #: finishing order.
         self.jobs: Dict[str, Job] = {}
+        self._finished: Deque[str] = deque()
         self.started_mono: Optional[float] = None
         #: Declarative objectives evaluated over ``events`` (read-only —
         #: SLO state never feeds back into scheduling decisions).
@@ -347,7 +364,9 @@ class CampaignService:
 
     def _publish_slo_event(self, kind: str, status: SLOStatus) -> None:
         event = {"type": kind, **status.to_dict()}
-        for job in list(self.jobs.values()):
+        with self._cond:
+            jobs = list(self.jobs.values())
+        for job in jobs:
             if not job.finished():
                 job.publish(dict(event))
 
@@ -633,6 +652,10 @@ class CampaignService:
                 "elapsed": round(time.monotonic() - job.submitted_mono, 3),
             }
         )
+        with self._cond:
+            self._finished.append(job.job_id)
+            while len(self._finished) > FINISHED_JOB_WINDOW:
+                del self.jobs[self._finished.popleft()]
 
     # -- the process pool ----------------------------------------------------
     def _respawned(self, generation: int) -> None:

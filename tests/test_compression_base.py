@@ -15,6 +15,9 @@ from repro.compression.base import (
     words32,
 )
 from repro.compression.delta import DeltaCompressor
+from repro.compression.registry import available_algorithms, get_algorithm
+from repro.workloads.corpus import sample_corpus
+from repro.workloads.profiles import PARSEC_BENCHMARKS
 
 
 def test_timing_validation():
@@ -102,7 +105,7 @@ class TestCachedCompressor:
         assert first is second
         assert cached.hits == 1 and cached.misses == 1
         assert first.size_bits == inner.compress(line).size_bits
-        assert cached.decompress(first) == line
+        assert first.payload is None
 
     def test_lru_bound(self):
         cached = CachedCompressor(DeltaCompressor(), capacity=2)
@@ -120,3 +123,51 @@ class TestCachedCompressor:
         cached = CachedCompressor(DeltaCompressor())
         with pytest.raises(AttributeError):
             cached.train([b"\x00" * 64])
+
+
+class TestSizeRecords:
+    """The memo hands the simulator one shared, payload-free record per
+    encoded size, and each record says what the plain algorithm says."""
+
+    CORPUS = sample_corpus(
+        [PARSEC_BENCHMARKS["canneal"], PARSEC_BENCHMARKS["x264"]],
+        lines_per_profile=120,
+    )
+
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_records_are_faithful_and_shared(self, name):
+        cached = get_algorithm(name)
+        plain = get_algorithm(name, cached=False)
+        if hasattr(plain, "train"):
+            cached.train(self.CORPUS)
+            plain.train(self.CORPUS)
+        for line in self.CORPUS:
+            record = cached.compress(line)
+            full = plain.compress(line)
+            assert (
+                record.algorithm,
+                record.original_size_bits,
+                record.size_bits,
+                record.compressible,
+            ) == (
+                full.algorithm,
+                full.original_size_bits,
+                full.size_bits,
+                full.compressible,
+            )
+            assert record.payload is None
+        by_size = {}
+        for record in cached._cache.values():
+            by_size.setdefault(
+                (record.size_bits, record.compressible), set()
+            ).add(id(record))
+        assert len(by_size) > 1
+        assert all(len(ids) == 1 for ids in by_size.values())
+
+    def test_a_record_cannot_be_decoded(self):
+        cached = get_algorithm("delta")
+        record = cached.compress(b"\x07" * 64)
+        with pytest.raises(ValueError, match="size record"):
+            cached.decompress(record)
+        with pytest.raises(ValueError, match="size record"):
+            get_algorithm("delta", cached=False).decompress(record)

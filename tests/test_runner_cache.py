@@ -17,6 +17,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -33,6 +34,7 @@ from repro.experiments.runner import (
     clear_cache,
     clear_disk_cache,
     default_jobs,
+    result_digest,
     run_spec,
     run_specs,
     spec_key,
@@ -249,6 +251,99 @@ class TestDiskCache:
         assert dataclasses.asdict(stored) == dataclasses.asdict(result)
         # The structured snapshots survive too, not just scalar fields.
         assert stored.counters_measured == result.counters_measured
+
+
+class TestResultWindow:
+    """The memo keeps the newest ``RESULT_WINDOW`` results; the disk cache
+    stays the store of record behind it."""
+
+    SPECS = [
+        RunSpec(scheme=scheme, **QUICK)
+        for scheme in ("baseline", "cc", "cnc", "disco")
+    ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = runner._simulate
+        monkeypatch.setattr(
+            runner,
+            "_simulate",
+            lambda s, verbose=False: calls.append(s) or real(s, verbose),
+        )
+        return calls
+
+    def test_keeps_the_newest_results(self, monkeypatch):
+        monkeypatch.setattr(runner, "RESULT_WINDOW", 2)
+        for spec in self.SPECS:
+            run_spec(spec)
+        assert list(runner._CACHE) == self.SPECS[-2:]
+
+    def test_a_hit_inside_the_window_is_the_same_object(self, monkeypatch):
+        monkeypatch.setattr(runner, "RESULT_WINDOW", 2)
+        a, b, c = self.SPECS[:3]
+        first = run_spec(a)
+        run_spec(b)
+        assert run_spec(a) is first  # the hit makes ``a`` the newest
+        run_spec(c)  # so ``b`` leaves, not ``a``
+        assert list(runner._CACHE) == [a, c]
+        assert run_spec(a) is first
+
+    def test_an_evicted_spec_comes_back_from_disk(self, monkeypatch, calls):
+        monkeypatch.setattr(runner, "RESULT_WINDOW", 1)
+        a, b = self.SPECS[:2]
+        first = run_spec(a)
+        run_spec(b)
+        assert a not in runner._CACHE
+        again = run_spec(a)
+        assert calls == [a, b]
+        assert result_digest(again) == result_digest(first)
+
+    def test_threads_sharing_the_memo_keep_the_window(self, monkeypatch):
+        """The service's dispatcher threads share the memo: more threads
+        than cores, switching every microsecond, lose no update."""
+        monkeypatch.setattr(runner, "RESULT_WINDOW", 8)
+        specs = [RunSpec(scheme="baseline", seed=s, **QUICK) for s in range(64)]
+        errors = []
+
+        def hammer(offset):
+            try:
+                for i in range(2000):
+                    spec = specs[(offset * 7 + i) % len(specs)]
+                    if runner._memo_get(spec) is None:
+                        runner._memo_put(spec, spec)
+            except Exception as exc:  # a torn OrderedDict raises here
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(k,)) for k in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(runner._CACHE) == 8
+        assert all(runner._CACHE[spec] is spec for spec in runner._CACHE)
+
+    def test_without_disk_an_evicted_spec_is_recomputed(
+        self, monkeypatch, calls
+    ):
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        monkeypatch.setattr(runner, "RESULT_WINDOW", 1)
+        a, b = self.SPECS[:2]
+        first = run_spec(a)
+        run_spec(b)
+        again = run_spec(a)
+        assert calls == [a, b, a]
+        assert again is not first
+        assert result_digest(again) == result_digest(first)
 
 
 class TestParallel:

@@ -38,6 +38,7 @@ from repro.service import (
     serve,
     spec_from_payload,
 )
+from repro.service import scheduler
 from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.jobs import Job
 
@@ -531,6 +532,30 @@ class TestCampaignService:
         assert not list(cache.glob("*.tmp"))
 
 
+class TestJobWindow:
+    def test_unfinished_jobs_stay_and_finished_leave_oldest_first(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler, "FINISHED_JOB_WINDOW", 2)
+        spec = RunSpec(scheme="baseline", **QUICK)
+        run_spec(spec)  # every unit below resolves from the memo
+        service = CampaignService(workers=1, rate=1000.0, burst=1000.0)
+        service._accepting = True  # resolve units by hand, no dispatchers
+        held = service.submit(specs=[spec, spec], client="held")
+        jobs = [service.submit(specs=[spec], client="c") for _ in range(4)]
+        service._execute(held.units[0])
+        for job in jobs:
+            service._execute(job.units[0])
+            assert held.job_id in service.jobs
+        assert not held.finished()
+        assert list(service.jobs) == [
+            held.job_id, jobs[2].job_id, jobs[3].job_id,
+        ]
+        service._execute(held.units[1])
+        assert list(service.jobs) == [held.job_id, jobs[3].job_id]
+        assert service.stats.jobs_completed == 5
+
+
 # --------------------------------------------------------------------------
 # the HTTP frontend
 # --------------------------------------------------------------------------
@@ -586,6 +611,8 @@ class TestServiceHTTP:
             )
         with pytest.raises(RuntimeError, match="404"):
             client.status("nonexistent")
+        with pytest.raises(RuntimeError, match=r"stream failed \(404\).*unknown_job"):
+            client.wait("nonexistent")
         # Unknown routes 404 too.
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/nope", method="GET"
@@ -593,6 +620,29 @@ class TestServiceHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 404
+
+    def test_a_retired_job_answers_404(self, http_service, monkeypatch):
+        _, client, port = http_service
+        monkeypatch.setattr(scheduler, "FINISHED_JOB_WINDOW", 1)
+        spec = dict(scheme="baseline", **QUICK)
+        first = client.submit(specs=[spec], client="window")
+        client.wait(first)
+        second = client.submit(specs=[spec], client="window")
+        client.wait(second)
+        assert client.status(second)["state"] == "done"
+        with pytest.raises(RuntimeError, match=r"status failed \(404\)"):
+            client.status(first)
+        with pytest.raises(RuntimeError, match=r"stream failed \(404\)"):
+            client.wait(first)
+        for route in ("status", "stream"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/{route}/{first}", timeout=10
+                )
+            assert excinfo.value.code == 404
+            assert json.loads(excinfo.value.read()) == {
+                "error": "unknown_job", "job": first,
+            }
 
     def test_unknown_submit_keys_are_rejected_by_name(self, http_service):
         """A typo'd ``priorty`` must not queue the job at the default
